@@ -10,13 +10,6 @@ import numpy as np
 _MAX_ITER = 600
 
 
-def _lgamma(a: np.ndarray) -> np.ndarray:
-    """Elementwise log-gamma; cheap for the few distinct shapes we see."""
-    vals, inv = np.unique(a, return_inverse=True)
-    table = np.array([math.lgamma(v) for v in vals])
-    return table[inv].reshape(a.shape)
-
-
 def _series_p(a: float, x: np.ndarray) -> np.ndarray:
     # P(a,x) = x^a e^-x / Gamma(a+1) * sum_{n>=0} x^n / ((a+1)...(a+n)),  x < a+1
     total = np.ones_like(x)
@@ -98,15 +91,6 @@ def regularized_gamma_p(a, x):
         mask = a_b == val
         out[mask] = _gamma_p_scalar_shape(float(val), np.ascontiguousarray(x_b[mask]))
     return out
-
-
-def lower_incomplete_gamma(a, x):
-    """Unregularized lower incomplete gamma(a, x) = int_0^x t^(a-1) e^-t dt."""
-    p = regularized_gamma_p(a, x)
-    gamma_a = np.exp(_lgamma(np.atleast_1d(np.asarray(a, float))))
-    if np.isscalar(p) or getattr(p, "ndim", 0) == 0:
-        return float(p) * float(gamma_a[0])
-    return p * np.exp(_lgamma(np.asarray(np.broadcast_to(a, np.shape(p)), float)))
 
 
 @dataclass(frozen=True)

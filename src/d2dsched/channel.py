@@ -2,20 +2,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from d2dsched.analytics import regularized_gamma_p
 from d2dsched.model import FadingSpec, LinkGeometry, SystemConfig
-
-
-@dataclass(frozen=True)
-class SnrSample:
-    user_id: int
-    kind: str
-    snr: float
-    slot: int
 
 
 class GammaSnrCdf:
@@ -57,10 +47,6 @@ class EmpiricalSnrCdf:
     __call__ = evaluate
 
 
-def empirical_snr_cdf(samples) -> EmpiricalSnrCdf:
-    return EmpiricalSnrCdf(samples)
-
-
 def draw_fading(spec: FadingSpec, rng: np.random.Generator, size=None):
     """Power gain |h|^2 ~ Gamma(shape=m, mean=mean_power); exponential for m=1."""
     return rng.gamma(spec.shape_m, spec.mean_power / spec.shape_m, size=size)
@@ -95,12 +81,6 @@ def snr_from_gain(link: LinkGeometry, config: SystemConfig, power_gain: float) -
     return mean_snr(link, config) * power_gain
 
 
-def snr_sample(link: LinkGeometry, fading: FadingSpec, config: SystemConfig,
-               rng: np.random.Generator, user_id: int = 0, slot: int = 0) -> SnrSample:
-    gain = draw_fading(fading, rng)
-    return SnrSample(user_id, link.kind, snr_from_gain(link, config, gain), slot)
-
-
 def analytic_snr_cdf(link: LinkGeometry, fading: FadingSpec, config: SystemConfig) -> GammaSnrCdf:
-    """Exact conditional CDF of snr_sample for this geometry."""
+    """Exact CDF of snr_from_gain(link, config, draw_fading(fading, ...))."""
     return GammaSnrCdf(fading.shape_m, mean_snr(link, config) * fading.mean_power)

@@ -173,8 +173,7 @@ def cmd_group(args) -> int:
     config = _build_config(args)
     if config.K2 < 1:
         raise ConfigError("grouping requires K2 >= 1")
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(0, 0)))
-    spatial = sample_spatial(config, rng)
+    spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
     colored = greedy_coloring(build_conflict_graph(spatial, config.interference_radius_m))
     group_of = colored.group_of()
     xy = spatial.centroid_xy()
@@ -200,14 +199,11 @@ def cmd_analytic(args) -> int:
         emit("cellular", cell)
         emit("d2d", d2d)
         return 0
-    shapes = config.shapes_per_contender()
-    base_c = GammaSnrCdf(shapes[0], simcore.contenders_from_spatial(
-        config, sample_spatial(config, np.random.default_rng(config.rng_seed))).mean_snr[0])
-    base_d = None
-    if config.K2 > 0:
-        cs = simcore.contenders_from_spatial(
-            config, sample_spatial(config, np.random.default_rng(config.rng_seed)))
-        base_d = GammaSnrCdf(shapes[config.K1], cs.mean_snr[config.K1])
+    # the layout of the experiment's first realization, as `run` simulates it
+    cs = simcore.contenders_from_spatial(
+        config, sample_spatial(config, simcore.realization_rng(config.rng_seed)))
+    base_c = GammaSnrCdf(cs.shape_m[0], cs.mean_snr[0])
+    base_d = GammaSnrCdf(cs.shape_m[config.K1], cs.mean_snr[config.K1]) if config.K2 > 0 else None
     if args.curve == "bcs":
         emit("cellular", analytics.bcs_selected_cdf(base_c, K))
     elif args.curve == "cfs":

@@ -27,9 +27,6 @@ class ConflictGraph:
     def n_vertices(self) -> int:
         return self.adjacency.shape[0]
 
-    def degree(self) -> np.ndarray:
-        return self.adjacency.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class Group:
@@ -90,7 +87,7 @@ def greedy_coloring(graph: ConflictGraph, nu: float = 0.5) -> GroupStructure:
     """Welsh-Powell greedy coloring: vertices in descending-degree order (ties by
     lower id) take the smallest color absent among colored neighbors."""
     n = graph.n_vertices
-    deg = graph.degree()
+    deg = graph.adjacency.sum(axis=1)
     order = np.lexsort((np.arange(n), -deg))
     color = np.full(n, -1)
     for v in order:

@@ -15,7 +15,6 @@ import numpy as np
 POLICIES = ("bcs", "cfs", "dfs", "gfs", "ecs", "pfs", "grr")
 
 _INT_KEYS = {"K1", "K2", "slots_per_realization", "spatial_realizations", "rng_seed", "resources"}
-_BOOL_KEYS = {"cfs_d2d_random"}
 _STR_KEYS = {"policy"}
 
 
@@ -52,7 +51,6 @@ class SystemConfig:
     rate_log_base: float = 2.0            # 2 or math.e
     interference_radius_m: float = 300.0
     policy: str = "bcs"
-    cfs_d2d_random: bool = False
     resources: int = 1
     group_sizes: tuple[int, ...] | None = None   # fixed D2D grouping; None = greedy coloring
 
@@ -230,12 +228,6 @@ def _parse_value(key: str, raw: str):
     raw = raw.strip()
     if key in _STR_KEYS:
         return raw
-    if key in _BOOL_KEYS:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     if key == "group_sizes":
         if raw.lower() in ("", "none"):
             return None

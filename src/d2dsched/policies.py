@@ -23,11 +23,6 @@ def _weighted_scores(u: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.log(u) / w
 
 
-def cdf_map(snr, cdf):
-    """u = F(snr): the probability-integral transform feeding every CDF policy."""
-    return cdf.evaluate(snr)
-
-
 def bcs_select(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Winner per slot: argmax_k u_k^(1/w_k), giving access probability w_k."""
     u = np.atleast_2d(u)
@@ -54,9 +49,8 @@ class CfsState:
     cursor: int = 0
 
 
-def cfs_select(u_cell: np.ndarray, K1: int, K2: int, state: CfsState,
-               rng: np.random.Generator | None = None,
-               random_pick: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def cfs_select(u_cell: np.ndarray, K1: int, K2: int,
+               state: CfsState) -> tuple[np.ndarray, np.ndarray]:
     """Threshold policy: best cellular u wins if it clears the threshold,
     otherwise the next D2D user is granted.
 
@@ -79,32 +73,19 @@ def cfs_select(u_cell: np.ndarray, K1: int, K2: int, state: CfsState,
     if idle.size:
         if K2 == 0:
             raise ValueError("below-threshold slot with no D2D users to serve")
-        if random_pick:
-            if rng is None:
-                raise ValueError("random D2D pick requires an rng")
-            d2d_user[idle] = rng.integers(0, 2 * K2, idle.size)
-        else:
-            d2d_user[idle] = (state.cursor + np.arange(idle.size)) % (2 * K2)
-            state.cursor = (state.cursor + idle.size) % (2 * K2)
+        d2d_user[idle] = (state.cursor + np.arange(idle.size)) % (2 * K2)
+        state.cursor = (state.cursor + idle.size) % (2 * K2)
     return cell_winner, d2d_user
 
 
 def mws_select(u: np.ndarray, structure: GroupStructure, weights: PolicyWeights) -> np.ndarray:
-    """Group policies' core: max representative per group, then argmax Y_i^(1/w_i)."""
+    """Group selection: max representative per group, then argmax Y_i^(1/w_i).
+
+    gfs passes the max-min solver's weights, ecs the equal-access-time ones.
+    """
     u = np.atleast_2d(u)
     reps = np.column_stack([u[:, g.members].max(axis=1) for g in structure.groups])
     return np.argmax(_weighted_scores(reps, np.asarray(weights.w)), axis=1)
-
-
-def gfs_select(u: np.ndarray, structure: GroupStructure, weights: PolicyWeights) -> np.ndarray:
-    """Max-min-weighted group selection; `weights` come from the weight solver."""
-    return mws_select(u, structure, weights)
-
-
-def ecs_select(u: np.ndarray, structure: GroupStructure) -> np.ndarray:
-    """Same mechanics with fixed equal-access-time weights."""
-    from d2dsched.weights import ecs_weights
-    return mws_select(u, structure, ecs_weights(structure))
 
 
 def grr_select(n_slots: int, n_groups: int, offset: int = 0) -> np.ndarray:

@@ -12,8 +12,8 @@ from d2dsched import channel, policies
 from d2dsched.analytics import regularized_gamma_p
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
-from d2dsched.model import SpatialRealization, SystemConfig, cellular_downlink, d2d_direct, \
-    sample_spatial
+from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
+    d2d_direct, sample_spatial
 from d2dsched.weights import PolicyWeights, ecs_weights, solve_group_weights
 
 GROUP_POLICIES = ("gfs", "ecs", "pfs", "grr")
@@ -91,23 +91,7 @@ def build_structure(config: SystemConfig, spatial: SpatialRealization) -> GroupS
 
 
 # ---------------------------------------------------------------------------
-# accumulators
-
-@dataclass
-class UserMetrics:
-    """Per-user accumulators over granted (active) slots."""
-
-    grant_count: int = 0
-    upi_accumulator: float = 0.0      # sum of u over granted slots
-    rate_sum: float = 0.0             # sum of Shannon rates over granted slots
-
-
-def upi_estimate(metrics: UserMetrics, total_slots: int) -> float:
-    """2 * E[u * granted-indicator], estimated over all slots."""
-    if total_slots < 1:
-        raise ValueError("total_slots must be >= 1")
-    return 2.0 * metrics.upi_accumulator / total_slots
-
+# one realization
 
 @dataclass
 class SimResult:
@@ -115,14 +99,10 @@ class SimResult:
     user_grants: np.ndarray
     user_u_sum: np.ndarray
     user_rate_sum: np.ndarray
-    cont_grants: np.ndarray
     group_grants: np.ndarray | None
     selected_snr: list            # per contender: list of arrays
     structure: GroupStructure | None
     weights: PolicyWeights | None
-
-    def selected_snr_arrays(self) -> list[np.ndarray]:
-        return [np.concatenate(b) if b else np.empty(0) for b in self.selected_snr]
 
 
 def _u_from_gains(shape_m: np.ndarray, gains: np.ndarray) -> np.ndarray:
@@ -131,12 +111,25 @@ def _u_from_gains(shape_m: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return regularized_gamma_p(shape_m, shape_m * gains)
 
 
+def realization_rng(seed: int, resource: int = 0, realization: int = 0) -> np.random.Generator:
+    """Random stream of one (resource, realization): its layout first, then its fading."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=seed, spawn_key=(resource, realization)))
+
+
 def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
                     structure: GroupStructure | None = None,
                     weights: PolicyWeights | None = None,
                     rate_log_base: float = 2.0, pf_time_const: float = 1000.0,
-                    cfs_d2d_random: bool = False, chunk: int = 200_000) -> SimResult:
-    """Run one realization of `slots` fading slots under the given policy."""
+                    chunk: int = 200_000) -> SimResult:
+    """Run one realization of `slots` fading slots under the given policy.
+
+    A policy only names each slot's winner: a contender for bcs, dfs and cfs,
+    a group for the group policies.  Every contender of the winner is granted
+    the slot, and a pair's grants go to its two members in strict alternation.
+    """
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
     C = cs.n_contenders
     nU = cs.n_users
     K1 = int(np.sum(~cs.is_pair))
@@ -149,44 +142,28 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
             weights = solve_group_weights(structure)
         if policy == "ecs":
             weights = ecs_weights(structure)
+        group_of = structure.group_of()
+        winner_of = [group_of[j] for j in range(C)]
+        n_winners = structure.n_groups
+    elif policy in ("bcs", "dfs", "cfs"):
+        winner_of = list(range(C))
+        n_winners = C
+    else:
+        raise ValueError(f"unknown policy {policy!r}")
     res = SimResult(
         slots=slots,
         user_grants=np.zeros(nU, dtype=np.int64),
         user_u_sum=np.zeros(nU),
         user_rate_sum=np.zeros(nU),
-        cont_grants=np.zeros(C, dtype=np.int64),
         group_grants=np.zeros(structure.n_groups, dtype=np.int64) if structure is not None else None,
         selected_snr=[[] for _ in range(C)],
         structure=structure,
         weights=weights,
     )
-    pair_altern = np.zeros(C, dtype=np.int64)
+    turn = [0] * C                # member of each contender due for its next grant
     cfs_state = policies.CfsState()
     pf_state = policies.PfState(t_c=pf_time_const)
     done = 0
-
-    def account_contender(j: int, sl: np.ndarray, u: np.ndarray, snr: np.ndarray):
-        if sl.size == 0:
-            return
-        res.cont_grants[j] += sl.size
-        res.selected_snr[j].append(snr[sl, j])
-        rates = np.log1p(snr[sl, j]) / log_base
-        if not cs.is_pair[j]:
-            uid = cs.members[j][0]
-            res.user_grants[uid] += sl.size
-            res.user_u_sum[uid] += u[sl, j].sum()
-            res.user_rate_sum[uid] += rates.sum()
-        else:
-            # strict alternation between the two members on the pair's grants
-            pos = (pair_altern[j] + np.arange(sl.size)) % 2
-            for t in (0, 1):
-                mask = pos == t
-                uid = cs.members[j][t]
-                res.user_grants[uid] += int(mask.sum())
-                res.user_u_sum[uid] += u[sl[mask], j].sum()
-                res.user_rate_sum[uid] += rates[mask].sum()
-            pair_altern[j] = (pair_altern[j] + sl.size) % 2
-
     while done < slots:
         n = min(chunk, slots - done)
         gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
@@ -195,46 +172,40 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
 
         if policy == "bcs":
             win = policies.bcs_select(u, np.full(C, 1.0 / C))
-            for j in range(C):
-                account_contender(j, np.flatnonzero(win == j), u, snr)
         elif policy == "dfs":
             win = policies.dfs_select(u, K1, K2)
-            for j in range(C):
-                account_contender(j, np.flatnonzero(win == j), u, snr)
         elif policy == "cfs":
-            cell_winner, d2d_user = policies.cfs_select(
-                u[:, :K1], K1, K2, cfs_state, rng=rng, random_pick=cfs_d2d_random)
-            for k in range(K1):
-                account_contender(k, np.flatnonzero(cell_winner == k), u, snr)
-            for du in range(2 * K2):
-                sl = np.flatnonzero(d2d_user == du)
-                if sl.size == 0:
-                    continue
-                j = K1 + du // 2
-                uid = cs.members[j][du % 2]
-                res.cont_grants[j] += sl.size
-                res.selected_snr[j].append(snr[sl, j])
-                res.user_grants[uid] += sl.size
-                res.user_u_sum[uid] += u[sl, j].sum()
-                res.user_rate_sum[uid] += (np.log1p(snr[sl, j]) / log_base).sum()
+            cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
+            # the round-robin over the 2*K2 D2D users alternates each pair's members
+            win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
         elif policy in ("gfs", "ecs"):
             win = policies.mws_select(u, structure, weights)
         elif policy == "pfs":
-            rates_all = np.log1p(snr) / log_base
-            win = policies.pfs_select(rates_all, structure, pf_state)
-        elif policy == "grr":
-            win = policies.grr_select(n, structure.n_groups, offset=done)
+            win = policies.pfs_select(np.log1p(snr) / log_base, structure, pf_state)
         else:
-            raise ValueError(f"unknown policy {policy!r}")
+            win = policies.grr_select(n, structure.n_groups, offset=done)
 
+        # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
+        order = np.argsort(win.astype(np.min_scalar_type(n_winners)), kind="stable")
+        counts = np.bincount(win, minlength=n_winners)
+        ends = np.cumsum(counts)
         if policy in GROUP_POLICIES:
-            for gi, g in enumerate(structure.groups):
-                sl = np.flatnonzero(win == gi)
-                if sl.size == 0:
-                    continue
-                res.group_grants[gi] += sl.size
-                for j in g.members:
-                    account_contender(j, sl, u, snr)
+            res.group_grants += counts
+        for j in range(C):
+            w = winner_of[j]
+            sl = order[ends[w] - counts[w]:ends[w]]
+            if sl.size == 0:
+                continue
+            x = snr[sl, j]
+            rates = np.log1p(x) / log_base
+            res.selected_snr[j].append(x)
+            k = len(cs.members[j])
+            for t, uid in enumerate(cs.members[j]):
+                take = slice((t - turn[j]) % k, None, k)
+                res.user_grants[uid] += rates[take].size
+                res.user_u_sum[uid] += u[sl[take], j].sum()
+                res.user_rate_sum[uid] += rates[take].sum()
+            turn[j] = (turn[j] + sl.size) % k
         done += n
     return res
 
@@ -265,11 +236,6 @@ class ExperimentReport:
     def n_users(self) -> int:
         return len(self.user_kinds)
 
-    def user_metrics(self, uid: int) -> UserMetrics:
-        grants = int(self.access_prob[uid] * self.total_slots + 0.5)
-        return UserMetrics(grants, self.upi[uid] * self.total_slots / 2.0,
-                           self.effective_rate[uid] * self.total_slots)
-
 
 def _merge_reservoir(parts: list[np.ndarray], cap: int, rng: np.random.Generator) -> np.ndarray:
     allsamp = np.concatenate(parts) if parts else np.empty(0)
@@ -279,28 +245,72 @@ def _merge_reservoir(parts: list[np.ndarray], cap: int, rng: np.random.Generator
     return allsamp[idx]
 
 
+def _reduce(outputs: list, policy: str, seed: int, reservoir_capacity: int,
+            config_digest: str = "") -> ExperimentReport:
+    """Fold (SimResult, ContenderSet) pairs of one experiment into its report.
+
+    Group outputs need one partition: they are reported only when every
+    realization had the same group structure, else the report carries no
+    group access and group ids of -1.
+    """
+    results = [r for r, _ in outputs]
+    cs0 = outputs[0][1]
+    total_slots = sum(r.slots for r in results)
+    user_grants = sum(r.user_grants for r in results)
+    u_sum = sum(r.user_u_sum for r in results)
+    rate_sum = sum(r.user_rate_sum for r in results)
+    res_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(987654321,)))
+    selected_snr = [_merge_reservoir([a for r in results for a in r.selected_snr[j]],
+                                     reservoir_capacity, res_rng)
+                    for j in range(cs0.n_contenders)]
+
+    structures = {r.structure for r in results}
+    structure = structures.pop() if len(structures) == 1 else None
+    user_group = np.full(cs0.n_users, -1)
+    group_access = None
+    if structure is not None:
+        group_access = sum(r.group_grants for r in results) / total_slots
+        cont_group = structure.group_of()
+        for j, mem in enumerate(cs0.members):
+            for uid in mem:
+                user_group[uid] = cont_group.get(j, -1)
+    return ExperimentReport(
+        policy=policy, seed=seed, total_slots=total_slots,
+        user_kinds=cs0.user_kinds(), user_group=user_group,
+        access_prob=user_grants / total_slots,
+        upi=2.0 * u_sum / total_slots,
+        selected_rate=np.where(user_grants > 0, rate_sum / np.maximum(user_grants, 1), 0.0),
+        effective_rate=rate_sum / total_slots,
+        group_access_prob=group_access,
+        selected_snr=selected_snr,
+        structure=structure,
+        weights=results[-1].weights if structure is not None else None,
+        config_digest=config_digest,
+    )
+
+
 def _realization_task(args):
     config, resource, realization = args
-    ss = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(resource, realization))
-    rng = np.random.default_rng(ss)
+    rng = realization_rng(config.rng_seed, resource, realization)
     spatial = sample_spatial(config, rng)
     cs = contenders_from_spatial(config, spatial)
-    structure = None
-    weights = None
-    if config.policy in GROUP_POLICIES:
-        structure = build_structure(config, spatial)
+    structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
     return simulate_policy(cs, config.policy, config.slots_per_realization, rng,
-                           structure=structure, weights=weights,
+                           structure=structure,
                            rate_log_base=config.rate_log_base,
-                           pf_time_const=config.pf_time_const,
-                           cfs_d2d_random=config.cfs_d2d_random), cs
+                           pf_time_const=config.pf_time_const), cs
 
 
 def _n_workers(requested: int | None) -> int:
     if requested is not None:
         return max(1, requested)
     env = os.environ.get("D2DSCHED_THREADS")
-    return max(1, int(env)) if env else 1
+    if not env:
+        return 1
+    try:
+        return max(1, int(env))
+    except ValueError:
+        raise ConfigError(f"D2DSCHED_THREADS must be an integer, got {env!r}") from None
 
 
 def run_experiment(config: SystemConfig, n_workers: int | None = None,
@@ -316,63 +326,7 @@ def run_experiment(config: SystemConfig, n_workers: int | None = None,
             outputs = list(pool.map(_realization_task, tasks))
     else:
         outputs = [_realization_task(t) for t in tasks]
-
-    cs0 = outputs[0][1]
-    nU, C = cs0.n_users, cs0.n_contenders
-    total_slots = config.slots_per_realization * len(tasks)
-    user_grants = np.zeros(nU, dtype=np.int64)
-    u_sum = np.zeros(nU)
-    rate_sum = np.zeros(nU)
-    snr_parts: list[list[np.ndarray]] = [[] for _ in range(C)]
-    group_counts = None
-    group_ok = True
-    structure = None
-    weights = None
-    for result, _ in outputs:
-        user_grants += result.user_grants
-        u_sum += result.user_u_sum
-        rate_sum += result.user_rate_sum
-        for j in range(C):
-            arrays = result.selected_snr[j]
-            if arrays:
-                snr_parts[j].extend(arrays)
-        if result.group_grants is not None:
-            if group_counts is None:
-                group_counts = result.group_grants.astype(np.int64)
-            elif group_counts.shape == result.group_grants.shape:
-                group_counts = group_counts + result.group_grants
-            else:
-                group_ok = False   # greedy grouping changed the group count
-        structure = result.structure
-        weights = result.weights
-
-    res_rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(987654321,)))
-    selected_snr = [_merge_reservoir(snr_parts[j], reservoir_capacity, res_rng) for j in range(C)]
-
-    with np.errstate(invalid="ignore", divide="ignore"):
-        selected_rate = np.where(user_grants > 0, rate_sum / np.maximum(user_grants, 1), 0.0)
-    user_group = np.full(nU, -1)
-    if structure is not None:
-        cont_group = structure.group_of()
-        for j, mem in enumerate(cs0.members):
-            for uid in mem:
-                user_group[uid] = cont_group.get(j, -1)
-    group_access = None
-    if group_counts is not None and group_ok:
-        group_access = group_counts / total_slots
-    return ExperimentReport(
-        policy=config.policy, seed=config.rng_seed, total_slots=total_slots,
-        user_kinds=cs0.user_kinds(), user_group=user_group,
-        access_prob=user_grants / total_slots,
-        upi=2.0 * u_sum / total_slots,
-        selected_rate=selected_rate,
-        effective_rate=rate_sum / total_slots,
-        group_access_prob=group_access,
-        selected_snr=selected_snr,
-        structure=structure, weights=weights,
-        config_digest=config.digest(),
-    )
+    return _reduce(outputs, config.policy, config.rng_seed, reservoir_capacity, config.digest())
 
 
 def run_standalone(mean_snrs, shapes, structure: GroupStructure, policy: str, slots: int,
@@ -381,32 +335,10 @@ def run_standalone(mean_snrs, shapes, structure: GroupStructure, policy: str, sl
                    reservoir_capacity: int = DEFAULT_RESERVOIR) -> ExperimentReport:
     """Table-driven scenario: per-user SNR distributions, no geometry."""
     cs = standalone_contenders(mean_snrs, shapes)
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0, 0)))
-    result = simulate_policy(cs, policy, slots, rng, structure=structure, weights=weights,
-                             rate_log_base=rate_log_base, pf_time_const=pf_time_const)
-    res_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(987654321,)))
-    selected = [_merge_reservoir(b, reservoir_capacity, res_rng)
-                for b in [[np.concatenate(x)] if x else [] for x in result.selected_snr]]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        sel_rate = np.where(result.user_grants > 0,
-                            result.user_rate_sum / np.maximum(result.user_grants, 1), 0.0)
-    user_group = np.full(cs.n_users, -1)
-    if structure is not None:
-        cont_group = structure.group_of()
-        for j, mem in enumerate(cs.members):
-            for uid in mem:
-                user_group[uid] = cont_group.get(j, -1)
-    return ExperimentReport(
-        policy=policy, seed=seed, total_slots=slots,
-        user_kinds=cs.user_kinds(), user_group=user_group,
-        access_prob=result.user_grants / slots,
-        upi=2.0 * result.user_u_sum / slots,
-        selected_rate=sel_rate,
-        effective_rate=result.user_rate_sum / slots,
-        group_access_prob=None if result.group_grants is None else result.group_grants / slots,
-        selected_snr=selected,
-        structure=structure, weights=result.weights,
-    )
+    result = simulate_policy(cs, policy, slots, realization_rng(seed), structure=structure,
+                             weights=weights, rate_log_base=rate_log_base,
+                             pf_time_const=pf_time_const)
+    return _reduce([(result, cs)], policy, seed, reservoir_capacity)
 
 
 def ks_distance(empirical, analytic) -> float:

@@ -66,14 +66,14 @@ def solve_group_weights(structure: GroupStructure, tol: float = 1e-13) -> Policy
     lo, hi = 0.0, float(cap.min())
     # residual -> -1 as c -> 0+ and +inf as c -> min cap-; bisect the sign change
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if residual(mid) < 0.0:
-            lo = mid
+        c = 0.5 * (lo + hi)
+        r = residual(c)
+        if abs(r) < tol:
+            break               # keep the point that met the tolerance
+        if r < 0.0:
+            lo = c
         else:
-            hi = mid
-        if abs(residual(mid)) < tol:
-            break
-    c = 0.5 * (lo + hi)
+            hi = c
     w = c / (cap - c)
     w = w / float(m @ w)        # exact renormalization against bisection residual
     return PolicyWeights(w, 1.0 / w, float(c))

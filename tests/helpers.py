@@ -9,9 +9,7 @@ from d2dsched.model import sample_spatial
 def first_realization_contenders(config):
     """Rebuild the contender set of realization (resource 0, index 0) exactly as
     the experiment driver derives it, so tests can recover per-user base CDFs."""
-    ss = np.random.SeedSequence(entropy=config.rng_seed, spawn_key=(0, 0))
-    rng = np.random.default_rng(ss)
-    spatial = sample_spatial(config, rng)
+    spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
     return simcore.contenders_from_spatial(config, spatial), spatial
 
 

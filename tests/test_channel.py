@@ -66,14 +66,6 @@ def test_analytic_cdf_matches_samples():
     assert ks_uniform(cdf.evaluate(snr)) < 0.005
 
 
-def test_snr_sample_fields():
-    cfg = SystemConfig()
-    s = channel.snr_sample(cellular_downlink(cfg, 100.0), FadingSpec(), cfg,
-                           np.random.default_rng(0), user_id=3, slot=17)
-    assert s.user_id == 3 and s.slot == 17 and s.kind == "cellular-downlink"
-    assert s.snr > 0
-
-
 def test_empirical_cdf_floor_and_range():
     cdf = channel.EmpiricalSnrCdf([1.0, 2.0, 3.0])
     assert cdf.evaluate(0.5) == pytest.approx(0.25)   # below the minimum: 1/(n+1)
@@ -87,7 +79,7 @@ def test_empirical_cdf_floor_and_range():
 def test_empirical_cdf_converges():
     rng = np.random.default_rng(9)
     samples = rng.exponential(1.0, size=100_000)
-    cdf = channel.empirical_snr_cdf(samples)
+    cdf = channel.EmpiricalSnrCdf(samples)
     grid = np.linspace(0.01, 8.0, 400)
     gap = np.max(np.abs(cdf.evaluate(grid) - (1.0 - np.exp(-grid))))
     assert gap < 0.01

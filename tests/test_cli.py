@@ -5,7 +5,11 @@ import os
 import numpy as np
 import pytest
 
-from d2dsched import cli
+from helpers import first_realization_contenders
+
+from d2dsched import analytics, cli
+from d2dsched.channel import GammaSnrCdf
+from d2dsched.model import SystemConfig
 
 
 def _read_csv(path):
@@ -79,6 +83,19 @@ def test_analytic_curves_monotone(tmp_path, curve, files):
         f = np.array([float(r[2]) for r in rows])
         assert np.all(np.diff(f) >= 0.0)
         assert 0.0 <= f[0] and f[-1] <= 1.0
+
+
+def test_analytic_curves_use_first_realization_layout(tmp_path):
+    out = str(tmp_path / "dfs")
+    assert cli.main(["analytic", "--curve", "dfs", "--set", "K1=4", "--set", "K2=2",
+                     "--set", "rng_seed=21", "--out", out]) == 0
+    cs, _ = first_realization_contenders(SystemConfig(K1=4, K2=2, rng_seed=21))
+    cell, d2d = analytics.dfs_selected_cdfs(GammaSnrCdf(1.0, cs.mean_snr[0]),
+                                            GammaSnrCdf(1.0, cs.mean_snr[4]), 8)
+    for name, curve in (("cellular", cell), ("d2d", d2d)):
+        _, rows = _read_csv(os.path.join(out, f"curve_{name}.csv"))
+        assert [r[0] for r in rows] == [cli._fmt(s) for s in curve.grid]
+        assert [r[2] for r in rows] == [cli._fmt(f) for f in curve.values]
 
 
 def test_sweep_emits_one_report_per_value(small_config, tmp_path):

@@ -19,7 +19,7 @@ def _layout(centroids):
 def test_single_pair_graph():
     g = build_conflict_graph(_layout([(100.0, 0.0)]), 300.0)
     assert g.n_vertices == 1
-    assert g.degree().sum() == 0
+    assert not g.adjacency.any()
 
 
 def test_edge_threshold():

@@ -107,13 +107,11 @@ def test_parse_config_text():
     fading_shape_m = 1,1,1,1,2,2
     group_sizes = 1,1
     rate_log_base = e
-    cfs_d2d_random = true
     """
     cfg = parse_config_text(text)
     assert cfg.K1 == 4 and cfg.K2 == 2 and cfg.policy == "dfs"
     assert cfg.group_sizes == (1, 1)
     assert cfg.rate_log_base == pytest.approx(math.e)
-    assert cfg.cfs_d2d_random is True
     assert cfg.shapes_per_contender()[-1] == 2.0
 
 
@@ -126,6 +124,8 @@ def test_parse_errors():
         parse_config_text("K1 = x")
     with pytest.raises(ConfigError):
         parse_config_text("", overrides={"unknown": "1"})
+    with pytest.raises(ConfigError):
+        parse_config_text("cfs_d2d_random = true")    # CFS serves D2D users round-robin only
 
 
 def test_overrides_and_digest():

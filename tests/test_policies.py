@@ -5,24 +5,30 @@ import pytest
 
 from helpers import ks_uniform
 
-from d2dsched import policies
+from d2dsched import policies, simcore
 from d2dsched.analytics import cfs_threshold
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import fixed_grouping
-from d2dsched.weights import normalized_weights, solve_group_weights
+from d2dsched.weights import ecs_weights, normalized_weights, solve_group_weights
 
 
 def test_cdf_map_values():
+    # u = F(snr), the probability-integral transform feeding every policy
     cdf = GammaSnrCdf(1.0, 1.0)
-    assert policies.cdf_map(0.0, cdf) == 0.0
-    assert policies.cdf_map(np.log(2.0), cdf) == pytest.approx(0.5, abs=1e-12)
+    assert cdf.evaluate(0.0) == 0.0
+    assert cdf.evaluate(np.log(2.0)) == pytest.approx(0.5, abs=1e-12)
+    # the simulator maps unit-mean gains straight to u, without the SNR scale
+    gains = np.linspace(0.0, 6.0, 25)[:, None]
+    for m in (1.0, 2.5):
+        u = simcore._u_from_gains(np.array([m]), gains)
+        assert np.allclose(u, GammaSnrCdf(m, 3.0).evaluate(3.0 * gains), atol=1e-12)
 
 
 def test_cdf_map_uniformity():
     cdf = GammaSnrCdf(1.0, 3.0)
     rng = np.random.default_rng(1)
     snr = rng.exponential(3.0, size=1_000_000)
-    assert ks_uniform(policies.cdf_map(snr, cdf)) < 0.005
+    assert ks_uniform(cdf.evaluate(snr)) < 0.005
 
 
 def test_single_user_always_selected():
@@ -86,8 +92,6 @@ def test_threshold_policy_degenerate_cases():
     assert list(d2d) == [0, 1, 2, 3, 0, 1, 2, 3]     # pure rotation without cellular users
     with pytest.raises(ValueError):
         policies.cfs_select(np.zeros((2, 0)), 0, 0, policies.CfsState())
-    with pytest.raises(ValueError):
-        policies.cfs_select(np.zeros((2, 2)), 2, 2, policies.CfsState(), random_pick=True)
 
 
 def test_pair_double_weight_access():
@@ -115,7 +119,7 @@ def test_group_selection_access_shares():
     pw = solve_group_weights(st)
     rng = np.random.default_rng(47)
     u = rng.random((1_000_000, 3))
-    win = policies.gfs_select(u, st, pw)
+    win = policies.mws_select(u, st, pw)
     freqs = np.bincount(win, minlength=2) / win.size
     assert abs(freqs[0] - 0.46410) < 0.003
     assert abs(freqs[1] - 0.53590) < 0.003
@@ -125,7 +129,7 @@ def test_equal_access_group_selection():
     st = fixed_grouping([1, 3], nu=1.0)
     rng = np.random.default_rng(48)
     u = rng.random((400_000, 4))
-    win = policies.ecs_select(u, st)
+    win = policies.mws_select(u, st, ecs_weights(st))
     freqs = np.bincount(win, minlength=2) / win.size
     assert np.all(np.abs(freqs - 0.5) < 0.005)
 

@@ -8,7 +8,7 @@ from helpers import first_realization_contenders
 from d2dsched import simcore
 from d2dsched.analytics import AnalyticCurve
 from d2dsched.grouping import fixed_grouping
-from d2dsched.model import SystemConfig
+from d2dsched.model import ConfigError, SystemConfig, sample_spatial
 from d2dsched.weights import normalized_weights, upi_closed_form
 
 
@@ -20,11 +20,16 @@ def test_round_robin_exact_shares():
 
 
 def test_index_estimate_bounds():
-    m = simcore.UserMetrics(grant_count=100, upi_accumulator=100.0)
-    assert simcore.upi_estimate(m, 100) == pytest.approx(2.0)   # always granted, u = 1
-    assert simcore.upi_estimate(simcore.UserMetrics(), 100) == 0.0
+    # user 0 is granted every slot with u = 1, user 1 never
+    cs = simcore.standalone_contenders([1.0, 1.0], [1.0, 1.0])
+    res = simcore.SimResult(100, np.array([100, 0]), np.array([100.0, 0.0]),
+                            np.array([50.0, 0.0]), None, [[], []], None, None)
+    rep = simcore._reduce([(res, cs)], "bcs", 0, 10)
+    assert rep.upi[0] == pytest.approx(2.0) and rep.upi[1] == 0.0
+    assert list(rep.access_prob) == [1.0, 0.0]
+    assert list(rep.selected_rate) == [0.5, 0.0]
     with pytest.raises(ValueError):
-        simcore.upi_estimate(m, 0)
+        simcore.run_standalone([1.0], [1.0], None, "bcs", 0, seed=1)
 
 
 def test_plain_competition_small():
@@ -34,12 +39,14 @@ def test_plain_competition_small():
     assert rep.access_prob.sum() == pytest.approx(1.0)
 
 
-def test_pair_members_alternate():
+@pytest.mark.parametrize("policy,chunk", [("dfs", 200_000), ("dfs", 7),
+                                          ("cfs", 200_000), ("cfs", 7)])
+def test_pair_members_alternate(policy, chunk):
+    # an odd chunk flips the pair's turn each chunk, so the turn must carry over
     cs = simcore.ContenderSet(np.array([True]), np.array([1.0]), np.array([5.0]), ((0, 1),))
     rng = np.random.default_rng(3)
-    res = simcore.simulate_policy(cs, "dfs", 1001, rng)
+    res = simcore.simulate_policy(cs, policy, 1001, rng, chunk=chunk)
     assert res.user_grants[0] == 501 and res.user_grants[1] == 500
-    assert res.cont_grants[0] == 1001
 
 
 def test_grant_conservation():
@@ -50,6 +57,24 @@ def test_grant_conservation():
     cfg_g = cfg.override(policy="gfs", group_sizes=(2,))
     rep_g = simcore.run_experiment(cfg_g)
     assert rep_g.group_access_prob.sum() == pytest.approx(1.0)
+
+
+def test_group_outputs_need_one_structure():
+    # greedy coloring gives 7 groups in each realization but different partitions
+    cfg = SystemConfig(K1=4, K2=12, policy="gfs", slots_per_realization=500,
+                       spatial_realizations=3, rng_seed=15)
+    structures = [simcore.build_structure(cfg, sample_spatial(cfg, simcore.realization_rng(15, 0, r)))
+                  for r in range(3)]
+    assert {s.n_groups for s in structures} == {7} and len(set(structures)) > 1
+    rep = simcore.run_experiment(cfg)
+    assert rep.group_access_prob is None and rep.structure is None
+    assert np.all(rep.user_group == -1)
+
+
+def test_bad_thread_count_names_the_variable(monkeypatch):
+    monkeypatch.setenv("D2DSCHED_THREADS", "abc")
+    with pytest.raises(ConfigError, match="D2DSCHED_THREADS"):
+        simcore.run_experiment(SystemConfig(K1=2, K2=1, slots_per_realization=10))
 
 
 def test_contender_mapping_and_kinds():

@@ -61,6 +61,14 @@ def test_solver_four_groups():
     assert np.all(np.diff(p[order]) > 0)              # larger groups get more air time
 
 
+@pytest.mark.parametrize("sizes", [[1], [3], [1, 1], [1, 1, 1], [1] * 7])
+def test_solver_closed_form_levels(sizes):
+    # one group: c = 1; G singletons at nu = 1: G c / (2 - c) = 1, so c = 2 / (G + 1)
+    pw = solve_group_weights(fixed_grouping(sizes, nu=1.0))
+    want = 1.0 if len(sizes) == 1 else 2.0 / (len(sizes) + 1.0)
+    assert pw.common_upi == pytest.approx(want, abs=1e-12)
+
+
 def test_solver_single_group():
     st = fixed_grouping([3], nu=1.0)
     pw = solve_group_weights(st)
