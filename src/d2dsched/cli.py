@@ -12,7 +12,8 @@ import numpy as np
 from d2dsched import analytics, simcore
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import build_conflict_graph, fixed_grouping, greedy_coloring
-from d2dsched.model import ConfigError, SystemConfig, load_config, sample_spatial
+from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_text, \
+    parse_setting, sample_spatial
 from d2dsched.weights import group_access_prob, solve_group_weights, upi_closed_form
 
 # the standalone four-group scenario: per-user mean SNR and Nakagami shape
@@ -33,7 +34,8 @@ PRESETS = {
         "full": {"K1": 50, "K2": 25, "group_sizes": (5, 5, 5, 5, 5), "spatial_realizations": 150,
                  "slots_per_realization": 12000, "policy": "gfs"},
     },
-    "table5-gfs": {"desk": {"slots": 200_000}, "full": {"slots": 2_000_000}},
+    "table5-gfs": {"desk": {"policy": "gfs", "slots_per_realization": 200_000},
+                   "full": {"policy": "gfs", "slots_per_realization": 2_000_000}},
 }
 
 
@@ -62,17 +64,13 @@ def _build_config(args) -> SystemConfig:
     overrides = _parse_overrides(getattr(args, "set", None))
     preset = getattr(args, "preset", None)
     if preset and preset != "table5-gfs":
-        base = dict(PRESETS[preset][args.scale])
-        cfg = SystemConfig(**base)
         if args.config:
             raise ConfigError("give either --preset or --config, not both")
-        for key, val in overrides.items():
-            from d2dsched.model import _parse_value
-            cfg = cfg.override(**{key: _parse_value(key, val)})
-        return cfg
+        values = dict(PRESETS[preset][args.scale])
+        values.update((key, parse_setting(key, raw)) for key, raw in overrides.items())
+        return SystemConfig(**values)
     if args.config:
         return load_config(args.config, overrides)
-    from d2dsched.model import parse_config_text
     return parse_config_text("", overrides)
 
 
@@ -117,19 +115,15 @@ def _write_report(report: simcore.ExperimentReport, out_dir: str, emit_cdfs: boo
 
 def cmd_run(args) -> int:
     if args.preset == "table5-gfs":
-        slots = PRESETS["table5-gfs"][args.scale]["slots"]
-        policy = "gfs"
-        for item in args.set or []:
-            key, val = item.split("=", 1)
-            if key.strip() == "policy":
-                policy = val.strip()
-            elif key.strip() == "slots_per_realization":
-                slots = int(val)
-            else:
-                raise ConfigError(f"table5-gfs preset accepts only policy/slots overrides, got {key!r}")
+        values = dict(PRESETS["table5-gfs"][args.scale])
+        for key, raw in _parse_overrides(args.set).items():
+            if key not in values:
+                raise ConfigError(f"table5-gfs preset accepts only --set policy or "
+                                  f"slots_per_realization, got {key!r}")
+            values[key] = parse_setting(key, raw)
         structure = fixed_grouping(TABLE5_SIZES, len(TABLE5_MEANS), nu=1.0)
-        report = simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, structure, policy,
-                                        slots, seed=args.seed)
+        report = simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, structure, values["policy"],
+                                        values["slots_per_realization"], seed=args.seed)
         _write_report(report, args.out, emit_cdfs=args.emit_cdfs)
         return 0
     config = _build_config(args)

@@ -224,30 +224,26 @@ class FadingSpec:
 # ---------------------------------------------------------------------------
 # flat key = value config files
 
-def _parse_value(key: str, raw: str):
+def parse_setting(key: str, raw: str):
+    """The value of one `key = raw` setting; a ConfigError names a bad key or value."""
+    if key not in {f.name for f in fields(SystemConfig)}:
+        raise ConfigError(f"unknown key {key!r}")
     raw = raw.strip()
-    if key in _STR_KEYS:
-        return raw
-    if key == "group_sizes":
-        if raw.lower() in ("", "none"):
-            return None
-        return tuple(int(tok) for tok in raw.split(","))
-    if key == "fading_shape_m":
-        if "," in raw:
-            return tuple(float(tok) for tok in raw.split(","))
-        return float(raw)
-    if key == "rate_log_base":
-        return math.e if raw.lower() == "e" else float(raw)
     try:
-        if key in _INT_KEYS:
-            return int(raw)
-        return float(raw)
+        if key in _STR_KEYS:
+            return raw
+        if key == "group_sizes":
+            return None if raw.lower() in ("", "none") else tuple(int(tok) for tok in raw.split(","))
+        if key == "fading_shape_m":
+            return tuple(float(tok) for tok in raw.split(",")) if "," in raw else float(raw)
+        if key == "rate_log_base" and raw.lower() == "e":
+            return math.e
+        return int(raw) if key in _INT_KEYS else float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
 
 
 def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> SystemConfig:
-    known = {f.name for f in fields(SystemConfig)}
     values: dict = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -256,13 +252,12 @@ def parse_config_text(text: str, overrides: dict[str, str] | None = None) -> Sys
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, raw = (tok.strip() for tok in line.split("=", 1))
-        if key not in known:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw)
+        try:
+            values[key] = parse_setting(key, raw)
+        except ConfigError as exc:
+            raise ConfigError(f"line {lineno}: {exc}") from None
     for key, raw in (overrides or {}).items():
-        if key not in known:
-            raise ConfigError(f"unknown override key {key!r}")
-        values[key] = _parse_value(key, str(raw))
+        values[key] = parse_setting(key, str(raw))
     return SystemConfig(**values)
 
 

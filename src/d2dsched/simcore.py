@@ -155,7 +155,7 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
         user_grants=np.zeros(nU, dtype=np.int64),
         user_u_sum=np.zeros(nU),
         user_rate_sum=np.zeros(nU),
-        group_grants=np.zeros(structure.n_groups, dtype=np.int64) if structure is not None else None,
+        group_grants=np.zeros(structure.n_groups, dtype=np.int64) if policy in GROUP_POLICIES else None,
         selected_snr=[[] for _ in range(C)],
         structure=structure,
         weights=weights,
@@ -249,9 +249,9 @@ def _reduce(outputs: list, policy: str, seed: int, reservoir_capacity: int,
             config_digest: str = "") -> ExperimentReport:
     """Fold (SimResult, ContenderSet) pairs of one experiment into its report.
 
-    Group outputs need one partition: they are reported only when every
-    realization had the same group structure, else the report carries no
-    group access and group ids of -1.
+    Group outputs need a group policy and one partition: they are reported
+    only when every realization counted group grants under the same group
+    structure, else the report carries no group access and group ids of -1.
     """
     results = [r for r, _ in outputs]
     cs0 = outputs[0][1]
@@ -264,7 +264,7 @@ def _reduce(outputs: list, policy: str, seed: int, reservoir_capacity: int,
                                      reservoir_capacity, res_rng)
                     for j in range(cs0.n_contenders)]
 
-    structures = {r.structure for r in results}
+    structures = {r.structure for r in results if r.group_grants is not None}
     structure = structures.pop() if len(structures) == 1 else None
     user_group = np.full(cs0.n_users, -1)
     group_access = None

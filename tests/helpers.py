@@ -1,6 +1,9 @@
-"""Shared test utilities: deterministic geometry replay and KS statistics."""
+"""Shared test utilities: geometry replay, KS statistics and a quadrature oracle."""
+
+import math
 
 import numpy as np
+from scipy import integrate
 
 from d2dsched import simcore
 from d2dsched.model import sample_spatial
@@ -25,3 +28,22 @@ def ks_uniform(u):
 def empirical_cdf_at(samples, grid):
     samples = np.sort(np.asarray(samples, dtype=float))
     return np.searchsorted(samples, grid, side="right") / samples.size
+
+
+def unconditional_quad(config, K):
+    """E_d[F(s|d)^k] by adaptive quadrature: k = K over the cellular density 2d/R^2
+    on [0, R], k = K/2 over the uniform pair distance on [D_min, D_max]."""
+    A_c = config.noise_power_mw / (config.pathloss_const_cellular * config.tx_power_dl_mw)
+    A_d = config.noise_power_mw / (config.pathloss_const_d2d * config.tx_power_d2d_mw)
+    R, eta_c, eta_d = config.cell_radius_m, config.pathloss_exp_cellular, config.pathloss_exp_d2d
+    lo, hi = config.d2d_min_m, config.d2d_max_m
+
+    def cell(s):
+        f = lambda d: (-math.expm1(-A_c * s * d ** eta_c)) ** K * 2.0 * d / R ** 2
+        return integrate.quad(f, 0.0, R, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+
+    def d2d(s):
+        f = lambda d: (-math.expm1(-A_d * s * d ** eta_d)) ** (K / 2.0) / (hi - lo)
+        return integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
+
+    return cell, d2d

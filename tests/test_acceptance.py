@@ -10,7 +10,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from helpers import first_realization_contenders, ks_uniform
+from helpers import first_realization_contenders, ks_uniform, unconditional_quad
 
 from d2dsched import analytics, cli, simcore
 from d2dsched.channel import GammaSnrCdf, analytic_snr_cdf, draw_fading, snr_from_gain
@@ -79,10 +79,11 @@ def test_criterion_5_unconditional_curves(uncond_setup):
     ks_d = simcore.ks_distance(pooled_d, d2d)
     assert ks_c <= 0.02 and ks_d <= 0.02
     _, odd = analytics.dfs_unconditional_cdfs(config, 9, n_grid=64)
-    tail = odd.provenance["tail_bound"]
-    assert tail < 1e-10
+    _, odd_ref = unconditional_quad(config, 9)
+    err = max(abs(v - odd_ref(s)) for s, v in zip(odd.grid, odd.values))
+    assert err < 1e-10
     print(f"PASS criterion 5: position-averaged KS cellular {ks_c:.4f}, D2D {ks_d:.4f} "
-          f"<= 0.02; odd-K series tail bound {tail:.1e} < 1e-10")
+          f"<= 0.02; odd-K D2D curve within {err:.1e} < 1e-10 of quadrature")
 
 
 def test_criterion_6_weight_solver_optimality():

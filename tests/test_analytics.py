@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from helpers import unconditional_quad
+
 from d2dsched import analytics
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.model import SystemConfig
@@ -112,18 +114,17 @@ def test_unconditional_curves_basics():
         analytics.dfs_unconditional_cdfs(cfg.override(fading_shape_m=2.0), 8)
 
 
-def test_unconditional_even_series_terminates():
-    cfg = SystemConfig()
-    _, auto = analytics.dfs_unconditional_cdfs(cfg, 8, n_grid=64, truncate="auto")
-    _, eps = analytics.dfs_unconditional_cdfs(cfg, 8, n_grid=64, truncate="eps",
-                                              grid_d=auto.grid)
-    assert np.max(np.abs(auto.values - eps.values)) < 1e-9
-
-
-def test_unconditional_odd_series_tail_recorded():
-    cfg = SystemConfig()
-    _, d2d = analytics.dfs_unconditional_cdfs(cfg, 9, n_grid=64)
-    assert 0.0 <= d2d.provenance["tail_bound"] < 1e-10
+@pytest.mark.parametrize("K", [50, 100])
+def test_unconditional_curves_large_K_match_quadrature(K):
+    cfg = SystemConfig(K1=20, K2=15)
+    cell, d2d = analytics.dfs_unconditional_cdfs(cfg, K, n_grid=64)
+    cell_ref, d2d_ref = unconditional_quad(cfg, K)
+    for curve, ref in ((cell, cell_ref), (d2d, d2d_ref)):
+        err = max(abs(v - ref(s)) for s, v in zip(curve.grid, curve.values))
+        assert err < 1e-8
+        # off the grid, evaluate() computes the curve rather than interpolating it
+        mid = np.sqrt(curve.grid[:-1] * curve.grid[1:])[::8]
+        assert max(abs(v - ref(s)) for s, v in zip(mid, curve.evaluate(mid))) < 1e-8
 
 
 def test_curve_evaluate_interpolates():

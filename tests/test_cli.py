@@ -124,3 +124,25 @@ def test_preset_standalone_run(tmp_path):
     assert len(rows) == 14
     gheader, grows = _read_csv(os.path.join(out, "group_access.csv"))
     assert [int(r[1]) for r in grows] == [1, 7, 2, 4]
+
+
+def test_non_group_policy_writes_no_group_outputs(tmp_path):
+    out = str(tmp_path / "bcs")
+    assert cli.main(["run", "--preset", "table5-gfs", "--set", "policy=bcs",
+                     "--set", "slots_per_realization=1000", "--out", out]) == 0
+    assert not os.path.exists(os.path.join(out, "group_access.csv"))
+    _, rows = _read_csv(os.path.join(out, "report.csv"))
+    assert {r[2] for r in rows} == {"-1"}
+
+
+@pytest.mark.parametrize("preset,setting,key", [
+    ("table5-gfs", "slots_per_realization", "slots_per_realization"),
+    ("table5-gfs", "slots_per_realization=abc", "slots_per_realization"),
+    ("sec4c-comparison", "bogus=1", "bogus"),
+])
+def test_bad_set_names_the_setting(tmp_path, capsys, preset, setting, key):
+    out = str(tmp_path / "e")
+    assert cli.main(["run", "--preset", preset, "--set", setting, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and ("--set" in err or key in err)
+    assert not os.path.exists(os.path.join(out, "report.csv"))
