@@ -180,6 +180,8 @@ def cmd_group(args) -> int:
 
 def cmd_analytic(args) -> int:
     config = _build_config(args)
+    if args.curve != "bcs" and config.K2 == 0:
+        raise ConfigError(f"--curve {args.curve} describes D2D pairs, but K2 = 0")
     K = config.K1 + 2 * config.K2
     os.makedirs(args.out, exist_ok=True)
 
@@ -285,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

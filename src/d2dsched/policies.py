@@ -8,6 +8,7 @@ probability-zero event for continuous channels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,31 +110,31 @@ def pfs_select(X: np.ndarray, structure: GroupStructure, state: PfState) -> np.n
     """Sequential PF-over-groups selection; updates `state` in place.
 
     The winning group's members all fold their current metric into their
-    averages; everyone else decays by (1 - 1/t_c).
+    averages; everyone else decays by (1 - 1/t_c).  The loop runs on Python
+    floats, one slot at a time.
     """
     X = np.atleast_2d(X)
-    n, C = X.shape
     a = 1.0 / state.t_c
-    members = [np.asarray(g.members) for g in structure.groups]
-    group_of = np.empty(C, dtype=int)
-    for gi, mem in enumerate(members):
-        group_of[mem] = gi
-    winners = np.empty(n, dtype=int)
-    xbar = state.xbar
-    for t in range(n):
-        x = X[t]
+    decay = 1.0 - a
+    members = [tuple(g.members) for g in structure.groups]
+    winners = []
+    xbar = None if state.xbar is None else state.xbar.tolist()
+    for x in X.tolist():
         if xbar is None:
             ratio = x                      # first slot: raw metric
         else:
-            ratio = x / xbar
-        reps = np.array([ratio[mem].max() for mem in members])
-        gi = int(np.argmax(reps))
-        winners[t] = gi
+            ratio = [xj / bj for xj, bj in zip(x, xbar)]
+        best, gi = -math.inf, 0
+        for g, mem in enumerate(members):
+            rep = max(map(ratio.__getitem__, mem))
+            if rep > best:
+                best, gi = rep, g
+        winners.append(gi)
         if xbar is None:
-            xbar = x.copy()
+            xbar = list(x)
         else:
-            xbar *= (1.0 - a)
-            sel = members[gi]
-            xbar[sel] += a * x[sel]
-    state.xbar = xbar
-    return winners
+            xbar = [bj * decay for bj in xbar]
+            for j in members[gi]:
+                xbar[j] += a * x[j]
+    state.xbar = None if xbar is None else np.array(xbar)
+    return np.array(winners, dtype=int)

@@ -1,4 +1,5 @@
-"""Shared test utilities: geometry replay, KS statistics and a quadrature oracle."""
+"""Shared test utilities: geometry replay, KS statistics, a quadrature oracle and the
+numpy proportional-fair loop."""
 
 import math
 
@@ -47,3 +48,26 @@ def unconditional_quad(config, K):
         return integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
 
     return cell, d2d
+
+
+def pfs_select_numpy(X, structure, state):
+    """Proportional-fair group selection as one numpy step per slot: the oracle for
+    policies.pfs_select, which must pick the same winners and leave the same averages."""
+    X = np.atleast_2d(X)
+    a = 1.0 / state.t_c
+    members = [np.asarray(g.members) for g in structure.groups]
+    winners = np.empty(X.shape[0], dtype=int)
+    xbar = state.xbar
+    for t in range(X.shape[0]):
+        x = X[t]
+        ratio = x if xbar is None else x / xbar
+        gi = int(np.argmax([ratio[mem].max() for mem in members]))
+        winners[t] = gi
+        if xbar is None:
+            xbar = x.copy()
+        else:
+            xbar *= (1.0 - a)
+            sel = members[gi]
+            xbar[sel] += a * x[sel]
+    state.xbar = xbar
+    return winners

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from helpers import unconditional_quad
 
@@ -46,6 +46,59 @@ def test_gamma_vectorized_shapes():
         for j in range(3):
             assert out[i, j] == pytest.approx(
                 analytics.regularized_gamma_p(a[j], float(x[i, 0])), abs=1e-13)
+
+
+def _gamma_x_points(a):
+    return np.concatenate(([0.0, 1e-300, 1e-12], np.linspace(0.0, 3.0 * a + 30.0, 301)[1:]))
+
+
+def test_gamma_integer_shapes_match_scipy():
+    for a in range(1, 61):
+        x = _gamma_x_points(a)
+        err = np.max(np.abs(analytics.regularized_gamma_p(float(a), x) - special.gammainc(a, x)))
+        assert err < 1e-13, a
+
+
+def test_gamma_fractional_shapes_match_scipy():
+    for a in np.random.default_rng(17).uniform(0.5, 60.0, 40):
+        x = _gamma_x_points(a)
+        err = np.max(np.abs(analytics.regularized_gamma_p(a, x) - special.gammainc(a, x)))
+        assert err < 1e-13, a
+
+
+def test_gamma_large_arguments():
+    # e^-750 underflows: a plain Erlang sum times e^-x gives 1.0 here
+    assert abs(analytics.regularized_gamma_p(800.0, 750.0) - 0.0363945091) < 1e-10
+    assert abs(analytics.regularized_gamma_p(1000.0, 1000.0) - 0.5042052442) < 1e-10
+    for a, x in ((800.0, 750.0), (1000.0, 1000.0), (170.0, 650.0), (5.0, 1e4)):
+        assert abs(analytics.regularized_gamma_p(a, x) - special.gammainc(a, x)) < 1e-13
+
+
+def test_gamma_broadcast_mixed_shapes_match_scipy():
+    a = np.array([1.0, 8.0, 2.5, 6.0, 0.7, 3.0, 8.0, 2.5, 9.0, 1.0])
+    x = a * np.random.default_rng(3).gamma(a, 1.0 / a, size=(500, a.size))
+    out = analytics.regularized_gamma_p(a, x)
+    assert out.shape == x.shape
+    assert np.max(np.abs(out - special.gammainc(a, x))) < 1e-13
+    # a down the rows instead of along the trailing axis
+    rows = analytics.regularized_gamma_p(a[:, None], x[0])
+    assert np.max(np.abs(rows - special.gammainc(a[:, None], x[0]))) < 1e-13
+    assert isinstance(analytics.regularized_gamma_p(3.0, 2.0), float)
+    assert isinstance(analytics.regularized_gamma_p(2.5, 2.0), float)
+
+
+def test_gamma_array_matches_pointwise_calls():
+    # points that converge early stop changing, so iterating them with the rest is exact
+    for a in (0.7, 4.5, 9.5):
+        x = np.linspace(0.0, 4.0 * a + 10.0, 157)
+        pointwise = [analytics.regularized_gamma_p(a, xi) for xi in x]
+        assert np.array_equal(analytics.regularized_gamma_p(a, x), pointwise)
+
+
+def test_gamma_non_convergence_raises():
+    # the series needs about 1800 terms here; at 600 it returned 0.49831 (scipy: 0.49967)
+    with pytest.raises(ArithmeticError, match=r"a=40000\.5.* 1 of 1 points"):
+        analytics.regularized_gamma_p(40000.5, 40000.0)
 
 
 def _uniform_base(s):

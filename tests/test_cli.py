@@ -114,6 +114,20 @@ def test_errors_exit_nonzero(small_config, tmp_path, capsys):
     assert cli.main(["run", "--config", small_config, "--preset", "table2-orthogonal",
                      "--out", out]) == 1
     assert cli.main(["weights", "--sizes", "1,2", "--nu", "1.0"]) == 1
+    capsys.readouterr()
+    # the incomplete gamma's series does not converge at this shape
+    assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
+                     "--out", out]) == 1
+    assert "did not converge" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("curve", ["cfs", "dfs", "dfs-unconditional", "gfs"])
+def test_analytic_pair_curves_need_pairs(tmp_path, capsys, curve):
+    out = str(tmp_path / curve)
+    assert cli.main(["analytic", "--curve", curve, "--set", "K2=0", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "K2 = 0" in err
+    assert not os.path.exists(out)
 
 
 def test_preset_standalone_run(tmp_path):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import ks_uniform
+from helpers import ks_uniform, pfs_select_numpy
 
 from d2dsched import policies, simcore
 from d2dsched.analytics import cfs_threshold
@@ -155,3 +155,18 @@ def test_proportional_fair_first_slot_and_symmetry():
     freqs = np.bincount(win, minlength=2) / win.size
     assert np.all(np.abs(freqs - 0.5) < 0.01)
     assert state.xbar is not None and np.all(state.xbar > 0)
+
+
+@pytest.mark.parametrize("t_c", [50.0, 1000.0])
+def test_proportional_fair_matches_numpy_loop(t_c):
+    # same winners and averages as the numpy loop, with the state carried across two calls
+    st = fixed_grouping([1, 3, 2, 4], nu=1.0)
+    rng = np.random.default_rng(5)
+    X = np.log1p(rng.gamma(2.0, 0.5, size=(6000, 10)) * np.geomspace(1.0, 40.0, 10)) / np.log(2.0)
+    state, ref = policies.PfState(t_c=t_c), policies.PfState(t_c=t_c)
+    got = np.concatenate([policies.pfs_select(X[:2501], st, state),
+                          policies.pfs_select(X[2501:], st, state)])
+    want = np.concatenate([pfs_select_numpy(X[:2501], st, ref), pfs_select_numpy(X[2501:], st, ref)])
+    assert np.array_equal(got, want)
+    assert np.array_equal(state.xbar, ref.xbar)
+    assert np.bincount(got, minlength=4).min() > 0
