@@ -165,7 +165,11 @@ class AnalyticCurve:
 
 
 def _quantile(cdf, p: float) -> float:
-    """Invert a monotone CDF callable by bracketed bisection."""
+    """Invert a monotone CDF callable by bracketed geometric bisection.
+
+    At most 200 steps; it stops at the first step that leaves the bracket
+    unchanged, since every later step would repeat that one.
+    """
     lo, hi = 1e-30, 1.0
     for _ in range(4000):
         if cdf(hi) >= p:
@@ -174,17 +178,19 @@ def _quantile(cdf, p: float) -> float:
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if cdf(mid) < p:
+            if mid == lo:
+                break
             lo = mid
         else:
+            if mid == hi:
+                break
             hi = mid
     return hi
 
 
-def make_log_grid(cdf, n: int = 2048, p_lo: float = 1e-4, p_hi: float = 1.0 - 1e-4) -> np.ndarray:
-    """Logarithmic SNR grid spanning the [p_lo, p_hi] quantiles of a CDF."""
-    s_lo = _quantile(cdf, p_lo)
-    s_hi = _quantile(cdf, p_hi)
-    return np.geomspace(s_lo, s_hi, n)
+def make_log_grid(cdf, n: int = 2048) -> np.ndarray:
+    """Logarithmic SNR grid of n points spanning the 1e-4 and 1 - 1e-4 quantiles of a CDF."""
+    return np.geomspace(_quantile(cdf, 1e-4), _quantile(cdf, 1.0 - 1e-4), n)
 
 
 def _cdf_guard(values: np.ndarray) -> np.ndarray:
@@ -192,19 +198,20 @@ def _cdf_guard(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.clip(values, 0.0, 1.0))
 
 
-def bcs_selected_cdf(base, K: int, grid: np.ndarray | None = None) -> AnalyticCurve:
+def _selected_curve(base, of_F: Callable, provenance: dict) -> AnalyticCurve:
+    """of_F(F) tabulated on the log grid of the base CDF F, a callable."""
+    grid = make_log_grid(base)
+    return AnalyticCurve(grid, _cdf_guard(of_F(np.asarray(base(grid)))), provenance)
+
+
+def bcs_selected_cdf(base, K: int) -> AnalyticCurve:
     """Selected-SNR CDF under single-user CDF competition: F^K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    f = base.evaluate if hasattr(base, "evaluate") else base
-    if grid is None:
-        grid = make_log_grid(f)
-    return AnalyticCurve(grid, _cdf_guard(np.asarray(f(grid)) ** K), {"kind": "bcs-selected", "K": K})
+    return _selected_curve(base, lambda F: F ** K, {"kind": "bcs-selected", "K": K})
 
 
-def cfs_selected_cdfs(base_c, base_d, K1: int, K2: int,
-                      grid_c: np.ndarray | None = None,
-                      grid_d: np.ndarray | None = None) -> tuple[AnalyticCurve, AnalyticCurve]:
+def cfs_selected_cdfs(base_c, base_d, K1: int, K2: int) -> tuple[AnalyticCurve, AnalyticCurve]:
     """Selected-SNR CDFs under the cellular-threshold policy.
 
     Cellular: max(0, (K/K1) F_c^K1 - 2 K2/K1); D2D users see their base CDF.
@@ -212,48 +219,31 @@ def cfs_selected_cdfs(base_c, base_d, K1: int, K2: int,
     if K1 < 1:
         raise ValueError("K1 must be >= 1")
     K = K1 + 2 * K2
-    fc = base_c.evaluate if hasattr(base_c, "evaluate") else base_c
-    fd = base_d.evaluate if hasattr(base_d, "evaluate") else base_d
-    if grid_c is None:
-        grid_c = make_log_grid(fc)
-    if grid_d is None:
-        grid_d = make_log_grid(fd)
-    cell = (K / K1) * np.asarray(fc(grid_c)) ** K1 - 2.0 * K2 / K1
-    cell_curve = AnalyticCurve(grid_c, _cdf_guard(cell), {"kind": "cfs-selected-cellular", "K1": K1, "K2": K2})
-    d2d_curve = AnalyticCurve(grid_d, _cdf_guard(np.asarray(fd(grid_d))), {"kind": "cfs-selected-d2d"})
-    return cell_curve, d2d_curve
-
-
-def dfs_selected_cdfs(base_c, base_d, K: int,
-                      grid_c: np.ndarray | None = None,
-                      grid_d: np.ndarray | None = None) -> tuple[AnalyticCurve, AnalyticCurve]:
-    """Selected-SNR CDFs with pairs as double-weight contenders: F_c^K and F_d^(K/2)."""
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    fc = base_c.evaluate if hasattr(base_c, "evaluate") else base_c
-    fd = base_d.evaluate if hasattr(base_d, "evaluate") else base_d
-    if grid_c is None:
-        grid_c = make_log_grid(fc)
-    if grid_d is None:
-        grid_d = make_log_grid(fd)
-    cell = AnalyticCurve(grid_c, _cdf_guard(np.asarray(fc(grid_c)) ** K), {"kind": "dfs-selected-cellular", "K": K})
-    d2d = AnalyticCurve(grid_d, _cdf_guard(np.asarray(fd(grid_d)) ** (K / 2.0)), {"kind": "dfs-selected-d2d", "K": K})
+    cell = _selected_curve(base_c, lambda F: (K / K1) * F ** K1 - 2.0 * K2 / K1,
+                           {"kind": "cfs-selected-cellular", "K1": K1, "K2": K2})
+    d2d = _selected_curve(base_d, lambda F: F, {"kind": "cfs-selected-d2d"})
     return cell, d2d
 
 
-def gfs_selected_cdf(base, m_i: int, mu_i: float, grid: np.ndarray | None = None) -> AnalyticCurve:
+def dfs_selected_cdfs(base_c, base_d, K: int) -> tuple[AnalyticCurve, AnalyticCurve]:
+    """Selected-SNR CDFs with pairs as double-weight contenders: F_c^K and F_d^(K/2)."""
+    if K < 2:
+        raise ValueError("K must be >= 2")
+    cell = _selected_curve(base_c, lambda F: F ** K, {"kind": "dfs-selected-cellular", "K": K})
+    d2d = _selected_curve(base_d, lambda F: F ** (K / 2.0), {"kind": "dfs-selected-d2d", "K": K})
+    return cell, d2d
+
+
+def gfs_selected_cdf(base, m_i: int, mu_i: float) -> AnalyticCurve:
     """Selected-SNR CDF for a member of a size-m_i sharing group with selection factor mu_i."""
     if m_i < 1:
         raise ValueError("m_i must be >= 1")
     if mu_i <= 1.0:
         raise ValueError("mu_i must exceed 1")
-    f = base.evaluate if hasattr(base, "evaluate") else base
-    if grid is None:
-        grid = make_log_grid(f)
-    F = np.asarray(f(grid))
-    vals = (mu_i * (m_i - 1)) / (m_i * (mu_i - 1)) * F \
-        + (mu_i - m_i) / (m_i * (mu_i - 1)) * F ** mu_i
-    return AnalyticCurve(grid, _cdf_guard(vals), {"kind": "group-selected", "m_i": m_i, "mu_i": mu_i})
+    a = (mu_i * (m_i - 1)) / (m_i * (mu_i - 1))
+    b = (mu_i - m_i) / (m_i * (mu_i - 1))
+    return _selected_curve(base, lambda F: a * F + b * F ** mu_i,
+                           {"kind": "group-selected", "m_i": m_i, "mu_i": mu_i})
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ import numpy as np
 
 from d2dsched import analytics, simcore
 from d2dsched.channel import GammaSnrCdf
-from d2dsched.grouping import build_conflict_graph, fixed_grouping, greedy_coloring
+from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
+    greedy_coloring
 from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_text, \
     parse_setting, sample_spatial
 from d2dsched.weights import group_access_prob, solve_group_weights, upi_closed_form
@@ -43,11 +44,15 @@ def _fmt(x) -> str:
     return f"{float(x):.10g}"
 
 
+def _csv_line(cells) -> str:
+    return ",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in cells)
+
+
 def _write_csv(path: str, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
+        fh.write(_csv_line(header) + "\n")
         for row in rows:
-            fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row) + "\n")
+            fh.write(_csv_line(row) + "\n")
 
 
 def _parse_overrides(pairs) -> dict[str, str]:
@@ -63,7 +68,9 @@ def _parse_overrides(pairs) -> dict[str, str]:
 def _build_config(args) -> SystemConfig:
     overrides = _parse_overrides(getattr(args, "set", None))
     preset = getattr(args, "preset", None)
-    if preset and preset != "table5-gfs":
+    if preset == "table5-gfs":
+        raise ConfigError("the table5-gfs preset is a standalone scenario for `run` only")
+    if preset:
         if args.config:
             raise ConfigError("give either --preset or --config, not both")
         values = dict(PRESETS[preset][args.scale])
@@ -115,6 +122,8 @@ def _write_report(report: simcore.ExperimentReport, out_dir: str, emit_cdfs: boo
 
 def cmd_run(args) -> int:
     if args.preset == "table5-gfs":
+        if args.config:
+            raise ConfigError("the table5-gfs preset takes no --config")
         values = dict(PRESETS["table5-gfs"][args.scale])
         for key, raw in _parse_overrides(args.set).items():
             if key not in values:
@@ -137,12 +146,18 @@ def cmd_run(args) -> int:
     return 0
 
 
+def _parse_list(flag: str, text: str, kind) -> list:
+    try:
+        return [kind(t) for t in text.split(",")]
+    except ValueError:
+        raise ConfigError(f"{flag}: cannot parse {text!r}") from None
+
+
 def cmd_weights(args) -> int:
-    sizes = [int(t) for t in args.sizes.split(",")]
-    nus = [float(t) for t in args.nu.split(",")] if args.nu else [1.0] * len(sizes)
+    sizes = _parse_list("--sizes", args.sizes, int)
+    nus = _parse_list("--nu", args.nu, float) if args.nu else [1.0] * len(sizes)
     if len(nus) != len(sizes):
         raise ConfigError("--nu must list one factor per group")
-    from d2dsched.grouping import Group, GroupStructure
     nxt = 0
     groups = []
     for s, nu in zip(sizes, nus):
@@ -154,9 +169,7 @@ def cmd_weights(args) -> int:
     header = ["group_id", "size", "nu", "w", "mu", "access_prob", "upi"]
     rows = [(gi, sizes[gi], nus[gi], pw.w[gi], pw.mu[gi], probs[gi],
              upi_closed_form(gi, structure, pw)) for gi in range(len(sizes))]
-    lines = [",".join(header)] + [
-        ",".join(str(c) if isinstance(c, int) else _fmt(c) for c in row) for row in rows]
-    print("\n".join(lines))
+    print("\n".join(_csv_line(row) for row in [header, *rows]))
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         _write_csv(os.path.join(args.out, "weights.csv"), header, rows)

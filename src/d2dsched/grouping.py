@@ -14,7 +14,6 @@ class ConflictGraph:
     """Symmetric adjacency over D2D pairs; an edge marks potential interference."""
 
     adjacency: np.ndarray      # (K2, K2) boolean, symmetric, no self-loops
-    interference_radius_m: float
 
     def __post_init__(self):
         adj = self.adjacency
@@ -80,12 +79,13 @@ def build_conflict_graph(spatial: SpatialRealization, radius_m: float) -> Confli
     dist = np.hypot(diff[..., 0], diff[..., 1])
     adj = dist < radius_m
     np.fill_diagonal(adj, False)
-    return ConflictGraph(adj, radius_m)
+    return ConflictGraph(adj)
 
 
-def greedy_coloring(graph: ConflictGraph, nu: float = 0.5) -> GroupStructure:
+def greedy_coloring(graph: ConflictGraph) -> GroupStructure:
     """Welsh-Powell greedy coloring: vertices in descending-degree order (ties by
-    lower id) take the smallest color absent among colored neighbors."""
+    lower id) take the smallest color absent among colored neighbors.  Each color
+    is one D2D group with fairness factor 1/2."""
     n = graph.n_vertices
     deg = graph.adjacency.sum(axis=1)
     order = np.lexsort((np.arange(n), -deg))
@@ -99,7 +99,7 @@ def greedy_coloring(graph: ConflictGraph, nu: float = 0.5) -> GroupStructure:
     groups = []
     for c in range(color.max() + 1):
         members = tuple(int(v) for v in np.flatnonzero(color == c))
-        groups.append(Group(members, nu))
+        groups.append(Group(members, 0.5))
     return GroupStructure(tuple(groups))
 
 

@@ -14,7 +14,7 @@ import numpy as np
 
 POLICIES = ("bcs", "cfs", "dfs", "gfs", "ecs", "pfs", "grr")
 
-_INT_KEYS = {"K1", "K2", "slots_per_realization", "spatial_realizations", "rng_seed", "resources"}
+_INT_KEYS = {"K1", "K2", "slots_per_realization", "spatial_realizations", "rng_seed"}
 _STR_KEYS = {"policy"}
 
 
@@ -51,7 +51,6 @@ class SystemConfig:
     rate_log_base: float = 2.0            # 2 or math.e
     interference_radius_m: float = 300.0
     policy: str = "bcs"
-    resources: int = 1
     group_sizes: tuple[int, ...] | None = None   # fixed D2D grouping; None = greedy coloring
 
     def __post_init__(self):
@@ -69,8 +68,8 @@ class SystemConfig:
                 raise ConfigError(f"{key} must be finite")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
-        if self.slots_per_realization < 1 or self.spatial_realizations < 1 or self.resources < 1:
-            raise ConfigError("slot/realization/resource counts must be >= 1")
+        if self.slots_per_realization < 1 or self.spatial_realizations < 1:
+            raise ConfigError("slot/realization counts must be >= 1")
         if self.group_sizes is not None:
             if not self.group_sizes or any(s < 1 for s in self.group_sizes):
                 raise ConfigError("group_sizes entries must be >= 1")
@@ -78,6 +77,8 @@ class SystemConfig:
                 raise ConfigError("group_sizes must sum to K2")
         if self.rate_log_base <= 1.0:
             raise ConfigError("rate_log_base must be > 1")
+        if not 1.0 <= self.pf_time_const < math.inf:     # also rejects nan
+            raise ConfigError("pf_time_const must be finite and >= 1")
 
     # linear-scale views, converted once from dB/dBm
     @property

@@ -17,7 +17,7 @@ from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellul
 from d2dsched.weights import PolicyWeights, ecs_weights, solve_group_weights
 
 GROUP_POLICIES = ("gfs", "ecs", "pfs", "grr")
-DEFAULT_RESERVOIR = 100_000
+RESERVOIR_CAPACITY = 100_000    # selected-SNR samples kept per contender
 
 
 @dataclass(frozen=True)
@@ -40,9 +40,6 @@ class ContenderSet:
     @property
     def n_users(self) -> int:
         return sum(len(m) for m in self.members)
-
-    def snr_cdfs(self) -> list[channel.GammaSnrCdf]:
-        return [channel.GammaSnrCdf(m, c) for m, c in zip(self.shape_m, self.mean_snr)]
 
     def user_kinds(self) -> list[str]:
         kinds = [""] * self.n_users
@@ -111,10 +108,10 @@ def _u_from_gains(shape_m: np.ndarray, gains: np.ndarray) -> np.ndarray:
     return regularized_gamma_p(shape_m, shape_m * gains)
 
 
-def realization_rng(seed: int, resource: int = 0, realization: int = 0) -> np.random.Generator:
-    """Random stream of one (resource, realization): its layout first, then its fading."""
+def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
+    """Random stream of one realization: its layout first, then its fading."""
     return np.random.default_rng(
-        np.random.SeedSequence(entropy=seed, spawn_key=(resource, realization)))
+        np.random.SeedSequence(entropy=seed, spawn_key=(0, realization)))
 
 
 def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
@@ -245,8 +242,7 @@ def _merge_reservoir(parts: list[np.ndarray], cap: int, rng: np.random.Generator
     return allsamp[idx]
 
 
-def _reduce(outputs: list, policy: str, seed: int, reservoir_capacity: int,
-            config_digest: str = "") -> ExperimentReport:
+def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> ExperimentReport:
     """Fold (SimResult, ContenderSet) pairs of one experiment into its report.
 
     Group outputs need a group policy and one partition: they are reported
@@ -261,7 +257,7 @@ def _reduce(outputs: list, policy: str, seed: int, reservoir_capacity: int,
     rate_sum = sum(r.user_rate_sum for r in results)
     res_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(987654321,)))
     selected_snr = [_merge_reservoir([a for r in results for a in r.selected_snr[j]],
-                                     reservoir_capacity, res_rng)
+                                     RESERVOIR_CAPACITY, res_rng)
                     for j in range(cs0.n_contenders)]
 
     structures = {r.structure for r in results if r.group_grants is not None}
@@ -290,8 +286,8 @@ def _reduce(outputs: list, policy: str, seed: int, reservoir_capacity: int,
 
 
 def _realization_task(args):
-    config, resource, realization = args
-    rng = realization_rng(config.rng_seed, resource, realization)
+    config, realization = args
+    rng = realization_rng(config.rng_seed, realization)
     spatial = sample_spatial(config, rng)
     cs = contenders_from_spatial(config, spatial)
     structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
@@ -313,45 +309,32 @@ def _n_workers(requested: int | None) -> int:
         raise ConfigError(f"D2DSCHED_THREADS must be an integer, got {env!r}") from None
 
 
-def run_experiment(config: SystemConfig, n_workers: int | None = None,
-                   reservoir_capacity: int = DEFAULT_RESERVOIR) -> ExperimentReport:
-    """Outer loop over spatial realizations (and independent resources), inner
-    loop over fading slots; results reduce identically for any worker count."""
-    tasks = [(config, res, real)
-             for res in range(config.resources)
-             for real in range(config.spatial_realizations)]
+def run_experiment(config: SystemConfig, n_workers: int | None = None) -> ExperimentReport:
+    """Outer loop over spatial realizations, inner loop over fading slots;
+    results reduce identically for any worker count."""
+    tasks = [(config, real) for real in range(config.spatial_realizations)]
     workers = _n_workers(n_workers)
     if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_realization_task, tasks))
     else:
         outputs = [_realization_task(t) for t in tasks]
-    return _reduce(outputs, config.policy, config.rng_seed, reservoir_capacity, config.digest())
+    return _reduce(outputs, config.policy, config.rng_seed, config.digest())
 
 
 def run_standalone(mean_snrs, shapes, structure: GroupStructure, policy: str, slots: int,
-                   seed: int, weights: PolicyWeights | None = None,
-                   pf_time_const: float = 1000.0, rate_log_base: float = 2.0,
-                   reservoir_capacity: int = DEFAULT_RESERVOIR) -> ExperimentReport:
+                   seed: int, weights: PolicyWeights | None = None) -> ExperimentReport:
     """Table-driven scenario: per-user SNR distributions, no geometry."""
     cs = standalone_contenders(mean_snrs, shapes)
     result = simulate_policy(cs, policy, slots, realization_rng(seed), structure=structure,
-                             weights=weights, rate_log_base=rate_log_base,
-                             pf_time_const=pf_time_const)
-    return _reduce([(result, cs)], policy, seed, reservoir_capacity)
+                             weights=weights)
+    return _reduce([(result, cs)], policy, seed)
 
 
 def ks_distance(empirical, analytic) -> float:
-    """Sup over the analytic grid of |F_emp - F_theory|.
-
-    `empirical` is either an array of samples (>= 2 required) or any object
-    with an evaluate() method.
-    """
-    if hasattr(empirical, "evaluate"):
-        emp_vals = np.asarray(empirical.evaluate(analytic.grid))
-    else:
-        samples = np.sort(np.asarray(empirical, dtype=float))
-        if samples.size < 2:
-            raise ValueError("need at least 2 empirical samples")
-        emp_vals = np.searchsorted(samples, analytic.grid, side="right") / samples.size
+    """Sup over the analytic grid of |F_emp - F_theory| for an array of samples (>= 2)."""
+    samples = np.sort(np.asarray(empirical, dtype=float))
+    if samples.size < 2:
+        raise ValueError("need at least 2 empirical samples")
+    emp_vals = np.searchsorted(samples, analytic.grid, side="right") / samples.size
     return float(np.max(np.abs(emp_vals - analytic.values)))

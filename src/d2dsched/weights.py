@@ -52,7 +52,7 @@ def group_access_prob(structure: GroupStructure, weights: PolicyWeights) -> np.n
     return p / p.sum()
 
 
-def solve_group_weights(structure: GroupStructure, tol: float = 1e-13) -> PolicyWeights:
+def solve_group_weights(structure: GroupStructure) -> PolicyWeights:
     """Solve the max-min weight problem by the tight-constraint scalar reduction."""
     if structure.n_groups < 1:
         raise ValueError("structure must contain at least one group")
@@ -68,7 +68,7 @@ def solve_group_weights(structure: GroupStructure, tol: float = 1e-13) -> Policy
     for _ in range(200):
         c = 0.5 * (lo + hi)
         r = residual(c)
-        if abs(r) < tol:
+        if abs(r) < 1e-13:
             break               # keep the point that met the tolerance
         if r < 0.0:
             lo = c

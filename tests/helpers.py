@@ -11,7 +11,7 @@ from d2dsched.model import sample_spatial
 
 
 def first_realization_contenders(config):
-    """Rebuild the contender set of realization (resource 0, index 0) exactly as
+    """Rebuild the contender set of realization 0 exactly as
     the experiment driver derives it, so tests can recover per-user base CDFs."""
     spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
     return simcore.contenders_from_spatial(config, spatial), spatial
@@ -48,6 +48,25 @@ def unconditional_quad(config, K):
         return integrate.quad(f, lo, hi, epsabs=1e-14, epsrel=1e-12, limit=400)[0]
 
     return cell, d2d
+
+
+def log_grid_200(cdf, n):
+    """make_log_grid with every quantile run through all 200 geometric bisection
+    steps: the oracle for analytics._quantile, which stops once the bracket stops
+    moving."""
+    def quantile(p):
+        lo, hi = 1e-30, 1.0
+        while cdf(hi) < p:
+            hi *= 2.0
+        for _ in range(200):
+            mid = math.sqrt(lo * hi)
+            if cdf(mid) < p:
+                lo = mid
+            else:
+                hi = mid
+        return hi
+
+    return np.geomspace(quantile(1e-4), quantile(1.0 - 1e-4), n)
 
 
 def pfs_select_numpy(X, structure, state):

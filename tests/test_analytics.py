@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from helpers import unconditional_quad
+from helpers import log_grid_200, unconditional_quad
 
 from d2dsched import analytics
 from d2dsched.channel import GammaSnrCdf
@@ -97,50 +97,48 @@ def _uniform_base(s):
     return np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
 
 
-GRID01 = np.linspace(1e-4, 1.0, 256)
+# every curve of the uniform base shares its log grid from 1e-4 to 1 - 1e-4
+U = analytics.make_log_grid(_uniform_base)
 
 
 def test_power_curve_trivial_cases():
-    ident = analytics.bcs_selected_cdf(_uniform_base, 1, grid=GRID01)
-    assert np.allclose(ident.values, GRID01)
-    squared = analytics.bcs_selected_cdf(_uniform_base, 2, grid=GRID01)
-    assert np.allclose(squared.values, GRID01 ** 2)
+    ident = analytics.bcs_selected_cdf(_uniform_base, 1)
+    assert np.array_equal(ident.grid, U)
+    assert np.allclose(ident.values, U)
+    squared = analytics.bcs_selected_cdf(_uniform_base, 2)
+    assert np.allclose(squared.values, U ** 2)
     with pytest.raises(ValueError):
         analytics.bcs_selected_cdf(_uniform_base, 0)
 
 
 def test_threshold_policy_curves():
-    cell, d2d = analytics.cfs_selected_cdfs(_uniform_base, _uniform_base, 4, 2,
-                                            grid_c=GRID01, grid_d=GRID01)
-    # below the threshold the cellular curve is clamped at zero, and it reaches 1
+    cell, d2d = analytics.cfs_selected_cdfs(_uniform_base, _uniform_base, 4, 2)
+    # below the threshold the cellular curve is clamped at zero; it reaches 1 at u = 1
     u_th = analytics.cfs_threshold(4, 2)
-    assert np.all(cell.values[GRID01 < 0.9 * u_th] == 0.0)
-    assert cell.values[-1] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(d2d.values, GRID01)            # D2D users keep their base CDF
-    nocfs, _ = analytics.cfs_selected_cdfs(_uniform_base, _uniform_base, 4, 0,
-                                           grid_c=GRID01, grid_d=GRID01)
-    assert np.allclose(nocfs.values, GRID01 ** 4)     # no pairs: plain power curve
+    assert np.all(cell.values[U < 0.9 * u_th] == 0.0)
+    assert np.allclose(cell.values, np.maximum(0.0, 2.0 * U ** 4 - 1.0))
+    assert np.allclose(d2d.values, U)                 # D2D users keep their base CDF
+    nocfs, _ = analytics.cfs_selected_cdfs(_uniform_base, _uniform_base, 4, 0)
+    assert np.allclose(nocfs.values, U ** 4)          # no pairs: plain power curve
 
 
 def test_pair_competition_curves():
-    cell, d2d = analytics.dfs_selected_cdfs(_uniform_base, _uniform_base, 8,
-                                            grid_c=GRID01, grid_d=GRID01)
-    assert np.allclose(cell.values, GRID01 ** 8)
-    assert np.allclose(d2d.values, GRID01 ** 4)
-    _, one_pair = analytics.dfs_selected_cdfs(_uniform_base, _uniform_base, 2,
-                                              grid_c=GRID01, grid_d=GRID01)
-    assert np.allclose(one_pair.values, GRID01)
+    cell, d2d = analytics.dfs_selected_cdfs(_uniform_base, _uniform_base, 8)
+    assert np.allclose(cell.values, U ** 8)
+    assert np.allclose(d2d.values, U ** 4)
+    _, one_pair = analytics.dfs_selected_cdfs(_uniform_base, _uniform_base, 2)
+    assert np.allclose(one_pair.values, U)
     # pair competition dominates the threshold policy for D2D users
-    _, cfs_d2d = analytics.cfs_selected_cdfs(_uniform_base, _uniform_base, 4, 2,
-                                             grid_c=GRID01, grid_d=GRID01)
+    _, cfs_d2d = analytics.cfs_selected_cdfs(_uniform_base, _uniform_base, 4, 2)
     assert np.all(d2d.values <= cfs_d2d.values + 1e-12)
 
 
 def test_group_member_curve():
-    singleton = analytics.gfs_selected_cdf(_uniform_base, 1, 3.0, grid=GRID01)
-    assert np.allclose(singleton.values, GRID01 ** 3.0)
-    member = analytics.gfs_selected_cdf(_uniform_base, 4, 6.0, grid=GRID01)
-    assert member.values[-1] == pytest.approx(1.0, abs=1e-9)
+    singleton = analytics.gfs_selected_cdf(_uniform_base, 1, 3.0)
+    assert np.allclose(singleton.values, U ** 3.0)
+    member = analytics.gfs_selected_cdf(_uniform_base, 4, 6.0)
+    # mu (m-1) / (m (mu-1)) u + (mu-m) / (m (mu-1)) u^mu, which reaches 1 at u = 1
+    assert np.allclose(member.values, 0.9 * U + 0.1 * U ** 6.0)
     assert np.all(np.diff(member.values) >= 0.0)
     # smaller groups see a better (stochastically larger) selected SNR
     assert np.all(singleton.values <= member.values + 1e-12)
@@ -181,11 +179,22 @@ def test_curve_evaluate_interpolates():
 
 
 def test_log_grid_spans_quantiles():
-    cdf = GammaSnrCdf(1.0, 1.0)
-    grid = analytics.make_log_grid(cdf.evaluate, n=100)
-    assert cdf.evaluate(grid[0]) == pytest.approx(1e-4, rel=0.05)
-    assert cdf.evaluate(grid[-1]) == pytest.approx(1.0 - 1e-4, rel=0.05)
-    assert np.all(np.diff(grid) > 0)
+    cell, d2d = analytics.dfs_unconditional_cdfs(SystemConfig(), 8, n_grid=64)
+    cdfs = [GammaSnrCdf(1.0, 1.0), GammaSnrCdf(2.0, 300.0), GammaSnrCdf(0.5, 3e-3),
+            GammaSnrCdf(7.5, 40.0), cell.exact, d2d.exact]
+    for cdf in cdfs:
+        grid = analytics.make_log_grid(cdf, n=100)
+        assert cdf(grid[0]) == pytest.approx(1e-4, rel=0.05)
+        assert cdf(grid[-1]) == pytest.approx(1.0 - 1e-4, rel=0.05)
+        assert np.all(np.diff(grid) > 0)
+        # stopping once the bracket stops moving returns what all 200 steps return
+        assert np.array_equal(grid, log_grid_200(cdf, 100))
+        for p in (1e-4, 1.0 - 1e-4):
+            calls = []
+            q = analytics._quantile(lambda s: calls.append(s) or cdf(s), p)
+            # cdf(1), cdf(2), ... up to the first power of two above q, then the bisection
+            doubling = 1 + max(0, math.ceil(math.log2(q)))
+            assert len(calls) - doubling <= 80
 
 
 def test_index_references():

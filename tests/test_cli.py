@@ -115,6 +115,11 @@ def test_errors_exit_nonzero(small_config, tmp_path, capsys):
                      "--out", out]) == 1
     assert cli.main(["weights", "--sizes", "1,2", "--nu", "1.0"]) == 1
     capsys.readouterr()
+    # a list that does not parse names its flag
+    assert cli.main(["weights", "--sizes", "1,a"]) == 1
+    assert "--sizes" in capsys.readouterr().err
+    assert cli.main(["weights", "--sizes", "1,2", "--nu", "1,x"]) == 1
+    assert "--nu" in capsys.readouterr().err
     # the incomplete gamma's series does not converge at this shape
     assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
                      "--out", out]) == 1
@@ -163,6 +168,7 @@ def test_non_group_policy_writes_no_group_outputs(tmp_path):
     ("table5-gfs", "slots_per_realization", "slots_per_realization"),
     ("table5-gfs", "slots_per_realization=abc", "slots_per_realization"),
     ("sec4c-comparison", "bogus=1", "bogus"),
+    ("sec4c-comparison", "pf_time_const=0", "pf_time_const"),
 ])
 def test_bad_set_names_the_setting(tmp_path, capsys, preset, setting, key):
     out = str(tmp_path / "e")
@@ -170,3 +176,17 @@ def test_bad_set_names_the_setting(tmp_path, capsys, preset, setting, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and ("--set" in err or key in err)
     assert not os.path.exists(os.path.join(out, "report.csv"))
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["group", "--preset", "table5-gfs"], "table5-gfs"),
+    (["analytic", "--preset", "table5-gfs", "--curve", "bcs"], "table5-gfs"),
+    (["run", "--preset", "table5-gfs", "--config", "missing.cfg"], "--config"),
+])
+def test_standalone_preset_outside_run_is_an_error(tmp_path, capsys, argv, named):
+    # table5-gfs has no SystemConfig, so it must not fall back to the default one
+    out = str(tmp_path / "t5")
+    assert cli.main(argv + ["--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert not os.path.exists(out)

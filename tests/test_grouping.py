@@ -32,14 +32,14 @@ def test_edge_threshold():
 def test_graph_validation():
     bad = np.array([[False, True], [False, False]])
     with pytest.raises(ValueError):
-        ConflictGraph(bad, 300.0)
+        ConflictGraph(bad)
     with pytest.raises(ValueError):
-        ConflictGraph(np.array([[True]]), 300.0)
+        ConflictGraph(np.array([[True]]))
 
 
 def test_path_graph_two_colors():
     adj = np.array([[0, 1, 0], [1, 0, 1], [0, 1, 0]], dtype=bool)
-    st = greedy_coloring(ConflictGraph(adj, 300.0))
+    st = greedy_coloring(ConflictGraph(adj))
     assert st.n_groups == 2
     members = {g.members for g in st.groups}
     assert (0, 2) in members and (1,) in members

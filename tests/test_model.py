@@ -45,6 +45,11 @@ def test_user_counts():
     dict(slots_per_realization=0),
     dict(group_sizes=(2, 2)),          # does not sum to K2=5
     dict(rate_log_base=1.0),
+    dict(pf_time_const=0.0),
+    dict(pf_time_const=0.5),
+    dict(pf_time_const=-3.0),
+    dict(pf_time_const=float("nan")),
+    dict(pf_time_const=float("inf")),
 ])
 def test_invalid_configs_rejected(kwargs):
     with pytest.raises(ConfigError):
@@ -126,6 +131,8 @@ def test_parse_errors():
         parse_config_text("", overrides={"unknown": "1"})
     with pytest.raises(ConfigError):
         parse_config_text("cfs_d2d_random = true")    # CFS serves D2D users round-robin only
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text("resources = 2")            # more resources are more realizations
 
 
 def test_overrides_and_digest():
