@@ -11,6 +11,9 @@ import numpy as np
 _MAX_ITER = 600
 _ERLANG_A_MAX = 170       # 1/j! stays a normal double for j <= 170
 _ERLANG_X_MAX = 700.0     # e^-x stays normal and the Erlang sum below e^x stays finite
+_HALLEY_MAX_ITER = 40
+_HALLEY_RTOL = 1e-7       # a step this small leaves an error of order its cube
+_INV_BLOCK = 8192         # cells per Halley iteration: bounds its temporaries' memory
 
 
 class GammaNotConverged(ArithmeticError):
@@ -22,19 +25,23 @@ def _not_converged(method: str, a: float, n: int, size: int) -> GammaNotConverge
                              f"in {_MAX_ITER} iterations at {n} of {size} points")
 
 
+def _erlang_sum(m: int, x: np.ndarray) -> np.ndarray:
+    # e^-x sum_{j=1}^{m-1} x^j/j! for m >= 2, the sum by Horner in x
+    s = np.full_like(x, 1.0 / math.factorial(m - 1))
+    for j in range(m - 2, 0, -1):
+        s *= x
+        s += 1.0 / math.factorial(j)
+    s *= x
+    s *= np.exp(-x)
+    return s
+
+
 def _erlang_p(m: int, x: np.ndarray) -> np.ndarray:
-    # P(m,x) = -expm1(-x) - e^-x sum_{j=1}^{m-1} x^j/j!, the sum by Horner in x
+    # P(m,x) = -expm1(-x) - e^-x sum_{j=1}^{m-1} x^j/j!
     p = -np.expm1(-x)
     if m == 1:
         return p
-    inv_fact = [1.0 / math.factorial(j) for j in range(m)]
-    s = np.full_like(x, inv_fact[m - 1])
-    for j in range(m - 2, 0, -1):
-        s *= x
-        s += inv_fact[j]
-    s *= x
-    s *= np.exp(-x)
-    p -= s
+    p -= _erlang_sum(m, x)
     return p
 
 
@@ -141,6 +148,141 @@ def regularized_gamma_p(a, x):
     return float(out) if out.ndim == 0 else out
 
 
+def _erlang_tail(m: np.ndarray, x: np.ndarray, lgam: np.ndarray) -> np.ndarray:
+    # P(m,x) = x^m e^-x/m! sum_{k>=0} x^k m!/(m+k)!, positive terms, by Horner; for the
+    # x < m where the Erlang sum cancels, its terms shrink at least as fast as (x/(m+1))^k
+    r = float(np.max(x / (m + 1.0)))
+    terms = math.ceil(math.log(1e-17 * (1.0 - r)) / math.log(r)) if r > 0.0 else 0
+    s = np.ones_like(x)
+    for k in range(terms, 0, -1):
+        s *= x / (m + k)
+        s += 1.0
+    with np.errstate(divide="ignore"):
+        return s * np.exp(m * np.log(x) - x - lgam - np.log(m))
+
+
+def _tail_residual(a, lgam, erlang, x, p, q) -> np.ndarray:
+    """P(a, x) - p per cell, computed in the tail that is small, with q = 1 - p;
+    `erlang` marks the cells of integer shape up to 170.
+
+    At integer shapes the Erlang sums give q - Q for p > 1/2 and P - p
+    otherwise, with the positive tail series where the Erlang P cancels.
+    Other shapes give P - p from the series below a+1 and q - Q from the
+    continued fraction above.  Either way the residual keeps its tail's
+    relative accuracy.
+    """
+    r = np.empty_like(x)
+    if erlang.any():
+        cells = slice(None) if erlang.all() else np.flatnonzero(erlang)
+        m, xe, pe, qe = a[cells], x[cells], p[cells], q[cells]
+        # Q(a, x) stays below 1e-128 from x = 700 on, below any q = 1 - p > 0
+        xs = np.minimum(xe, _ERLANG_X_MAX)
+        # the cells come in ascending order of shape, so each shape is one run of them
+        vals = np.unique(m)
+        ends = np.searchsorted(m, vals, side="right").tolist()
+        s = np.empty_like(xs)
+        start = 0
+        for val, end in zip(vals.tolist(), ends):
+            s[start:end] = _erlang_sum(int(val), xs[start:end])
+            start = end
+        one_minus_e = -np.expm1(-xs)
+        re = np.where(pe > 0.5, qe - (np.exp(-xs) + s), one_minus_e - s - pe)
+        # P = (1 - e^-x) - s loses its digits where it is far below 1 - e^-x
+        cancels = np.flatnonzero((pe <= 0.5) & (re + pe < 1e-3 * one_minus_e))
+        if cancels.size:
+            re[cancels] = _erlang_tail(m[cancels], xe[cancels], lgam[cells][cancels]) - pe[cancels]
+        r[cells] = re
+    for val in () if erlang.all() else np.unique(a[~erlang]):
+        sel = a == val
+        low = sel & (x < val + 1.0)
+        high = sel & ~low
+        r[low] = _series_p(float(val), x[low]) - p[low]
+        r[high] = q[high] - _contfrac_q(float(val), x[high])
+    return r
+
+
+def _gamma_p_inv_cells(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """P^-1(a, p) for shapes a != 1 and 0 < p < 1, one shape per cell, in
+    ascending order of shape."""
+    vals = np.unique(a)
+    lgam = np.array([math.lgamma(v) for v in vals])[np.searchsorted(vals, a)]
+    q = 1.0 - p
+    # starting values of DiDonato & Morris (1986) as in Numerical Recipes' invgammp
+    t = np.sqrt(-2.0 * np.log(np.minimum(p, q)))
+    z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
+    z = np.where(p < 0.5, z, -z)                       # the standard normal p-quantile
+    wilson_hilferty = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))) ** 3
+    # P(a, x) < x^a / Gamma(a+1) for every x, so this root lies below the solution
+    x = np.maximum(wilson_hilferty, np.exp((np.log(p) + lgam + np.log(a)) / a))
+    small = a < 1.0
+    if small.any():
+        t = 1.0 - a[small] * (0.253 + a[small] * 0.12)
+        ps, qs = p[small], q[small]
+        x[small] = np.where(ps < t, (ps / t) ** (1.0 / a[small]), 1.0 - np.log(qs / (1.0 - t)))
+    out = np.empty_like(p)
+    cells = np.arange(p.size)
+    a1 = a - 1.0
+    erlang = (a <= _ERLANG_A_MAX) & (a == np.floor(a))
+    for _ in range(_HALLEY_MAX_ITER):
+        err = _tail_residual(a, lgam, erlang, x, p, q)
+        with np.errstate(divide="ignore"):
+            u = err / np.exp(a1 * np.log(x) - x - lgam)       # Newton step err / pdf
+        step = u / (1.0 - 0.5 * np.minimum(1.0, u * (a1 / x - 1.0)))
+        x = x - step
+        np.copyto(x, 0.5 * (x + step), where=x <= 0.0)      # halve the last x instead
+        done = np.abs(step) <= _HALLEY_RTOL * x
+        if done.all():
+            out[cells] = x
+            return out
+        if done.any():
+            out[cells[done]] = x[done]
+            live = ~done
+            cells, a, a1, lgam, erlang = cells[live], a[live], a1[live], lgam[live], erlang[live]
+            x, p, q = x[live], p[live], q[live]
+    raise GammaNotConverged(f"regularized_gamma_p_inv: Halley iteration did not converge in "
+                            f"{_HALLEY_MAX_ITER} steps at {cells.size} of {out.size} points "
+                            f"(shapes {np.unique(a).tolist()})")
+
+
+def regularized_gamma_p_inv(a, p):
+    """Inverse of P(a, x) in x: the x >= 0 with P(a, x) = p, elementwise over
+    broadcast a and p in [0, 1].
+
+    At a = 1 it is the closed form -log(1 - p).  Other shapes start from the
+    DiDonato & Morris (1986) values and take Halley steps on P, evaluated in
+    the tail (P or 1 - P) that is small, so the result keeps its relative
+    accuracy in both tails: within 1e-11 of scipy's gammaincinv for p and
+    1 - p down to 1e-12.  A point whose steps have not settled after 40
+    raises GammaNotConverged, as do the series and continued fraction of P.
+    P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a and p give a Python float.
+    """
+    a_arr = np.asarray(a, dtype=float)
+    p_arr = np.asarray(p, dtype=float)
+    if np.any(a_arr <= 0.0):
+        raise ValueError("shape parameter a must be positive")
+    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
+        raise ValueError("p must lie in [0, 1]")
+    shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
+    p_flat = np.broadcast_to(p_arr, shape).ravel()
+    if a_arr.size and a_arr.min() == a_arr.max() == 1.0:
+        with np.errstate(divide="ignore"):        # P^-1(1, 1) = -log(0) = inf
+            out = -np.log1p(-p_flat)
+    else:
+        a_flat = np.broadcast_to(a_arr, shape).ravel()
+        out = np.where(p_flat == 1.0, np.inf, 0.0)
+        inner = (p_flat > 0.0) & (p_flat < 1.0)
+        unit = inner & (a_flat == 1.0)
+        out[unit] = -np.log1p(-p_flat[unit])
+        cells = np.flatnonzero(inner & ~unit)
+        # in order of shape, each shape's cells of a block are one run, summed by one Horner loop
+        cells = cells[np.argsort(a_flat[cells], kind="stable")]
+        for start in range(0, cells.size, _INV_BLOCK):
+            block = cells[start:start + _INV_BLOCK]
+            out[block] = _gamma_p_inv_cells(a_flat[block], p_flat[block])
+    out = out.reshape(shape)
+    return float(out) if out.ndim == 0 else out
+
+
 @dataclass(frozen=True)
 class AnalyticCurve:
     """A closed-form CDF / probability curve tabulated on an ascending SNR grid.
@@ -167,14 +309,17 @@ class AnalyticCurve:
 def _quantile(cdf, p: float) -> float:
     """Invert a monotone CDF callable by bracketed geometric bisection.
 
-    At most 200 steps; it stops at the first step that leaves the bracket
-    unchanged, since every later step would repeat that one.
+    The upper bracket doubles from 1 until the CDF reaches p; a CDF that stays
+    below p up to the largest double raises ValueError.  At most 200 steps; it
+    stops at the first step that leaves the bracket unchanged, since every
+    later step would repeat that one.
     """
     lo, hi = 1e-30, 1.0
-    for _ in range(4000):
-        if cdf(hi) >= p:
-            break
+    while cdf(hi) < p:
         hi *= 2.0
+        if math.isinf(hi):
+            raise ValueError(f"the CDF stays below {p!r} at every finite SNR, so its "
+                             f"{p!r} quantile has no upper bracket")
     for _ in range(200):
         mid = math.sqrt(lo * hi)
         if cdf(mid) < p:

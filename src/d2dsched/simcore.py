@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dsched import channel, policies
-from d2dsched.analytics import regularized_gamma_p
+from d2dsched.analytics import regularized_gamma_p, regularized_gamma_p_inv
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
 from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
@@ -102,12 +102,6 @@ class SimResult:
     weights: PolicyWeights | None
 
 
-def _u_from_gains(shape_m: np.ndarray, gains: np.ndarray) -> np.ndarray:
-    if np.all(shape_m == 1.0):
-        return -np.expm1(-gains)
-    return regularized_gamma_p(shape_m, shape_m * gains)
-
-
 def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
     """Random stream of one realization: its layout first, then its fading."""
     return np.random.default_rng(
@@ -124,6 +118,12 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     A policy only names each slot's winner: a contender for bcs, dfs and cfs,
     a group for the group policies.  Every contender of the winner is granted
     the slot, and a pair's grants go to its two members in strict alternation.
+
+    Each chunk draws what the policy selects on for every (slot, contender)
+    cell and computes the rest for the granted cells only.  The six score
+    policies draw u ~ U(0, 1), the CDF-mapped channel, and give a granted cell
+    the SNR mean_snr/m * P^-1(m, u).  pfs selects on rates, so it draws the
+    Gamma gains and maps its granted cells to u = P(m, m * gain).
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -163,24 +163,26 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     done = 0
     while done < slots:
         n = min(chunk, slots - done)
-        gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
-        snr = gains * cs.mean_snr
-        u = _u_from_gains(cs.shape_m, gains)
-
-        if policy == "bcs":
-            win = policies.bcs_select(u, np.full(C, 1.0 / C))
-        elif policy == "dfs":
-            win = policies.dfs_select(u, K1, K2)
-        elif policy == "cfs":
-            cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
-            # the round-robin over the 2*K2 D2D users alternates each pair's members
-            win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
-        elif policy in ("gfs", "ecs"):
-            win = policies.mws_select(u, structure, weights)
-        elif policy == "pfs":
-            win = policies.pfs_select(np.log1p(snr) / log_base, structure, pf_state)
+        if policy == "pfs":
+            # the rates decide: draw every gain, map the granted cells to u below
+            gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
+            win = policies.pfs_select(np.log1p(gains * cs.mean_snr) / log_base, structure,
+                                      pf_state)
         else:
-            win = policies.grr_select(n, structure.n_groups, offset=done)
+            # the scores decide: draw every u, map the granted cells to SNR below
+            u = rng.random((n, C))
+            if policy == "bcs":
+                win = policies.bcs_select(u, np.full(C, 1.0 / C))
+            elif policy == "dfs":
+                win = policies.dfs_select(u, K1, K2)
+            elif policy == "cfs":
+                cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
+                # the round-robin over the 2*K2 D2D users alternates each pair's members
+                win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
+            elif policy in ("gfs", "ecs"):
+                win = policies.mws_select(u, structure, weights)
+            else:
+                win = policies.grr_select(n, structure.n_groups, offset=done)
 
         # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
         order = np.argsort(win.astype(np.min_scalar_type(n_winners)), kind="stable")
@@ -188,21 +190,40 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
         ends = np.cumsum(counts)
         if policy in GROUP_POLICIES:
             res.group_grants += counts
-        for j in range(C):
-            w = winner_of[j]
-            sl = order[ends[w] - counts[w]:ends[w]]
-            if sl.size == 0:
+        # the granted cells, contender by contender, each contender's in slot order
+        granted = [order[ends[w] - counts[w]:ends[w]] for w in winner_of]
+        sizes = [sl.size for sl in granted]
+        # the kept SNR arrays come before the chunk's temporaries, so freeing those
+        # leaves no holes below long-lived arrays in the heap
+        kept = [np.empty(size) for size in sizes]
+        rows = np.concatenate(granted)
+        cols = np.repeat(np.arange(C), sizes)
+        m = cs.shape_m[cols]
+        if policy == "pfs":
+            g = gains[rows, cols]
+            snr = g * cs.mean_snr[cols]
+            u_g = regularized_gamma_p(m, m * g)
+        else:
+            u_g = u[rows, cols]
+            snr = regularized_gamma_p_inv(m, u_g)
+            snr *= (cs.mean_snr / cs.shape_m)[cols]
+        rates = np.log1p(snr)
+        rates /= log_base
+        stop = 0
+        for j, size in enumerate(sizes):
+            if size == 0:
                 continue
-            x = snr[sl, j]
-            rates = np.log1p(x) / log_base
-            res.selected_snr[j].append(x)
+            cells = slice(stop, stop + size)
+            stop += size
+            kept[j][:] = snr[cells]
+            res.selected_snr[j].append(kept[j])
             k = len(cs.members[j])
             for t, uid in enumerate(cs.members[j]):
-                take = slice((t - turn[j]) % k, None, k)
+                take = slice(cells.start + (t - turn[j]) % k, cells.stop, k)
                 res.user_grants[uid] += rates[take].size
-                res.user_u_sum[uid] += u[sl[take], j].sum()
+                res.user_u_sum[uid] += u_g[take].sum()
                 res.user_rate_sum[uid] += rates[take].sum()
-            turn[j] = (turn[j] + sl.size) % k
+            turn[j] = (turn[j] + size) % k
         done += n
     return res
 

@@ -58,6 +58,8 @@ def solve_group_weights(structure: GroupStructure) -> PolicyWeights:
         raise ValueError("structure must contain at least one group")
     m = structure.sizes.astype(float)
     nu = structure.nus
+    if not np.all(np.isfinite(nu) & (nu > 0.0)):
+        raise ValueError(f"fairness factors nu must be positive and finite, got {nu.tolist()}")
     cap = nu * (m + 1.0)        # c must stay below every nu_i (m_i + 1)
 
     def residual(c: float) -> float:

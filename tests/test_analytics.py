@@ -93,6 +93,46 @@ def test_gamma_non_convergence_raises():
         analytics.regularized_gamma_p(40000.5, 40000.0)
 
 
+# shapes of the inverse's oracle check, and its largest error relative to scipy's gammaincinv
+INV_SHAPES = (0.5, 0.75, 1.0, 2.0, 2.5, 8.0, 9.0, 20.0)
+INV_RTOL = 1e-11
+
+
+def test_gamma_inverse_matches_scipy():
+    # both tails down to 1e-12: u on a log grid, and 1 - u
+    u = np.geomspace(1e-12, 0.5, 241)
+    for a in INV_SHAPES:
+        for p in (u, 1.0 - u):
+            want = special.gammaincinv(a, p)
+            rel = np.max(np.abs(analytics.regularized_gamma_p_inv(a, p) - want) / want)
+            assert rel < INV_RTOL, a
+    # one shape per cell in one call, as the simulator calls it
+    a = np.repeat(INV_SHAPES, u.size)
+    p = np.tile(1.0 - u, len(INV_SHAPES))
+    want = special.gammaincinv(a, p)
+    assert np.max(np.abs(analytics.regularized_gamma_p_inv(a, p) - want) / want) < INV_RTOL
+    grid = analytics.regularized_gamma_p_inv(np.array([1.0, 2.5, 8.0]), np.array([[0.0], [1.0]]))
+    assert np.array_equal(grid, [[0.0] * 3, [np.inf] * 3])
+    assert isinstance(analytics.regularized_gamma_p_inv(2.5, 0.3), float)
+    assert analytics.regularized_gamma_p_inv(np.ones(0), np.ones(0)).shape == (0,)
+    with pytest.raises(ValueError):
+        analytics.regularized_gamma_p_inv(0.0, 0.5)
+    with pytest.raises(ValueError):
+        analytics.regularized_gamma_p_inv(2.0, 1.5)
+    with pytest.raises(ValueError):
+        analytics.regularized_gamma_p_inv(2.0, np.nan)
+
+
+def test_gamma_inverse_non_convergence_raises(monkeypatch):
+    # P's series cannot converge near x = 40000 at this shape, so neither can its inverse
+    with pytest.raises(analytics.GammaNotConverged, match=r"series for a=40000\.5"):
+        analytics.regularized_gamma_p_inv(40000.5, 0.5)
+    # every point still unsettled after the last Halley step is counted, whatever its shape
+    monkeypatch.setattr(analytics, "_HALLEY_MAX_ITER", 1)
+    with pytest.raises(analytics.GammaNotConverged, match=r"Halley .* 3 of 3 points"):
+        analytics.regularized_gamma_p_inv(np.array([2.0, 2.5, 0.75]), 0.3)
+
+
 def _uniform_base(s):
     return np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
 
@@ -195,6 +235,16 @@ def test_log_grid_spans_quantiles():
             # cdf(1), cdf(2), ... up to the first power of two above q, then the bisection
             doubling = 1 + max(0, math.ceil(math.log2(q)))
             assert len(calls) - doubling <= 80
+
+
+def test_quantile_without_upper_bracket_raises():
+    # a CDF that tops out below 1 - 1e-4, as the empirical CDF of 3000 samples does at
+    # 3000/3001: its grid used to end in inf
+    def capped(s):
+        return 3000.0 / 3001.0 * -np.expm1(-np.asarray(s, dtype=float))
+
+    with pytest.raises(ValueError, match="upper bracket"):
+        analytics.bcs_selected_cdf(capped, 3)
 
 
 def test_index_references():

@@ -120,6 +120,11 @@ def test_errors_exit_nonzero(small_config, tmp_path, capsys):
     assert "--sizes" in capsys.readouterr().err
     assert cli.main(["weights", "--sizes", "1,2", "--nu", "1,x"]) == 1
     assert "--nu" in capsys.readouterr().err
+    # a fairness factor that is not positive and finite is refused, not solved into nan
+    for nus in ("0,1", "nan,1"):
+        assert cli.main(["weights", "--sizes", "1,2", "--nu", nus]) == 1
+        captured = capsys.readouterr()
+        assert "nu" in captured.err and "nan" not in captured.out
     # the incomplete gamma's series does not converge at this shape
     assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
                      "--out", out]) == 1

@@ -6,7 +6,8 @@ import pytest
 from helpers import first_realization_contenders
 
 from d2dsched import simcore
-from d2dsched.analytics import AnalyticCurve
+from d2dsched.analytics import AnalyticCurve, bcs_selected_cdf
+from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import fixed_grouping
 from d2dsched.model import ConfigError, SystemConfig, sample_spatial
 from d2dsched.weights import normalized_weights, upi_closed_form
@@ -98,6 +99,18 @@ def test_group_index_matches_closed_form_for_arbitrary_weights():
             want = upi_closed_form(gi, st, pw)
             got = rep.upi[st.groups[gi].members[0]]
             assert abs(got - want) < 0.02
+
+
+def test_non_integer_shapes_selected_snr():
+    # bounds fixed before the run: each user gets about 5e4 of the 2e5 slots, and the
+    # KS distance of 5e4 exact draws exceeds 0.012 with probability about 1e-6;
+    # 0.005 is five binomial standard errors of the access probability
+    means, shapes = [2.0, 5.0, 1.0, 3.0], [2.5, 0.75, 2.5, 0.75]
+    rep = simcore.run_standalone(means, shapes, None, "bcs", 200_000, seed=61)
+    assert np.all(np.abs(rep.access_prob - 0.25) < 0.005)
+    for j in range(4):
+        curve = bcs_selected_cdf(GammaSnrCdf(shapes[j], means[j]), 4)
+        assert simcore.ks_distance(rep.selected_snr[j], curve) < 0.012
 
 
 def test_ks_distance_cases():
