@@ -30,23 +30,6 @@ class GammaSnrCdf:
     __call__ = evaluate
 
 
-class EmpiricalSnrCdf:
-    """Right-continuous step CDF; new values map to rank/(n+1) so outputs stay in (0,1)."""
-
-    def __init__(self, samples):
-        samples = np.sort(np.asarray(samples, dtype=float))
-        if samples.size < 2:
-            raise ValueError("need at least 2 samples")
-        self.samples = samples
-
-    def evaluate(self, s):
-        rank = np.searchsorted(self.samples, np.asarray(s, dtype=float), side="right")
-        rank = np.clip(rank, 1, self.samples.size)  # keep outputs inside (0, 1)
-        return rank / (self.samples.size + 1.0)
-
-    __call__ = evaluate
-
-
 def draw_fading(spec: FadingSpec, rng: np.random.Generator, size=None):
     """Power gain |h|^2 ~ Gamma(shape=m, mean=mean_power); exponential for m=1."""
     return rng.gamma(spec.shape_m, spec.mean_power / spec.shape_m, size=size)

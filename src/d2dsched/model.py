@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -122,9 +122,6 @@ class SystemConfig:
             return np.asarray(m, dtype=float)
         return np.full(self.n_contenders, float(m))
 
-    def override(self, **kwargs) -> "SystemConfig":
-        return replace(self, **kwargs)
-
     def digest(self) -> str:
         parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
         return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
@@ -150,13 +147,6 @@ class SpatialRealization:
             self.pair_centroid_distances * np.cos(self.pair_centroid_angles),
             self.pair_centroid_distances * np.sin(self.pair_centroid_angles),
         ))
-
-    def device_xy(self) -> np.ndarray:
-        """(K2, 2, 2) positions of the two devices of each pair."""
-        c = self.centroid_xy()
-        half = 0.5 * self.pair_direct_distances
-        offs = np.column_stack((half * np.cos(self.pair_angles), half * np.sin(self.pair_angles)))
-        return np.stack((c + offs, c - offs), axis=1)
 
 
 def sample_spatial(config: SystemConfig, rng: np.random.Generator) -> SpatialRealization:

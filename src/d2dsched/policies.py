@@ -2,13 +2,17 @@
 
 Selection functions are vectorized over slots: they take an (n_slots, n)
 matrix of CDF-mapped channel values in [0, 1] and return one winner per slot.
-Ties break toward the lowest id (argmax picks the first maximum), a
-probability-zero event for continuous channels.
+Every score policy selects through one kernel, `_weighted_argmax`: the
+contender with the largest log(u)/w wins.  A group competes through its best
+member, so gfs and ecs give each contender its group's weight and map the
+winning contender to its group; pfs picks the contender with the largest rate
+ratio the same way.  Ties break toward the lowest contender id (argmax picks
+the first maximum), and so between groups toward the group of the lowest
+contender id, a probability-zero event for continuous channels.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,19 +22,56 @@ from d2dsched.weights import PolicyWeights
 from d2dsched.analytics import cfs_threshold
 
 
-def _weighted_scores(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # argmax u^(1/w) == argmax log(u)/w; log(0) -> -inf is harmless
+_BLOCK = 2048                    # slots per block of the unequal-weight kernel
+
+
+def _weighted_argmax(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Per row of u, the first column maximizing u^(1/w), i.e. log(u)/w.
+
+    With equal weights log and the positive division are monotone, so the
+    argmax of u itself is the answer.  Otherwise the scores are formed block by
+    block in one reused buffer, dividing by the weights tiled over the block so
+    the division runs over the whole block at once; log(0) -> -inf is harmless.
+    """
+    n, C = u.shape
+    if np.all(w == w[:1]):
+        return np.argmax(u, axis=1)
+    out = np.empty(n, dtype=np.intp)
+    rows = min(n, _BLOCK)
+    scores = np.empty((rows, C))
+    flat = scores.reshape(-1)
+    w_tiled = np.tile(w, rows)
     with np.errstate(divide="ignore"):
-        return np.log(u) / w
+        for start in range(0, n, _BLOCK):
+            k = min(_BLOCK, n - start)
+            np.log(u[start:start + k], out=scores[:k])
+            np.divide(flat[:k * C], w_tiled[:k * C], out=flat[:k * C])
+            np.argmax(scores[:k], axis=1, out=out[start:start + k])
+    return out
+
+
+def _group_index(structure: GroupStructure, n_columns: int) -> np.ndarray:
+    """Group of each of the n_columns contenders; every contender must be in one."""
+    group_of = structure.group_of()
+    try:
+        group = [group_of[j] for j in range(n_columns)]
+    except KeyError as missing:
+        raise ValueError(f"contender {missing.args[0]} belongs to no group") from None
+    if structure.n_contenders != n_columns:
+        raise ValueError(f"group structure covers {structure.n_contenders} contenders, "
+                         f"the scores have {n_columns}")
+    return np.array(group, dtype=np.intp)
 
 
 def bcs_select(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Winner per slot: argmax_k u_k^(1/w_k), giving access probability w_k."""
     u = np.atleast_2d(u)
     w = np.asarray(w, dtype=float)
+    if w.shape != (u.shape[1],):
+        raise ValueError(f"{w.size} weights for {u.shape[1]} contenders")
     if not np.isclose(w.sum(), 1.0, atol=1e-9):
         raise ValueError("selection weights must sum to 1")
-    return np.argmax(_weighted_scores(u, w), axis=1)
+    return _weighted_argmax(u, w)
 
 
 def dfs_weights(K1: int, K2: int) -> np.ndarray:
@@ -80,13 +121,18 @@ def cfs_select(u_cell: np.ndarray, K1: int, K2: int,
 
 
 def mws_select(u: np.ndarray, structure: GroupStructure, weights: PolicyWeights) -> np.ndarray:
-    """Group selection: max representative per group, then argmax Y_i^(1/w_i).
+    """Group selection: argmax_i Y_i^(1/w_i) with Y_i the best u in group i.
 
+    log is monotone, so the best member's score is its group's score: each
+    contender competes with its group's weight and the winner's group wins.
     gfs passes the max-min solver's weights, ecs the equal-access-time ones.
     """
     u = np.atleast_2d(u)
-    reps = np.column_stack([u[:, g.members].max(axis=1) for g in structure.groups])
-    return np.argmax(_weighted_scores(reps, np.asarray(weights.w)), axis=1)
+    group = _group_index(structure, u.shape[1])
+    w = np.asarray(weights.w, dtype=float)
+    if w.shape != (structure.n_groups,):
+        raise ValueError(f"{w.size} weights for {structure.n_groups} groups")
+    return group[_weighted_argmax(u, w[group])]
 
 
 def grr_select(n_slots: int, n_groups: int, offset: int = 0) -> np.ndarray:
@@ -110,10 +156,12 @@ def pfs_select(X: np.ndarray, structure: GroupStructure, state: PfState) -> np.n
     """Sequential PF-over-groups selection; updates `state` in place.
 
     The winning group's members all fold their current metric into their
-    averages; everyone else decays by (1 - 1/t_c).  The loop runs on Python
-    floats, one slot at a time.
+    averages; everyone else decays by (1 - 1/t_c).  The group of the contender
+    with the largest ratio wins.  The loop runs on Python floats, one slot at a
+    time.
     """
     X = np.atleast_2d(X)
+    group = _group_index(structure, X.shape[1]).tolist()
     a = 1.0 / state.t_c
     decay = 1.0 - a
     members = [tuple(g.members) for g in structure.groups]
@@ -124,11 +172,7 @@ def pfs_select(X: np.ndarray, structure: GroupStructure, state: PfState) -> np.n
             ratio = x                      # first slot: raw metric
         else:
             ratio = [xj / bj for xj, bj in zip(x, xbar)]
-        best, gi = -math.inf, 0
-        for g, mem in enumerate(members):
-            rep = max(map(ratio.__getitem__, mem))
-            if rep > best:
-                best, gi = rep, g
+        gi = group[ratio.index(max(ratio))]
         winners.append(gi)
         if xbar is None:
             xbar = list(x)

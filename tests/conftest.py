@@ -2,6 +2,7 @@
 
 import os
 import sys
+from dataclasses import replace
 
 
 import pytest
@@ -72,5 +73,5 @@ def sec4c_reports():
                         slots_per_realization=10_000, rng_seed=707)
     out = {}
     for policy in ("gfs", "bcs", "dfs", "cfs", "grr"):
-        out[policy] = simcore.run_experiment(base.override(policy=policy))
+        out[policy] = simcore.run_experiment(replace(base, policy=policy))
     return base, out

@@ -1,5 +1,5 @@
-"""Shared test utilities: geometry replay, KS statistics, a quadrature oracle and the
-numpy proportional-fair loop."""
+"""Shared test utilities: geometry replay, KS statistics, a quadrature oracle, the
+per-group-maximum group selection and the numpy proportional-fair loop."""
 
 import math
 
@@ -67,6 +67,16 @@ def log_grid_200(cdf, n):
         return hi
 
     return np.geomspace(quantile(1e-4), quantile(1.0 - 1e-4), n)
+
+
+def mws_select_reps(u, structure, weights):
+    """Group selection from each group's best member, argmax Y_i^(1/w_i) over the
+    column of per-group maxima: the oracle for policies.mws_select, which selects
+    over contenders and maps the winner to its group."""
+    u = np.atleast_2d(u)
+    reps = np.column_stack([u[:, g.members].max(axis=1) for g in structure.groups])
+    with np.errstate(divide="ignore"):
+        return np.argmax(np.log(reps) / np.asarray(weights.w), axis=1)
 
 
 def pfs_select_numpy(X, structure, state):

@@ -1,6 +1,7 @@
 """Incomplete gamma evaluation and the closed-form selected-SNR curves."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -194,7 +195,7 @@ def test_unconditional_curves_basics():
         assert np.all(np.diff(curve.values) >= 0.0)
         assert curve.values[-1] > 0.99
     with pytest.raises(ValueError):
-        analytics.dfs_unconditional_cdfs(cfg.override(fading_shape_m=2.0), 8)
+        analytics.dfs_unconditional_cdfs(replace(cfg, fading_shape_m=2.0), 8)
 
 
 @pytest.mark.parametrize("K", [50, 100])

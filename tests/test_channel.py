@@ -1,4 +1,4 @@
-"""SNR generation, power control, and the analytic/empirical SNR CDFs."""
+"""SNR generation, power control, and the analytic SNR CDF."""
 
 import numpy as np
 import pytest
@@ -64,22 +64,3 @@ def test_analytic_cdf_matches_samples():
     rng = np.random.default_rng(5)
     snr = channel.snr_from_gain(link, cfg, channel.draw_fading(spec, rng, size=1_000_000))
     assert ks_uniform(cdf.evaluate(snr)) < 0.005
-
-
-def test_empirical_cdf_floor_and_range():
-    cdf = channel.EmpiricalSnrCdf([1.0, 2.0, 3.0])
-    assert cdf.evaluate(0.5) == pytest.approx(0.25)   # below the minimum: 1/(n+1)
-    assert cdf.evaluate(10.0) == pytest.approx(0.75)  # above the maximum: n/(n+1)
-    vals = cdf.evaluate(np.linspace(0.0, 5.0, 50))
-    assert np.all(vals > 0.0) and np.all(vals < 1.0)
-    with pytest.raises(ValueError):
-        channel.EmpiricalSnrCdf([1.0])
-
-
-def test_empirical_cdf_converges():
-    rng = np.random.default_rng(9)
-    samples = rng.exponential(1.0, size=100_000)
-    cdf = channel.EmpiricalSnrCdf(samples)
-    grid = np.linspace(0.01, 8.0, 400)
-    gap = np.max(np.abs(cdf.evaluate(grid) - (1.0 - np.exp(-grid))))
-    assert gap < 0.01

@@ -1,6 +1,7 @@
 """Configuration, geometry sampling, and config-file parsing."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -71,11 +72,15 @@ def test_pair_geometry_consistency():
     sp = sample_spatial(cfg, np.random.default_rng(3))
     assert np.all(sp.pair_direct_distances >= cfg.d2d_min_m)
     assert np.all(sp.pair_direct_distances <= cfg.d2d_max_m)
-    xy = sp.device_xy()
-    sep = np.hypot(*(xy[:, 0] - xy[:, 1]).T)
-    assert np.allclose(sep, sp.pair_direct_distances)
+    # the two devices sit at centroid +/- (D/2)(cos theta, sin theta)
     cen = sp.centroid_xy()
-    assert np.allclose(0.5 * (xy[:, 0] + xy[:, 1]), cen)
+    half = 0.5 * sp.pair_direct_distances[:, None]
+    axis = np.column_stack((np.cos(sp.pair_angles), np.sin(sp.pair_angles)))
+    a, b = cen + half * axis, cen - half * axis
+    assert np.allclose(np.hypot(*(a - b).T), sp.pair_direct_distances)
+    assert np.allclose(0.5 * (a + b), cen)
+    assert np.allclose(np.hypot(*cen.T), sp.pair_centroid_distances)
+    assert np.all(sp.pair_centroid_distances <= cfg.cell_radius_m)
 
 
 def test_link_geometry_path_gain():
@@ -138,6 +143,6 @@ def test_parse_errors():
 def test_overrides_and_digest():
     cfg = parse_config_text("K1 = 4\nK2 = 1", overrides={"K1": "6"})
     assert cfg.K1 == 6
-    other = cfg.override(rng_seed=999)
+    other = replace(cfg, rng_seed=999)
     assert cfg.digest() != other.digest()
     assert cfg.digest() == parse_config_text("K1 = 6\nK2 = 1").digest()

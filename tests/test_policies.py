@@ -3,13 +3,30 @@
 import numpy as np
 import pytest
 
-from helpers import ks_uniform, pfs_select_numpy
+from helpers import ks_uniform, mws_select_reps, pfs_select_numpy
 
 from d2dsched import policies, simcore
 from d2dsched.analytics import cfs_threshold
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import Group, GroupStructure, fixed_grouping
-from d2dsched.weights import ecs_weights, normalized_weights, solve_group_weights
+from d2dsched.weights import PolicyWeights, ecs_weights, normalized_weights, \
+    solve_group_weights
+
+# groups with interleaved, non-contiguous members, as greedy coloring produces them:
+# three cellular singletons, then D2D groups listed out of order of their lowest member
+INTERLEAVED = GroupStructure((Group((0,), 1.0), Group((1,), 1.0), Group((2,), 1.0),
+                              Group((4, 7), 0.5), Group((3, 6, 9), 0.5), Group((5, 8), 0.5)))
+BLOCK_EDGES = [1, 2047, 2048, 2049, 5000]
+
+
+def _scores(n, C, seed, zeros=False):
+    u = np.random.default_rng(seed).random((n, C))
+    if zeros:
+        # exact zeros (log -> -inf) in about a third of the cells, none in column n % C
+        rng = np.random.default_rng(seed + 1)
+        u[rng.random((n, C)) < 0.3] = 0.0
+        u[:, n % C] = np.random.default_rng(seed + 2).random(n)
+    return u
 
 
 def test_cdf_map_values():
@@ -171,10 +188,14 @@ def test_proportional_fair_first_slot_and_symmetry():
     assert state.xbar is not None and np.all(state.xbar > 0)
 
 
-@pytest.mark.parametrize("t_c", [50.0, 1000.0])
-def test_proportional_fair_matches_numpy_loop(t_c):
+@pytest.mark.parametrize("t_c, st", [
+    pytest.param(50.0, fixed_grouping([1, 3, 2, 4], nu=1.0), id="50.0"),
+    pytest.param(1000.0, fixed_grouping([1, 3, 2, 4], nu=1.0), id="1000.0"),
+    pytest.param(50.0, INTERLEAVED, id="interleaved-50.0"),
+    pytest.param(1000.0, INTERLEAVED, id="interleaved-1000.0"),
+])
+def test_proportional_fair_matches_numpy_loop(t_c, st):
     # same winners and averages as the numpy loop, with the state carried across two calls
-    st = fixed_grouping([1, 3, 2, 4], nu=1.0)
     rng = np.random.default_rng(5)
     X = np.log1p(rng.gamma(2.0, 0.5, size=(6000, 10)) * np.geomspace(1.0, 40.0, 10)) / np.log(2.0)
     state, ref = policies.PfState(t_c=t_c), policies.PfState(t_c=t_c)
@@ -183,4 +204,70 @@ def test_proportional_fair_matches_numpy_loop(t_c):
     want = np.concatenate([pfs_select_numpy(X[:2501], st, ref), pfs_select_numpy(X[2501:], st, ref)])
     assert np.array_equal(got, want)
     assert np.array_equal(state.xbar, ref.xbar)
-    assert np.bincount(got, minlength=4).min() > 0
+    assert np.bincount(got, minlength=st.n_groups).min() > 0
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+def test_contender_selection_matches_log_score_argmax(n, zeros):
+    # bcs (equal weights), bcs with unequal weights and dfs against argmax(log(u)/w)
+    # over the whole matrix at once, across the kernel's block edges
+    u = _scores(n, 10, n, zeros)
+    uneven = np.random.default_rng(n).random(10) + 0.1
+    uneven /= uneven.sum()
+    for w, got in ((np.full(10, 0.1), policies.bcs_select(u, np.full(10, 0.1))),
+                   (uneven, policies.bcs_select(u, uneven)),
+                   (policies.dfs_weights(4, 6), policies.dfs_select(u, 4, 6))):
+        with np.errstate(divide="ignore"):
+            want = np.argmax(np.log(u) / w, axis=1)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("zeros", [False, True])
+@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("structure", [fixed_grouping([1, 1, 1, 3, 2, 2], nu=1.0), INTERLEAVED],
+                         ids=["contiguous", "interleaved"])
+def test_group_selection_matches_per_group_maxima(structure, n, zeros):
+    u = _scores(n, 10, n + 17, zeros)
+    for weights in (solve_group_weights(structure), ecs_weights(structure)):
+        assert np.array_equal(policies.mws_select(u, structure, weights),
+                              mws_select_reps(u, structure, weights))
+
+
+def test_group_ties_break_toward_lowest_contender():
+    # a probability-zero event: the group holding the lowest tied contender wins,
+    # whatever the order the groups are listed in
+    pw = normalized_weights(INTERLEAVED, np.ones(6))
+    u = np.full((3, 10), 0.5)
+    u[0, [4, 9]] = 0.9                               # groups 3 and 4 tie: contender 4 first
+    u[1, [3, 7]] = 0.9                               # contender 3 is in group 4
+    u[2] = 0.0                                       # every score is -inf
+    assert list(policies.mws_select(u, INTERLEAVED, pw)) == [3, 4, 0]
+
+
+def test_group_structure_must_cover_the_scores():
+    st = fixed_grouping([1, 2], nu=1.0)              # contenders 0, 1, 2
+    pw = solve_group_weights(st)
+    u = np.random.default_rng(50).random((20, 4))
+    with pytest.raises(ValueError, match="contender 3"):
+        policies.mws_select(u, st, pw)
+    with pytest.raises(ValueError, match="contender 3"):
+        policies.pfs_select(u, st, policies.PfState(t_c=100.0))
+    gap = GroupStructure((Group((0,), 1.0), Group((1, 2, 4), 0.5)))
+    with pytest.raises(ValueError, match="contender 3"):
+        policies.mws_select(u, gap, solve_group_weights(gap))
+    wide = fixed_grouping([1, 4], nu=1.0)            # contender 4 has no column
+    with pytest.raises(ValueError, match="covers 5 contenders"):
+        policies.mws_select(u, wide, solve_group_weights(wide))
+    with pytest.raises(ValueError, match="covers 5 contenders"):
+        policies.pfs_select(u, wide, policies.PfState(t_c=100.0))
+
+
+def test_one_weight_per_group_required():
+    st = fixed_grouping([1, 2], nu=1.0)
+    u = np.random.default_rng(51).random((20, 3))
+    one = PolicyWeights(np.array([1.0]), np.array([1.0]), float("nan"))
+    with pytest.raises(ValueError, match="1 weights for 2 groups"):
+        policies.mws_select(u, st, one)
+    with pytest.raises(ValueError, match="2 weights for 3 contenders"):
+        policies.bcs_select(u, np.array([0.5, 0.5]))

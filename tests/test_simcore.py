@@ -1,5 +1,7 @@
 """Monte Carlo engine: accounting, aggregation, and the KS verification metric."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -55,7 +57,7 @@ def test_grant_conservation():
                        spatial_realizations=2, rng_seed=4)
     rep = simcore.run_experiment(cfg)
     assert int(rep.access_prob.sum() * rep.total_slots + 0.5) == rep.total_slots
-    cfg_g = cfg.override(policy="gfs", group_sizes=(2,))
+    cfg_g = replace(cfg, policy="gfs", group_sizes=(2,))
     rep_g = simcore.run_experiment(cfg_g)
     assert rep_g.group_access_prob.sum() == pytest.approx(1.0)
 
