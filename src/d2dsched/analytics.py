@@ -370,11 +370,13 @@ def cfs_selected_cdfs(base_c, base_d, K1: int, K2: int) -> tuple[AnalyticCurve, 
     return cell, d2d
 
 
-def dfs_selected_cdfs(base_c, base_d, K: int) -> tuple[AnalyticCurve, AnalyticCurve]:
-    """Selected-SNR CDFs with pairs as double-weight contenders: F_c^K and F_d^(K/2)."""
+def dfs_selected_cdfs(base_c, base_d, K: int) -> tuple[AnalyticCurve | None, AnalyticCurve]:
+    """Selected-SNR CDFs with pairs as double-weight contenders: F_c^K (None without
+    a base_c, i.e. no cellular users) and F_d^(K/2)."""
     if K < 2:
         raise ValueError("K must be >= 2")
-    cell = _selected_curve(base_c, lambda F: F ** K, {"kind": "dfs-selected-cellular", "K": K})
+    cell = None if base_c is None else _selected_curve(
+        base_c, lambda F: F ** K, {"kind": "dfs-selected-cellular", "K": K})
     d2d = _selected_curve(base_d, lambda F: F ** (K / 2.0), {"kind": "dfs-selected-d2d", "K": K})
     return cell, d2d
 
@@ -456,11 +458,11 @@ def cfs_threshold(K1: int, K2: int) -> float:
 
 
 def upi_reference(policy: str, *, K: int | None = None, K1: int | None = None,
-                  K2: int | None = None, structure=None, weights=None):
+                  K2: int | None = None):
     """Closed-form per-user performance-index values, where one exists.
 
     bcs -> 2/(K+1) for everyone; cfs -> cellular closed form, D2D undefined
-    (None); gfs -> nu_i (m_i+1)/(mu_i+1) per group.
+    (None).  The group policies' value is `weights.upi_closed_form`.
     """
     if policy == "bcs":
         return np.full(K, 2.0 / (K + 1))
@@ -468,8 +470,4 @@ def upi_reference(policy: str, *, K: int | None = None, K1: int | None = None,
         u_th = cfs_threshold(K1, K2)
         cell = 2.0 * (1.0 - u_th ** (K1 + 1)) / (K1 + 1)
         return {"cellular": cell, "d2d": None}
-    if policy == "gfs":
-        nu = np.array([g.nu for g in structure.groups])
-        m = np.array([g.size for g in structure.groups], dtype=float)
-        return nu * (m + 1.0) / (np.asarray(weights.mu) + 1.0)
     raise ValueError(f"no closed-form reference for policy {policy!r}")

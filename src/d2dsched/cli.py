@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime
 import os
 import sys
@@ -11,7 +12,7 @@ import numpy as np
 
 from d2dsched import analytics, simcore
 from d2dsched.channel import GammaSnrCdf
-from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
+from d2dsched.grouping import GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring
 from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_text, \
     parse_setting, sample_spatial
@@ -139,8 +140,7 @@ def cmd_run(args) -> int:
     report = simcore.run_experiment(config)
     theory = None
     if args.emit_cdfs and config.policy == "dfs" and np.all(config.shapes_per_contender() == 1.0):
-        K = config.K1 + 2 * config.K2
-        cell, d2d = analytics.dfs_unconditional_cdfs(config, K)
+        cell, d2d = analytics.dfs_unconditional_cdfs(config, config.n_users)
         theory = {j: (cell if j < config.K1 else d2d) for j in range(config.n_contenders)}
     _write_report(report, args.out, emit_cdfs=args.emit_cdfs, theory_curves=theory)
     return 0
@@ -158,12 +158,8 @@ def cmd_weights(args) -> int:
     nus = _parse_list("--nu", args.nu, float) if args.nu else [1.0] * len(sizes)
     if len(nus) != len(sizes):
         raise ConfigError("--nu must list one factor per group")
-    nxt = 0
-    groups = []
-    for s, nu in zip(sizes, nus):
-        groups.append(Group(tuple(range(nxt, nxt + s)), nu))
-        nxt += s
-    structure = GroupStructure(tuple(groups))
+    structure = GroupStructure(tuple(dataclasses.replace(g, nu=nu) for g, nu in
+                                     zip(fixed_grouping(sizes).groups, nus)))
     pw = solve_group_weights(structure)
     probs = group_access_prob(structure, pw)
     header = ["group_id", "size", "nu", "w", "mu", "access_prob", "upi"]
@@ -193,41 +189,42 @@ def cmd_group(args) -> int:
 
 def cmd_analytic(args) -> int:
     config = _build_config(args)
+    if args.curve == "bcs" and config.K1 == 0:
+        raise ConfigError("--curve bcs describes cellular users, but K1 = 0")
     if args.curve != "bcs" and config.K2 == 0:
         raise ConfigError(f"--curve {args.curve} describes D2D pairs, but K2 = 0")
-    K = config.K1 + 2 * config.K2
     os.makedirs(args.out, exist_ok=True)
 
-    def emit(name: str, curve: analytics.AnalyticCurve) -> None:
-        _write_csv(os.path.join(args.out, f"curve_{name}.csv"),
-                   ["s_linear", "s_db", "f"],
-                   zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values))
+    def emit(**curves: analytics.AnalyticCurve | None) -> None:
+        for name, curve in curves.items():
+            if curve is not None:
+                _write_csv(os.path.join(args.out, f"curve_{name}.csv"),
+                           ["s_linear", "s_db", "f"],
+                           zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values))
 
     if args.curve == "dfs-unconditional":
-        cell, d2d = analytics.dfs_unconditional_cdfs(config, K)
-        emit("cellular", cell)
-        emit("d2d", d2d)
+        cell, d2d = analytics.dfs_unconditional_cdfs(config, config.n_users)
+        emit(cellular=cell if config.K1 > 0 else None, d2d=d2d)
         return 0
-    # the layout of the experiment's first realization, as `run` simulates it
-    cs = simcore.contenders_from_spatial(
-        config, sample_spatial(config, simcore.realization_rng(config.rng_seed)))
-    base_c = GammaSnrCdf(cs.shape_m[0], cs.mean_snr[0])
+    # the system of the experiment's first realization, as `run` simulates it:
+    # contender 0 is the first cellular user, contender K1 the first pair
+    spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
+    cs = simcore.contenders_from_spatial(config, spatial)
+    base_c = GammaSnrCdf(cs.shape_m[0], cs.mean_snr[0]) if config.K1 > 0 else None
     base_d = GammaSnrCdf(cs.shape_m[config.K1], cs.mean_snr[config.K1]) if config.K2 > 0 else None
     if args.curve == "bcs":
-        emit("cellular", analytics.bcs_selected_cdf(base_c, K))
+        emit(cellular=analytics.bcs_selected_cdf(base_c, config.n_contenders))
     elif args.curve == "cfs":
         cell, d2d = analytics.cfs_selected_cdfs(base_c, base_d, config.K1, config.K2)
-        emit("cellular", cell)
-        emit("d2d", d2d)
+        emit(cellular=cell, d2d=d2d)
     elif args.curve == "dfs":
-        cell, d2d = analytics.dfs_selected_cdfs(base_c, base_d, K)
-        emit("cellular", cell)
-        emit("d2d", d2d)
+        cell, d2d = analytics.dfs_selected_cdfs(base_c, base_d, config.n_users)
+        emit(cellular=cell, d2d=d2d)
     elif args.curve == "gfs":
-        structure = fixed_grouping(args.group_sizes or (config.K2,), config.K2, nu=0.5)
+        structure = simcore.build_structure(config, spatial)
         pw = solve_group_weights(structure)
-        emit("d2d", analytics.gfs_selected_cdf(base_d, structure.groups[0].size,
-                                               float(pw.mu[0])))
+        g = structure.group_of()[config.K1]
+        emit(d2d=analytics.gfs_selected_cdf(base_d, structure.groups[g].size, float(pw.mu[g])))
     else:
         raise ConfigError(f"unknown curve {args.curve!r}")
     return 0
@@ -249,14 +246,13 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="cellular + D2D scheduling simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, config_flags=True):
-        if config_flags:
-            p.add_argument("--config", help="flat key = value config file")
-            p.add_argument("--preset", choices=sorted(PRESETS),
-                           help="built-in scenario instead of a config file")
-            p.add_argument("--scale", choices=("desk", "full"), default="desk")
-            p.add_argument("--set", action="append", metavar="KEY=VALUE",
-                           help="override a config key (repeatable)")
+    def common(p):
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--preset", choices=sorted(PRESETS),
+                       help="built-in scenario instead of a config file")
+        p.add_argument("--scale", choices=("desk", "full"), default="desk")
+        p.add_argument("--set", action="append", metavar="KEY=VALUE",
+                       help="override a config key (repeatable)")
         p.add_argument("--out", default="out", help="output directory")
 
     p_run = sub.add_parser("run", help="run a Monte Carlo experiment")
@@ -281,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_a)
     p_a.add_argument("--curve", required=True,
                      choices=("bcs", "cfs", "dfs", "dfs-unconditional", "gfs"))
-    p_a.add_argument("--group-sizes", type=lambda s: tuple(int(t) for t in s.split(",")),
-                     default=None)
     p_a.set_defaults(func=cmd_analytic)
 
     p_s = sub.add_parser("sweep", help="repeat run over a grid of one config key")

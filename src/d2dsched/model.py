@@ -56,20 +56,20 @@ class SystemConfig:
     def __post_init__(self):
         if self.K1 < 0 or self.K2 < 0 or self.K1 + 2 * self.K2 < 1:
             raise ConfigError("need K1 >= 0, K2 >= 0 and at least one user")
+        for f in fields(self):          # every float setting, each fading_shape_m entry too
+            if f.type.startswith("float") and not np.all(np.isfinite(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite, got {getattr(self, f.name)!r}")
         if not (0 < self.d2d_min_m < self.d2d_max_m < self.cell_radius_m):
             raise ConfigError("need 0 < d2d_min_m < d2d_max_m < cell_radius_m")
         if self.pathloss_exp_cellular <= 0 or self.pathloss_exp_d2d <= 0:
-            raise ConfigError("path-loss exponents must be positive")
+            raise ConfigError("pathloss_exp_cellular and pathloss_exp_d2d must be positive")
         for m in self.shapes_per_contender():
             if m < 0.5:
                 raise ConfigError("fading_shape_m must be >= 0.5")
-        for key in ("noise_power_dbm", "tx_power_dl_dbm", "tx_power_d2d_dbm", "ul_rx_threshold_dbm"):
-            if not math.isfinite(getattr(self, key)):
-                raise ConfigError(f"{key} must be finite")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.slots_per_realization < 1 or self.spatial_realizations < 1:
-            raise ConfigError("slot/realization counts must be >= 1")
+            raise ConfigError("slots_per_realization and spatial_realizations must be >= 1")
         if self.group_sizes is not None:
             if not self.group_sizes or any(s < 1 for s in self.group_sizes):
                 raise ConfigError("group_sizes entries must be >= 1")
@@ -77,8 +77,10 @@ class SystemConfig:
                 raise ConfigError("group_sizes must sum to K2")
         if self.rate_log_base <= 1.0:
             raise ConfigError("rate_log_base must be > 1")
-        if not 1.0 <= self.pf_time_const < math.inf:     # also rejects nan
-            raise ConfigError("pf_time_const must be finite and >= 1")
+        if self.pf_time_const < 1.0:
+            raise ConfigError("pf_time_const must be >= 1")
+        if self.interference_radius_m <= 0:
+            raise ConfigError("interference_radius_m must be positive")
 
     # linear-scale views, converted once from dB/dBm
     @property

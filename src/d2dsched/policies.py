@@ -63,15 +63,20 @@ def _group_index(structure: GroupStructure, n_columns: int) -> np.ndarray:
     return np.array(group, dtype=np.intp)
 
 
-def bcs_select(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Winner per slot: argmax_k u_k^(1/w_k), giving access probability w_k."""
+def _contender_weights(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u as a 2-D score matrix and w as one selection weight per column, summing to 1."""
     u = np.atleast_2d(u)
     w = np.asarray(w, dtype=float)
     if w.shape != (u.shape[1],):
         raise ValueError(f"{w.size} weights for {u.shape[1]} contenders")
     if not np.isclose(w.sum(), 1.0, atol=1e-9):
         raise ValueError("selection weights must sum to 1")
-    return _weighted_argmax(u, w)
+    return u, w
+
+
+def bcs_select(u: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Winner per slot: argmax_k u_k^(1/w_k), giving access probability w_k."""
+    return _weighted_argmax(*_contender_weights(u, w))
 
 
 def dfs_weights(K1: int, K2: int) -> np.ndarray:
@@ -81,7 +86,7 @@ def dfs_weights(K1: int, K2: int) -> np.ndarray:
 
 def dfs_select(u: np.ndarray, K1: int, K2: int) -> np.ndarray:
     """CDF competition over K1 cellular users plus K2 double-weight pairs."""
-    return bcs_select(u, dfs_weights(K1, K2))
+    return _weighted_argmax(*_contender_weights(u, dfs_weights(K1, K2)))
 
 
 @dataclass

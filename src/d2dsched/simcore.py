@@ -14,7 +14,7 @@ from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed
     greedy_coloring, with_cellular_singletons
 from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
     d2d_direct, sample_spatial
-from d2dsched.weights import PolicyWeights, ecs_weights, solve_group_weights
+from d2dsched.weights import ecs_weights, solve_group_weights
 
 GROUP_POLICIES = ("gfs", "ecs", "pfs", "grr")
 RESERVOIR_CAPACITY = 100_000    # selected-SNR samples kept per contender
@@ -99,7 +99,6 @@ class SimResult:
     group_grants: np.ndarray | None
     selected_snr: list            # per contender: list of arrays
     structure: GroupStructure | None
-    weights: PolicyWeights | None
 
 
 def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
@@ -109,10 +108,8 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
 
 
 def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
-                    structure: GroupStructure | None = None,
-                    weights: PolicyWeights | None = None,
-                    rate_log_base: float = 2.0, pf_time_const: float = 1000.0,
-                    chunk: int = 200_000) -> SimResult:
+                    structure: GroupStructure | None = None, rate_log_base: float = 2.0,
+                    pf_time_const: float = 1000.0, chunk: int = 200_000) -> SimResult:
     """Run one realization of `slots` fading slots under the given policy.
 
     A policy only names each slot's winner: a contender for bcs, dfs and cfs,
@@ -135,9 +132,9 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     if policy in GROUP_POLICIES:
         if structure is None:
             raise ValueError(f"{policy} requires a group structure")
-        if policy == "gfs" and weights is None:
+        if policy == "gfs":
             weights = solve_group_weights(structure)
-        if policy == "ecs":
+        elif policy == "ecs":
             weights = ecs_weights(structure)
         group_of = structure.group_of()
         winner_of = [group_of[j] for j in range(C)]
@@ -155,7 +152,6 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
         group_grants=np.zeros(structure.n_groups, dtype=np.int64) if policy in GROUP_POLICIES else None,
         selected_snr=[[] for _ in range(C)],
         structure=structure,
-        weights=weights,
     )
     turn = [0] * C                # member of each contender due for its next grant
     cfs_state = policies.CfsState()
@@ -247,7 +243,6 @@ class ExperimentReport:
     group_access_prob: np.ndarray | None
     selected_snr: list            # per contender
     structure: GroupStructure | None
-    weights: PolicyWeights | None
     config_digest: str = ""
 
     @property
@@ -301,7 +296,6 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
         group_access_prob=group_access,
         selected_snr=selected_snr,
         structure=structure,
-        weights=results[-1].weights if structure is not None else None,
         config_digest=config_digest,
     )
 
@@ -344,11 +338,10 @@ def run_experiment(config: SystemConfig, n_workers: int | None = None) -> Experi
 
 
 def run_standalone(mean_snrs, shapes, structure: GroupStructure, policy: str, slots: int,
-                   seed: int, weights: PolicyWeights | None = None) -> ExperimentReport:
+                   seed: int) -> ExperimentReport:
     """Table-driven scenario: per-user SNR distributions, no geometry."""
     cs = standalone_contenders(mean_snrs, shapes)
-    result = simulate_policy(cs, policy, slots, realization_rng(seed), structure=structure,
-                             weights=weights)
+    result = simulate_policy(cs, policy, slots, realization_rng(seed), structure=structure)
     return _reduce([(result, cs)], policy, seed)
 
 

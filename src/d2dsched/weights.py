@@ -21,12 +21,16 @@ class PolicyWeights:
     """Per-group selection weights, normalized so sum(m_k w_k) = 1."""
 
     w: np.ndarray
-    mu: np.ndarray            # mu_i = sum(m_k w_k) / w_i = 1 / w_i
     common_upi: float         # achieved max-min level c (nan for non-solver weights)
 
     def __post_init__(self):
         if np.any(self.w <= 0):
             raise ValueError("weights must be positive")
+
+    @property
+    def mu(self) -> np.ndarray:
+        """Selection factors mu_i = sum(m_k w_k) / w_i = 1 / w_i."""
+        return 1.0 / self.w
 
 
 def normalized_weights(structure: GroupStructure, w) -> PolicyWeights:
@@ -36,7 +40,7 @@ def normalized_weights(structure: GroupStructure, w) -> PolicyWeights:
         raise ValueError("one weight per group required")
     m = structure.sizes.astype(float)
     w = w / float(m @ w)
-    return PolicyWeights(w, 1.0 / w, float("nan"))
+    return PolicyWeights(w, float("nan"))
 
 
 def upi_closed_form(group: int, structure: GroupStructure, weights: PolicyWeights) -> float:
@@ -78,7 +82,7 @@ def solve_group_weights(structure: GroupStructure) -> PolicyWeights:
             hi = c
     w = c / (cap - c)
     w = w / float(m @ w)        # exact renormalization against bisection residual
-    return PolicyWeights(w, 1.0 / w, float(c))
+    return PolicyWeights(w, float(c))
 
 
 def ecs_weights(structure: GroupStructure) -> PolicyWeights:

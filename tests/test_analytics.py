@@ -258,15 +258,7 @@ def test_index_references():
     ref2 = analytics.upi_reference("cfs", K1=5, K2=2)
     u_th = analytics.cfs_threshold(5, 2)
     assert ref2["cellular"] == pytest.approx(2.0 * (1.0 - u_th ** 6) / 6.0, rel=1e-12)
-    with pytest.raises(ValueError):
-        analytics.upi_reference("grr")
-
-
-def test_index_reference_group_policy():
-    from d2dsched.grouping import fixed_grouping
-    from d2dsched.weights import solve_group_weights, upi_closed_form
-    st = fixed_grouping([1, 7, 2, 4], nu=1.0)
-    pw = solve_group_weights(st)
-    vals = analytics.upi_reference("gfs", structure=st, weights=pw)
-    for gi in range(4):
-        assert vals[gi] == pytest.approx(upi_closed_form(gi, st, pw), abs=1e-12)
+    # the group policies' index is weights.upi_closed_form, not a second copy here
+    for policy in ("grr", "gfs"):
+        with pytest.raises(ValueError):
+            analytics.upi_reference(policy)

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import first_realization_contenders
 
-from d2dsched import analytics, cli
+from d2dsched import analytics, cli, simcore
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.model import SystemConfig
 
@@ -98,6 +98,50 @@ def test_analytic_curves_use_first_realization_layout(tmp_path):
         assert [r[2] for r in rows] == [cli._fmt(f) for f in curve.values]
 
 
+@pytest.mark.parametrize("curve,files", [
+    ("bcs", ["curve_cellular.csv"]),
+    ("cfs", ["curve_cellular.csv", "curve_d2d.csv"]),
+    ("dfs", ["curve_cellular.csv", "curve_d2d.csv"]),
+    ("gfs", ["curve_d2d.csv"]),
+])
+def test_analytic_curves_match_run(tmp_path, curve, files):
+    # `analytic` describes the system that `run` simulates in its first realization:
+    # each curve file against the selected SNRs of the same contender in a 40k-slot run
+    # of that policy.  The bound, fixed before the run, is the DKW bound at p = 1e-6.
+    out = str(tmp_path / curve)
+    assert cli.main(["analytic", "--curve", curve, "--set", "K1=4", "--set", "K2=2",
+                     "--set", "group_sizes=2", "--set", "rng_seed=21", "--out", out]) == 0
+    config = SystemConfig(K1=4, K2=2, group_sizes=(2,), rng_seed=21, policy=curve,
+                          slots_per_realization=40_000)
+    report = simcore.run_experiment(config)
+    assert sorted(os.listdir(out)) == files
+    for name in files:
+        _, rows = _read_csv(os.path.join(out, name))
+        analytic = analytics.AnalyticCurve(np.array([float(r[0]) for r in rows]),
+                                           np.array([float(r[2]) for r in rows]))
+        samples = report.selected_snr[0 if name == "curve_cellular.csv" else config.K1]
+        bound = np.sqrt(np.log(2e6) / (2 * samples.size))
+        assert simcore.ks_distance(samples, analytic) < bound
+
+
+@pytest.mark.parametrize("curve,files", [("dfs", ["curve_d2d.csv"]),
+                                         ("dfs-unconditional", ["curve_d2d.csv"])])
+def test_analytic_without_cellular_users_writes_pair_curves_only(tmp_path, curve, files):
+    out = str(tmp_path / curve)
+    assert cli.main(["analytic", "--curve", curve, "--set", "K1=0", "--set", "K2=3",
+                     "--out", out]) == 0
+    assert sorted(os.listdir(out)) == files
+
+
+def test_analytic_bcs_needs_cellular_users(tmp_path, capsys):
+    out = str(tmp_path / "bcs")
+    assert cli.main(["analytic", "--curve", "bcs", "--set", "K1=0", "--set", "K2=3",
+                     "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "K1 = 0" in err
+    assert not os.path.exists(out)
+
+
 def test_sweep_emits_one_report_per_value(small_config, tmp_path):
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", small_config, "--out", out,
@@ -174,6 +218,11 @@ def test_non_group_policy_writes_no_group_outputs(tmp_path):
     ("table5-gfs", "slots_per_realization=abc", "slots_per_realization"),
     ("sec4c-comparison", "bogus=1", "bogus"),
     ("sec4c-comparison", "pf_time_const=0", "pf_time_const"),
+    ("sec4c-comparison", "pathloss_exp_cellular=nan", "pathloss_exp_cellular"),
+    ("sec4c-comparison", "rate_log_base=nan", "rate_log_base"),
+    ("sec4c-comparison", "interference_radius_m=-5", "interference_radius_m"),
+    ("sec4c-comparison", "cell_radius_m=inf", "cell_radius_m"),
+    ("sec4c-comparison", "fading_shape_m=inf", "fading_shape_m"),
 ])
 def test_bad_set_names_the_setting(tmp_path, capsys, preset, setting, key):
     out = str(tmp_path / "e")

@@ -51,9 +51,20 @@ def test_user_counts():
     dict(pf_time_const=-3.0),
     dict(pf_time_const=float("nan")),
     dict(pf_time_const=float("inf")),
+    dict(pathloss_exp_cellular=float("nan")),
+    dict(rate_log_base=float("nan")),
+    dict(interference_radius_m=float("nan")),
+    dict(interference_radius_m=-5.0),
+    dict(interference_radius_m=0.0),
+    dict(pathloss_const_d2d_db=float("nan")),
+    dict(cell_radius_m=float("inf")),
+    dict(fading_shape_m=float("inf")),
+    dict(fading_shape_m=(1.0, float("nan")), K1=1, K2=1),
+    dict(noise_power_dbm=float("-inf")),
 ])
 def test_invalid_configs_rejected(kwargs):
-    with pytest.raises(ConfigError):
+    # the error names the setting at fault, the first one given
+    with pytest.raises(ConfigError, match=next(iter(kwargs))):
         SystemConfig(**kwargs)
 
 

@@ -10,7 +10,7 @@ from d2dsched.analytics import cfs_threshold
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import Group, GroupStructure, fixed_grouping
 from d2dsched.weights import PolicyWeights, ecs_weights, normalized_weights, \
-    solve_group_weights
+    solve_group_weights, upi_closed_form
 
 # groups with interleaved, non-contiguous members, as greedy coloring produces them:
 # three cellular singletons, then D2D groups listed out of order of their lowest member
@@ -165,6 +165,20 @@ def test_equal_access_group_selection():
     assert np.all(np.abs(freqs - 0.5) < 0.005)
 
 
+def test_group_index_matches_closed_form_for_arbitrary_weights():
+    # a member's index is 2 E[u; its group wins], since the whole winning group is granted
+    st = fixed_grouping([1, 2], nu=1.0)
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        pw = normalized_weights(st, rng.uniform(0.2, 3.0, size=2))
+        u = np.random.default_rng(int(rng.integers(1 << 30))).random((100_000, 3))
+        win = policies.mws_select(u, st, pw)
+        for gi in range(2):
+            want = upi_closed_form(gi, st, pw)
+            got = 2.0 * np.mean(u[:, st.groups[gi].members[0]] * (win == gi))
+            assert abs(got - want) < 0.02
+
+
 def test_round_robin_rotation():
     win = policies.grr_select(4000, 4)
     assert np.all(np.bincount(win) == 1000)
@@ -266,8 +280,10 @@ def test_group_structure_must_cover_the_scores():
 def test_one_weight_per_group_required():
     st = fixed_grouping([1, 2], nu=1.0)
     u = np.random.default_rng(51).random((20, 3))
-    one = PolicyWeights(np.array([1.0]), np.array([1.0]), float("nan"))
+    one = PolicyWeights(np.array([1.0]), float("nan"))
     with pytest.raises(ValueError, match="1 weights for 2 groups"):
         policies.mws_select(u, st, one)
     with pytest.raises(ValueError, match="2 weights for 3 contenders"):
         policies.bcs_select(u, np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="2 weights for 3 contenders"):
+        policies.dfs_select(u, 1, 1)

@@ -12,7 +12,6 @@ from d2dsched.analytics import AnalyticCurve, bcs_selected_cdf
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import fixed_grouping
 from d2dsched.model import ConfigError, SystemConfig, sample_spatial
-from d2dsched.weights import normalized_weights, upi_closed_form
 
 
 def test_round_robin_exact_shares():
@@ -26,7 +25,7 @@ def test_index_estimate_bounds():
     # user 0 is granted every slot with u = 1, user 1 never
     cs = simcore.standalone_contenders([1.0, 1.0], [1.0, 1.0])
     res = simcore.SimResult(100, np.array([100, 0]), np.array([100.0, 0.0]),
-                            np.array([50.0, 0.0]), None, [[], []], None, None)
+                            np.array([50.0, 0.0]), None, [[], []], None)
     rep = simcore._reduce([(res, cs)], "bcs", 0)
     assert rep.upi[0] == pytest.approx(2.0) and rep.upi[1] == 0.0
     assert list(rep.access_prob) == [1.0, 0.0]
@@ -88,19 +87,6 @@ def test_contender_mapping_and_kinds():
     # mean SNR falls with distance within one link class
     order = np.argsort(sp.cellular_distances)
     assert np.all(np.diff(cs.mean_snr[:2][order]) <= 0)
-
-
-def test_group_index_matches_closed_form_for_arbitrary_weights():
-    st = fixed_grouping([1, 2], nu=1.0)
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        pw = normalized_weights(st, rng.uniform(0.2, 3.0, size=2))
-        rep = simcore.run_standalone([3.0, 1.0, 7.0], [1.0, 2.0, 1.0], st, "gfs",
-                                     100_000, seed=int(rng.integers(1 << 30)), weights=pw)
-        for gi in range(2):
-            want = upi_closed_form(gi, st, pw)
-            got = rep.upi[st.groups[gi].members[0]]
-            assert abs(got - want) < 0.02
 
 
 def test_non_integer_shapes_selected_snr():

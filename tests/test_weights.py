@@ -100,7 +100,7 @@ def test_weight_validation():
     with pytest.raises(ValueError):
         normalized_weights(st, [1.0])
     with pytest.raises(ValueError):
-        PolicyWeights(np.array([0.5, -0.1]), np.array([2.0, 2.0]), 0.5)
+        PolicyWeights(np.array([0.5, -0.1]), 0.5)
     # a fairness factor nu = 0 or nan used to give nan for every weight
     from d2dsched.grouping import Group, GroupStructure
     for nu in (0.0, -0.5, np.nan, np.inf):
