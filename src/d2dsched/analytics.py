@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -14,6 +15,11 @@ _ERLANG_X_MAX = 700.0     # e^-x stays normal and the Erlang sum below e^x stays
 _HALLEY_MAX_ITER = 40
 _HALLEY_RTOL = 1e-7       # a step this small leaves an error of order its cube
 _INV_BLOCK = 8192         # cells per Halley iteration: bounds its temporaries' memory
+# starting values of the inverse: nodes uniform in the log-odds t = log(p / (1 - p)) on
+# |t| <= 30, that is p or 1 - p down to 9.4e-14
+_T_MAX = 30.0
+_T_PER_UNIT = 16          # nodes per unit of t
+_T_NODES = np.arange(-_T_MAX * _T_PER_UNIT, _T_MAX * _T_PER_UNIT + 1) / _T_PER_UNIT
 
 
 class GammaNotConverged(ArithmeticError):
@@ -151,11 +157,15 @@ def regularized_gamma_p(a, x):
 def _erlang_tail(m: np.ndarray, x: np.ndarray, lgam: np.ndarray) -> np.ndarray:
     # P(m,x) = x^m e^-x/m! sum_{k>=0} x^k m!/(m+k)!, positive terms, by Horner; for the
     # x < m where the Erlang sum cancels, its terms shrink at least as fast as (x/(m+1))^k
-    r = float(np.max(x / (m + 1.0)))
-    terms = math.ceil(math.log(1e-17 * (1.0 - r)) / math.log(r)) if r > 0.0 else 0
+    r = x / (m + 1.0)
+    with np.errstate(divide="ignore"):
+        terms = np.ceil(np.log(1e-17 * (1.0 - r)) / np.log(r))
+    k = np.arange(1.0, terms.max(initial=0.0) + 1.0)[:, None]
+    ratio = x / (m + k)
+    ratio[k > terms] = 0.0           # each cell's sum starts at its own last term
     s = np.ones_like(x)
-    for k in range(terms, 0, -1):
-        s *= x / (m + k)
+    for row in ratio[::-1]:
+        s *= row
         s += 1.0
     with np.errstate(divide="ignore"):
         return s * np.exp(m * np.log(x) - x - lgam - np.log(m))
@@ -178,13 +188,12 @@ def _tail_residual(a, lgam, erlang, x, p, q) -> np.ndarray:
         # Q(a, x) stays below 1e-128 from x = 700 on, below any q = 1 - p > 0
         xs = np.minimum(xe, _ERLANG_X_MAX)
         # the cells come in ascending order of shape, so each shape is one run of them
-        vals = np.unique(m)
-        ends = np.searchsorted(m, vals, side="right").tolist()
         s = np.empty_like(xs)
         start = 0
-        for val, end in zip(vals.tolist(), ends):
-            s[start:end] = _erlang_sum(int(val), xs[start:end])
-            start = end
+        vals, counts = _shape_runs(m)
+        for val, n in zip(vals.tolist(), counts.tolist()):
+            s[start:start + n] = _erlang_sum(int(val), xs[start:start + n])
+            start += n
         one_minus_e = -np.expm1(-xs)
         re = np.where(pe > 0.5, qe - (np.exp(-xs) + s), one_minus_e - s - pe)
         # P = (1 - e^-x) - s loses its digits where it is far below 1 - e^-x
@@ -201,12 +210,7 @@ def _tail_residual(a, lgam, erlang, x, p, q) -> np.ndarray:
     return r
 
 
-def _gamma_p_inv_cells(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """P^-1(a, p) for shapes a != 1 and 0 < p < 1, one shape per cell, in
-    ascending order of shape."""
-    vals = np.unique(a)
-    lgam = np.array([math.lgamma(v) for v in vals])[np.searchsorted(vals, a)]
-    q = 1.0 - p
+def _dm_start(a: np.ndarray, lgam: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # starting values of DiDonato & Morris (1986) as in Numerical Recipes' invgammp
     t = np.sqrt(-2.0 * np.log(np.minimum(p, q)))
     z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
@@ -219,6 +223,95 @@ def _gamma_p_inv_cells(a: np.ndarray, p: np.ndarray) -> np.ndarray:
         t = 1.0 - a[small] * (0.253 + a[small] * 0.12)
         ps, qs = p[small], q[small]
         x[small] = np.where(ps < t, (ps / t) ** (1.0 / a[small]), 1.0 - np.log(qs / (1.0 - t)))
+    return x
+
+
+def _shape_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The values of a nonempty ascending array and the length of each one's run."""
+    bounds = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
+    return a[bounds[:-1]], np.diff(bounds)
+
+
+@functools.lru_cache(maxsize=256)
+def _start_row(a: float) -> np.ndarray | None:
+    """(4, 960) array: on each interval between log-odds nodes, the coefficients
+    c0..c3 in f (the position in the interval, 0 to 1) of the cubic Hermite
+    interpolant of y = log P^-1(a, p) through its values and slopes dy/dt at
+    the two nodes.
+
+    The nodes are solved from the DiDonato & Morris start.  A row takes a few
+    ms to build and 30 KB to keep.  None where the nodes cannot be solved
+    (shapes near 0, whose lower tail underflows, or in the tens of thousands).
+    """
+    e = np.exp(-np.abs(_T_NODES))
+    lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)            # both tails to full relative accuracy
+    p, q = np.where(_T_NODES < 0.0, lo, hi), np.where(_T_NODES < 0.0, hi, lo)
+    shape, lgam = np.full(p.size, a), np.full(p.size, math.lgamma(a))
+    with np.errstate(all="ignore"):
+        try:
+            x = _gamma_p_inv_cells(shape, lgam, _dm_start(shape, lgam, p, q), p, q)
+        except GammaNotConverged:
+            return None
+        y = np.log(x)
+        # dy/dt = p q / (x pdf(x)), scaled to the node spacing
+        d = p * q / np.exp(a * y - x - lgam) / _T_PER_UNIT
+        dy = np.diff(y)
+        row = np.array([y[:-1], d[:-1], 3.0 * dy - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dy])
+    row.flags.writeable = False
+    return row
+
+
+def _tabulated_start(a: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """exp of each cell's shape's interpolant at its log-odds t, |t| <= 30;
+    the cells in ascending order of shape."""
+    vals, counts = _shape_runs(a)
+    rows = [_start_row(v) for v in vals.tolist()]
+    # a shape without a row gives NaN starts, so its cells fall back to DiDonato & Morris
+    c0, c1, c2, c3 = np.concatenate(
+        [np.full((4, _T_NODES.size - 1), np.nan) if row is None else row for row in rows], axis=1)
+    s = t * _T_PER_UNIT
+    s += _T_MAX * _T_PER_UNIT
+    k = np.minimum(s.astype(np.intp), _T_NODES.size - 2)
+    f = s - k
+    k += np.repeat(np.arange(0, c0.size, _T_NODES.size - 1), counts)
+    y = c3.take(k)
+    y *= f
+    y += c2.take(k)
+    y *= f
+    y += c1.take(k)
+    y *= f
+    y += c0.take(k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        return np.exp(y, out=y)
+
+
+def _gamma_p_inv_block(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """P^-1(a, p) for shapes a != 1 and 0 < p < 1, one shape per cell, in
+    ascending order of shape.
+
+    The cells with log-odds |t| <= 30 start from their shape's tabulated row;
+    the others, and any start that under- or overflows, start from the
+    DiDonato & Morris values.
+    """
+    q = 1.0 - p
+    vals, counts = _shape_runs(a)
+    lgam = np.repeat([math.lgamma(v) for v in vals.tolist()], counts)
+    t = np.log(p / q)
+    inside = np.abs(t) <= _T_MAX
+    x = np.full_like(p, np.nan)
+    if inside.all():
+        x = _tabulated_start(a, t)
+    elif inside.any():
+        x[inside] = _tabulated_start(a[inside], t[inside])
+    dm = ~((x > 0.0) & (x < np.inf))
+    if dm.any():
+        x[dm] = _dm_start(a[dm], lgam[dm], p[dm], q[dm])
+    return _gamma_p_inv_cells(a, lgam, x, p, q)
+
+
+def _gamma_p_inv_cells(a, lgam, x, p, q) -> np.ndarray:
+    """P^-1(a, p) by Halley steps from x, with lgam = log Gamma(a) and q = 1 - p;
+    one shape per cell, in ascending order of shape."""
     out = np.empty_like(p)
     cells = np.arange(p.size)
     a1 = a - 1.0
@@ -248,12 +341,17 @@ def regularized_gamma_p_inv(a, p):
     """Inverse of P(a, x) in x: the x >= 0 with P(a, x) = p, elementwise over
     broadcast a and p in [0, 1].
 
-    At a = 1 it is the closed form -log(1 - p).  Other shapes start from the
-    DiDonato & Morris (1986) values and take Halley steps on P, evaluated in
-    the tail (P or 1 - P) that is small, so the result keeps its relative
-    accuracy in both tails: within 1e-11 of scipy's gammaincinv for p and
-    1 - p down to 1e-12.  A point whose steps have not settled after 40
-    raises GammaNotConverged, as do the series and continued fraction of P.
+    At a = 1 it is the closed form -log(1 - p).  Other shapes take Halley
+    steps on P, evaluated in the tail (P or 1 - P) that is small, so the
+    result keeps its relative accuracy in both tails: within 1e-11 of scipy's
+    gammaincinv for p and 1 - p down to 1e-12.  A point whose log-odds
+    t = log(p / (1 - p)) lies in [-30, 30] starts from its shape's table: a
+    cubic Hermite interpolant of log x in t over 961 nodes, built on the
+    shape's first use and good to a few parts in 1e9, so one step settles
+    it.  Other points, and the shapes whose table cannot be built, start
+    from the DiDonato & Morris (1986) values.  The result depends on a and p
+    alone.  A point whose steps have not settled after 40 raises
+    GammaNotConverged, as do the series and continued fraction of P.
     P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a and p give a Python float.
     """
     a_arr = np.asarray(a, dtype=float)
@@ -278,7 +376,7 @@ def regularized_gamma_p_inv(a, p):
         cells = cells[np.argsort(a_flat[cells], kind="stable")]
         for start in range(0, cells.size, _INV_BLOCK):
             block = cells[start:start + _INV_BLOCK]
-            out[block] = _gamma_p_inv_cells(a_flat[block], p_flat[block])
+            out[block] = _gamma_p_inv_block(a_flat[block], p_flat[block])
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
@@ -385,12 +483,15 @@ def gfs_selected_cdf(base, m_i: int, mu_i: float) -> AnalyticCurve:
     """Selected-SNR CDF for a member of a size-m_i sharing group with selection factor mu_i."""
     if m_i < 1:
         raise ValueError("m_i must be >= 1")
-    if mu_i <= 1.0:
-        raise ValueError("mu_i must exceed 1")
+    if not (mu_i > 1.0 or (mu_i == 1.0 and m_i == 1)):
+        raise ValueError("mu_i must exceed 1, or equal 1 for a singleton group")
+    provenance = {"kind": "group-selected", "m_i": m_i, "mu_i": mu_i}
+    if m_i == 1:
+        # a = 0 and b = 1: F^mu_i, and the base CDF for a lone group granted every slot
+        return _selected_curve(base, lambda F: F ** mu_i, provenance)
     a = (mu_i * (m_i - 1)) / (m_i * (mu_i - 1))
     b = (mu_i - m_i) / (m_i * (mu_i - 1))
-    return _selected_curve(base, lambda F: a * F + b * F ** mu_i,
-                           {"kind": "group-selected", "m_i": m_i, "mu_i": mu_i})
+    return _selected_curve(base, lambda F: a * F + b * F ** mu_i, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -193,9 +193,10 @@ def cmd_analytic(args) -> int:
         raise ConfigError("--curve bcs describes cellular users, but K1 = 0")
     if args.curve != "bcs" and config.K2 == 0:
         raise ConfigError(f"--curve {args.curve} describes D2D pairs, but K2 = 0")
-    os.makedirs(args.out, exist_ok=True)
 
     def emit(**curves: analytics.AnalyticCurve | None) -> None:
+        # the directory only once the curves exist, so a failed run leaves nothing behind
+        os.makedirs(args.out, exist_ok=True)
         for name, curve in curves.items():
             if curve is not None:
                 _write_csv(os.path.join(args.out, f"curve_{name}.csv"),

@@ -18,6 +18,7 @@ from d2dsched.weights import ecs_weights, solve_group_weights
 
 GROUP_POLICIES = ("gfs", "ecs", "pfs", "grr")
 RESERVOIR_CAPACITY = 100_000    # selected-SNR samples kept per contender
+CHUNK_SLOTS = 200_000           # slots drawn at once: bounds the (slots, contenders) arrays
 
 
 @dataclass(frozen=True)
@@ -109,7 +110,7 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
 
 def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
                     structure: GroupStructure | None = None, rate_log_base: float = 2.0,
-                    pf_time_const: float = 1000.0, chunk: int = 200_000) -> SimResult:
+                    pf_time_const: float = 1000.0) -> SimResult:
     """Run one realization of `slots` fading slots under the given policy.
 
     A policy only names each slot's winner: a contender for bcs, dfs and cfs,
@@ -158,7 +159,7 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     pf_state = policies.PfState(t_c=pf_time_const)
     done = 0
     while done < slots:
-        n = min(chunk, slots - done)
+        n = min(CHUNK_SLOTS, slots - done)
         if policy == "pfs":
             # the rates decide: draw every gain, map the granted cells to u below
             gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))

@@ -128,10 +128,85 @@ def test_gamma_inverse_non_convergence_raises(monkeypatch):
     # P's series cannot converge near x = 40000 at this shape, so neither can its inverse
     with pytest.raises(analytics.GammaNotConverged, match=r"series for a=40000\.5"):
         analytics.regularized_gamma_p_inv(40000.5, 0.5)
-    # every point still unsettled after the last Halley step is counted, whatever its shape
-    monkeypatch.setattr(analytics, "_HALLEY_MAX_ITER", 1)
-    with pytest.raises(analytics.GammaNotConverged, match=r"Halley .* 3 of 3 points"):
-        analytics.regularized_gamma_p_inv(np.array([2.0, 2.5, 0.75]), 0.3)
+    # every point still unsettled after the last Halley step is counted, whatever its shape.
+    # At log-odds 32.2, off the tabulated start, every point starts from DiDonato & Morris,
+    # which one step does not settle; no row is read or built, so neither does a built one
+    shapes, p = np.array([2.0, 2.5, 0.75]), 1.0 - 1e-14
+    analytics._start_row.cache_clear()
+    for table in ("cold", "warm"):
+        with monkeypatch.context() as patched:
+            patched.setattr(analytics, "_HALLEY_MAX_ITER", 1)
+            with pytest.raises(analytics.GammaNotConverged, match=r"Halley .* 3 of 3 points"):
+                analytics.regularized_gamma_p_inv(shapes, p)
+        analytics.regularized_gamma_p_inv(shapes, 0.5)      # builds the three rows
+    assert analytics._start_row.cache_info().currsize == 3
+
+
+# the tabulated start's check: every Erlang shape but 1, and non-integer shapes
+TABLE_SHAPES = tuple(float(m) for m in range(2, 171)) + (0.5, 0.75, 2.5, 40.5)
+
+
+def _table_ps(rng):
+    """p on every fourth node of the table and halfway to the node after it, at
+    random, and the doubles just inside and just outside its edge |t| = 30 in
+    each tail."""
+    t = analytics._T_NODES[::4]
+    t = np.concatenate([t, t[:-1] + 0.5 / analytics._T_PER_UNIT])
+    lo, hi = special.expit(-30.0), special.expit(30.0)
+    edges = np.concatenate([lo * (1.0 + np.linspace(-1e-9, 1e-9, 5)),
+                            hi + np.arange(-3, 4) * np.spacing(hi)])
+    inside = np.abs(np.log(edges / (1.0 - edges))) <= 30.0
+    assert inside.any() and not inside.all()
+    return np.concatenate([special.expit(t), rng.random(100), edges])
+
+
+def test_gamma_inverse_tabulated_start_matches_scipy():
+    p = _table_ps(np.random.default_rng(9))
+    a = np.repeat(TABLE_SHAPES, p.size)
+    p = np.tile(p, len(TABLE_SHAPES))
+    want = special.gammaincinv(a, p)
+    assert np.max(np.abs(analytics.regularized_gamma_p_inv(a, p) - want) / want) < INV_RTOL
+    # a shape whose row cannot be built (its lower tail underflows) starts its cells
+    # from DiDonato & Morris instead
+    assert analytics._start_row(0.02) is None
+    assert analytics.regularized_gamma_p_inv(0.02, 0.3) == pytest.approx(
+        special.gammaincinv(0.02, 0.3), rel=INV_RTOL)
+
+
+def test_gamma_inverse_is_pure():
+    # P^-1(a, p) depends on a and p alone: not on a cold or warm table, the other
+    # cells of the call or their order.  Both tails, off the table too, and the
+    # lower tails where the Erlang sum cancels at different term counts
+    rng = np.random.default_rng(4)
+    a = np.repeat([0.75, 2.0, 2.5, 9.0, 40.5, 170.0], 40)
+    p = rng.random(a.size)
+    p[::5], p[1::7], p[2::11] = 1e-10, 1.0 - 1e-14, 1e-15
+    analytics._start_row.cache_clear()
+    cold = analytics.regularized_gamma_p_inv(a, p)
+    assert np.array_equal(analytics.regularized_gamma_p_inv(a, p), cold)
+    order = rng.permutation(a.size)
+    assert np.array_equal(analytics.regularized_gamma_p_inv(a[order], p[order]), cold[order])
+    analytics._start_row.cache_clear()
+    single = [analytics.regularized_gamma_p_inv(ai, pi) for ai, pi in zip(a, p)]
+    assert np.array_equal(single, cold)
+
+
+def test_tabulated_cells_take_one_halley_step(monkeypatch):
+    # a start from the table is close enough that one Halley step settles every cell
+    rng = np.random.default_rng(6)
+    a = np.repeat(TABLE_SHAPES, 20)
+    p = special.expit(rng.uniform(-30.0, 30.0, a.size))
+    analytics.regularized_gamma_p_inv(a, p)          # builds the rows
+    evaluated = []
+    residual = analytics._tail_residual
+
+    def counted(*args):
+        evaluated.append(args[3].size)
+        return residual(*args)
+
+    monkeypatch.setattr(analytics, "_tail_residual", counted)
+    analytics.regularized_gamma_p_inv(a, p)
+    assert evaluated == [a.size]
 
 
 def _uniform_base(s):
@@ -185,6 +260,11 @@ def test_group_member_curve():
     assert np.all(singleton.values <= member.values + 1e-12)
     with pytest.raises(ValueError):
         analytics.gfs_selected_cdf(_uniform_base, 2, 1.0)
+    # a lone singleton group is granted every slot: its member sees the base CDF
+    assert np.array_equal(analytics.gfs_selected_cdf(_uniform_base, 1, 1.0).values, U)
+    for mu in (0.5, float("nan")):
+        with pytest.raises(ValueError):
+            analytics.gfs_selected_cdf(_uniform_base, 1, mu)
 
 
 def test_unconditional_curves_basics():

@@ -124,6 +124,31 @@ def test_analytic_curves_match_run(tmp_path, curve, files):
         assert simcore.ks_distance(samples, analytic) < bound
 
 
+def test_analytic_lone_singleton_group_sees_its_base_curve(tmp_path):
+    # one pair and no cellular users: its singleton group is granted every slot
+    # (mu_i = m_i = 1).  Checked against a 40k-slot gfs run by the DKW bound at p = 1e-6
+    out = str(tmp_path / "gfs")
+    assert cli.main(["analytic", "--curve", "gfs", "--set", "K1=0", "--set", "K2=1",
+                     "--set", "rng_seed=21", "--out", out]) == 0
+    assert os.listdir(out) == ["curve_d2d.csv"]
+    _, rows = _read_csv(os.path.join(out, "curve_d2d.csv"))
+    analytic = analytics.AnalyticCurve(np.array([float(r[0]) for r in rows]),
+                                       np.array([float(r[2]) for r in rows]))
+    config = SystemConfig(K1=0, K2=1, rng_seed=21, policy="gfs", slots_per_realization=40_000)
+    samples = simcore.run_experiment(config).selected_snr[0]
+    assert samples.size == 40_000
+    assert simcore.ks_distance(samples, analytic) < np.sqrt(np.log(2e6) / (2 * samples.size))
+
+
+def test_failed_analytic_leaves_no_output_directory(tmp_path, capsys):
+    # the base CDF's series does not converge at this shape, after the settings are checked
+    out = str(tmp_path / "bcs")
+    assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
+                     "--out", out]) == 1
+    assert "did not converge" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 @pytest.mark.parametrize("curve,files", [("dfs", ["curve_d2d.csv"]),
                                          ("dfs-unconditional", ["curve_d2d.csv"])])
 def test_analytic_without_cellular_users_writes_pair_curves_only(tmp_path, curve, files):

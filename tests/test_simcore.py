@@ -43,11 +43,12 @@ def test_plain_competition_small():
 
 @pytest.mark.parametrize("policy,chunk", [("dfs", 200_000), ("dfs", 7),
                                           ("cfs", 200_000), ("cfs", 7)])
-def test_pair_members_alternate(policy, chunk):
+def test_pair_members_alternate(monkeypatch, policy, chunk):
     # an odd chunk flips the pair's turn each chunk, so the turn must carry over
+    monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
     cs = simcore.ContenderSet(np.array([True]), np.array([1.0]), np.array([5.0]), ((0, 1),))
     rng = np.random.default_rng(3)
-    res = simcore.simulate_policy(cs, policy, 1001, rng, chunk=chunk)
+    res = simcore.simulate_policy(cs, policy, 1001, rng)
     assert res.user_grants[0] == 501 and res.user_grants[1] == 500
 
 
