@@ -372,8 +372,10 @@ def regularized_gamma_p_inv(a, p):
         unit = inner & (a_flat == 1.0)
         out[unit] = -np.log1p(-p_flat[unit])
         cells = np.flatnonzero(inner & ~unit)
-        # in order of shape, each shape's cells of a block are one run, summed by one Horner loop
-        cells = cells[np.argsort(a_flat[cells], kind="stable")]
+        # in order of shape, each shape's cells of a block are one run, summed by one Horner
+        # loop; a scalar shape needs no sort
+        if a_arr.size > 1:
+            cells = cells[np.argsort(a_flat[cells], kind="stable")]
         for start in range(0, cells.size, _INV_BLOCK):
             block = cells[start:start + _INV_BLOCK]
             out[block] = _gamma_p_inv_block(a_flat[block], p_flat[block])

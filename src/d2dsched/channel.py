@@ -53,9 +53,14 @@ def link_tx_power(link: LinkGeometry, config: SystemConfig) -> float:
     raise ValueError(f"unknown link kind {link.kind!r}")
 
 
+def snr_of(tx_power_mw: float, path_gain: float, config: SystemConfig) -> float:
+    """Mean SNR P_tx * g / noise of a transmit power over a path gain."""
+    return tx_power_mw * path_gain / config.noise_power_mw
+
+
 def mean_snr(link: LinkGeometry, config: SystemConfig) -> float:
     """Mean SNR of the link (fading averaged out): P_tx * g / noise."""
-    return link_tx_power(link, config) * link.path_gain / config.noise_power_mw
+    return snr_of(link_tx_power(link, config), link.path_gain, config)
 
 
 def snr_from_gain(link: LinkGeometry, config: SystemConfig, power_gain: float) -> float:

@@ -167,6 +167,13 @@ def sample_spatial(config: SystemConfig, rng: np.random.Generator) -> SpatialRea
     return SpatialRealization(cell_d, cen_d, cen_a, direct, ang)
 
 
+def power_law_gain(pathloss_const: float, pathloss_exp: float, distance_m: float) -> float:
+    """Path gain C d^-eta of a link at a positive distance."""
+    if distance_m <= 0:
+        raise ConfigError("link distance must be positive")
+    return pathloss_const * distance_m ** (-pathloss_exp)
+
+
 @dataclass(frozen=True)
 class LinkGeometry:
     """One transmitter-receiver link under the power-law path-loss model."""
@@ -177,12 +184,11 @@ class LinkGeometry:
     pathloss_exp: float       # eta
 
     def __post_init__(self):
-        if self.distance_m <= 0:
-            raise ConfigError("link distance must be positive")
+        power_law_gain(self.pathloss_const, self.pathloss_exp, self.distance_m)  # d > 0
 
     @property
     def path_gain(self) -> float:
-        return self.pathloss_const * self.distance_m ** (-self.pathloss_exp)
+        return power_law_gain(self.pathloss_const, self.pathloss_exp, self.distance_m)
 
 
 def cellular_downlink(config: SystemConfig, distance_m: float) -> LinkGeometry:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -12,9 +11,9 @@ from d2dsched import channel, policies
 from d2dsched.analytics import regularized_gamma_p, regularized_gamma_p_inv
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
-from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
-    d2d_direct, sample_spatial
-from d2dsched.weights import ecs_weights, solve_group_weights
+from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, power_law_gain, \
+    sample_spatial
+from d2dsched.weights import PolicyWeights, ecs_weights, solve_group_weights
 
 GROUP_POLICIES = ("gfs", "ecs", "pfs", "grr")
 RESERVOIR_CAPACITY = 100_000    # selected-SNR samples kept per contender
@@ -51,19 +50,21 @@ class ContenderSet:
 
 
 def contenders_from_spatial(config: SystemConfig, spatial: SpatialRealization) -> ContenderSet:
-    """Downlink contender set: per-user mean SNR from the sampled geometry."""
-    shapes = config.shapes_per_contender()
-    means = np.empty(config.n_contenders)
-    members = []
-    for k in range(config.K1):
-        means[k] = channel.mean_snr(cellular_downlink(config, spatial.cellular_distances[k]), config)
-        members.append((k,))
-    for p in range(config.K2):
-        j = config.K1 + p
-        means[j] = channel.mean_snr(d2d_direct(config, spatial.pair_direct_distances[p]), config)
-        members.append((config.K1 + 2 * p, config.K1 + 2 * p + 1))
+    """Downlink contender set: per-user mean SNR from the sampled geometry.
+
+    Each mean is `channel.mean_snr` of the contender's downlink or D2D link,
+    computed from the same helpers without building the link objects.
+    """
+    const_c, eta_c = config.pathloss_const_cellular, config.pathloss_exp_cellular
+    const_d, eta_d = config.pathloss_const_d2d, config.pathloss_exp_d2d
+    means = [channel.snr_of(config.tx_power_dl_mw, power_law_gain(const_c, eta_c, d), config)
+             for d in spatial.cellular_distances.tolist()]
+    means += [channel.snr_of(config.tx_power_d2d_mw, power_law_gain(const_d, eta_d, d), config)
+              for d in spatial.pair_direct_distances.tolist()]
+    members = [(k,) for k in range(config.K1)]
+    members += [(config.K1 + 2 * p, config.K1 + 2 * p + 1) for p in range(config.K2)]
     is_pair = np.concatenate((np.zeros(config.K1, bool), np.ones(config.K2, bool)))
-    return ContenderSet(is_pair, shapes, means, tuple(members))
+    return ContenderSet(is_pair, config.shapes_per_contender(), np.array(means), tuple(members))
 
 
 def standalone_contenders(mean_snrs, shapes) -> ContenderSet:
@@ -74,18 +75,36 @@ def standalone_contenders(mean_snrs, shapes) -> ContenderSet:
     return ContenderSet(np.zeros(means.size, bool), m, means, members)
 
 
-def build_structure(config: SystemConfig, spatial: SpatialRealization) -> GroupStructure:
-    """Mixed-system structure: cellular singletons plus D2D groups from the
-    configured fixed sizes or greedy conflict-graph coloring."""
+def fixed_structure(config: SystemConfig) -> GroupStructure | None:
+    """The mixed-system structure when no layout changes it (no pairs, or fixed
+    group sizes): cellular singletons plus the configured D2D groups; else None."""
     if config.K2 == 0:
         return with_cellular_singletons(GroupStructure(()), config.K1)
     if config.group_sizes is not None:
         d2d = fixed_grouping(config.group_sizes, config.K2, nu=0.5, id_offset=config.K1)
-    else:
+        return with_cellular_singletons(d2d, config.K1)
+    return None
+
+
+def build_structure(config: SystemConfig, spatial: SpatialRealization) -> GroupStructure:
+    """Mixed-system structure: cellular singletons plus D2D groups from the
+    configured fixed sizes or greedy conflict-graph coloring."""
+    structure = fixed_structure(config)
+    if structure is None:
         colored = greedy_coloring(build_conflict_graph(spatial, config.interference_radius_m))
         d2d = GroupStructure(tuple(
             Group(tuple(config.K1 + v for v in g.members), 0.5) for g in colored.groups))
-    return with_cellular_singletons(d2d, config.K1)
+        structure = with_cellular_singletons(d2d, config.K1)
+    return structure
+
+
+def policy_weights(policy: str, structure: GroupStructure) -> PolicyWeights | None:
+    """The weights `gfs` or `ecs` selects with on the structure; None for other policies."""
+    if policy == "gfs":
+        return solve_group_weights(structure)
+    if policy == "ecs":
+        return ecs_weights(structure)
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +129,8 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
 
 def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
                     structure: GroupStructure | None = None, rate_log_base: float = 2.0,
-                    pf_time_const: float = 1000.0) -> SimResult:
+                    pf_time_const: float = 1000.0,
+                    weights: PolicyWeights | None = None) -> SimResult:
     """Run one realization of `slots` fading slots under the given policy.
 
     A policy only names each slot's winner: a contender for bcs, dfs and cfs,
@@ -122,6 +142,9 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     policies draw u ~ U(0, 1), the CDF-mapped channel, and give a granted cell
     the SNR mean_snr/m * P^-1(m, u).  pfs selects on rates, so it draws the
     Gamma gains and maps its granted cells to u = P(m, m * gain).
+
+    `weights`, when given, are `policy_weights(policy, structure)` solved
+    once for several realizations that share the structure.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -133,10 +156,8 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     if policy in GROUP_POLICIES:
         if structure is None:
             raise ValueError(f"{policy} requires a group structure")
-        if policy == "gfs":
-            weights = solve_group_weights(structure)
-        elif policy == "ecs":
-            weights = ecs_weights(structure)
+        if weights is None:
+            weights = policy_weights(policy, structure)
         group_of = structure.group_of()
         winner_of = [group_of[j] for j in range(C)]
         n_winners = structure.n_groups
@@ -145,15 +166,15 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
         n_winners = C
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    res = SimResult(
-        slots=slots,
-        user_grants=np.zeros(nU, dtype=np.int64),
-        user_u_sum=np.zeros(nU),
-        user_rate_sum=np.zeros(nU),
-        group_grants=np.zeros(structure.n_groups, dtype=np.int64) if policy in GROUP_POLICIES else None,
-        selected_snr=[[] for _ in range(C)],
-        structure=structure,
-    )
+    # one shape for every contender reaches P and its inverse as a scalar
+    shape = float(cs.shape_m[0]) if np.all(cs.shape_m == cs.shape_m[0]) else None
+    snr_per_x = cs.mean_snr / cs.shape_m        # SNR of a granted cell per unit of P^-1
+    contender_ids = np.arange(C)
+    grants = [0] * nU
+    u_sum = [0.0] * nU
+    rate_sum = [0.0] * nU
+    group_grants = np.zeros(n_winners, dtype=np.int64) if policy in GROUP_POLICIES else None
+    selected_snr = [[] for _ in range(C)]
     turn = [0] * C                # member of each contender due for its next grant
     cfs_state = policies.CfsState()
     pf_state = policies.PfState(t_c=pf_time_const)
@@ -161,8 +182,12 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     while done < slots:
         n = min(CHUNK_SLOTS, slots - done)
         if policy == "pfs":
-            # the rates decide: draw every gain, map the granted cells to u below
-            gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
+            # the rates decide: draw every gain, map the granted cells to u below;
+            # at m = 1 the Gamma draw is the standard exponential's stream
+            if shape == 1.0:
+                gains = rng.standard_exponential((n, C))
+            else:
+                gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
             win = policies.pfs_select(np.log1p(gains * cs.mean_snr) / log_base, structure,
                                       pf_state)
         else:
@@ -185,44 +210,50 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
         order = np.argsort(win.astype(np.min_scalar_type(n_winners)), kind="stable")
         counts = np.bincount(win, minlength=n_winners)
         ends = np.cumsum(counts)
-        if policy in GROUP_POLICIES:
-            res.group_grants += counts
+        if group_grants is not None:
+            group_grants += counts
         # the granted cells, contender by contender, each contender's in slot order
         granted = [order[ends[w] - counts[w]:ends[w]] for w in winner_of]
         sizes = [sl.size for sl in granted]
         # the kept SNR arrays come before the chunk's temporaries, so freeing those
         # leaves no holes below long-lived arrays in the heap
         kept = [np.empty(size) for size in sizes]
-        rows = np.concatenate(granted)
-        cols = np.repeat(np.arange(C), sizes)
-        m = cs.shape_m[cols]
+        cols = np.repeat(contender_ids, sizes)
+        flat = np.concatenate(granted)          # row-major cell index: slot * C + contender
+        flat *= C
+        flat += cols
+        m = np.repeat(cs.shape_m, sizes) if shape is None else shape
+        # row 0 the granted cells' u, row 1 their rates: one sum gives a member both
+        ur = np.empty((2, flat.size))
         if policy == "pfs":
-            g = gains[rows, cols]
-            snr = g * cs.mean_snr[cols]
-            u_g = regularized_gamma_p(m, m * g)
+            g = gains.take(flat)
+            snr = g * np.repeat(cs.mean_snr, sizes)
+            ur[0] = regularized_gamma_p(m, m * g)
         else:
-            u_g = u[rows, cols]
-            snr = regularized_gamma_p_inv(m, u_g)
-            snr *= (cs.mean_snr / cs.shape_m)[cols]
-        rates = np.log1p(snr)
+            u.take(flat, out=ur[0])
+            snr = regularized_gamma_p_inv(m, ur[0])
+            snr *= np.repeat(snr_per_x, sizes)
+        rates = np.log1p(snr, out=ur[1])
         rates /= log_base
         stop = 0
         for j, size in enumerate(sizes):
             if size == 0:
                 continue
-            cells = slice(stop, stop + size)
-            stop += size
-            kept[j][:] = snr[cells]
-            res.selected_snr[j].append(kept[j])
+            start, stop = stop, stop + size
+            kept[j][:] = snr[start:stop]
+            selected_snr[j].append(kept[j])
             k = len(cs.members[j])
             for t, uid in enumerate(cs.members[j]):
-                take = slice(cells.start + (t - turn[j]) % k, cells.stop, k)
-                res.user_grants[uid] += rates[take].size
-                res.user_u_sum[uid] += u_g[take].sum()
-                res.user_rate_sum[uid] += rates[take].sum()
+                cells = ur[:, start + (t - turn[j]) % k:stop:k]
+                su, sr = cells.sum(axis=1).tolist()
+                grants[uid] += cells.shape[1]
+                u_sum[uid] += su
+                rate_sum[uid] += sr
             turn[j] = (turn[j] + size) % k
         done += n
-    return res
+    return SimResult(slots=slots, user_grants=np.array(grants, dtype=np.int64),
+                     user_u_sum=np.array(u_sum), user_rate_sum=np.array(rate_sum),
+                     group_grants=group_grants, selected_snr=selected_snr, structure=structure)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +333,7 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
 
 
 def _realization_task(args):
-    config, realization = args
+    config, realization, weights = args
     rng = realization_rng(config.rng_seed, realization)
     spatial = sample_spatial(config, rng)
     cs = contenders_from_spatial(config, spatial)
@@ -310,7 +341,7 @@ def _realization_task(args):
     return simulate_policy(cs, config.policy, config.slots_per_realization, rng,
                            structure=structure,
                            rate_log_base=config.rate_log_base,
-                           pf_time_const=config.pf_time_const), cs
+                           pf_time_const=config.pf_time_const, weights=weights), cs
 
 
 def _n_workers(requested: int | None) -> int:
@@ -327,10 +358,17 @@ def _n_workers(requested: int | None) -> int:
 
 def run_experiment(config: SystemConfig, n_workers: int | None = None) -> ExperimentReport:
     """Outer loop over spatial realizations, inner loop over fading slots;
-    results reduce identically for any worker count."""
-    tasks = [(config, real) for real in range(config.spatial_realizations)]
+    results reduce identically for any worker count.
+
+    When no layout changes the group structure, its `gfs` or `ecs` weights
+    are solved once for the run; greedy grouping solves them per realization.
+    """
+    structure = fixed_structure(config)
+    weights = None if structure is None else policy_weights(config.policy, structure)
+    tasks = [(config, real, weights) for real in range(config.spatial_realizations)]
     workers = _n_workers(n_workers)
     if workers > 1 and len(tasks) > 1:
+        from concurrent.futures import ProcessPoolExecutor    # imported only when it runs
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outputs = list(pool.map(_realization_task, tasks))
     else:

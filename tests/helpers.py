@@ -1,12 +1,15 @@
 """Shared test utilities: geometry replay, KS statistics, a quadrature oracle, the
-per-group-maximum group selection and the numpy proportional-fair loop."""
+per-group-maximum group selection, the numpy proportional-fair loop and the
+cell-by-cell grant accounting."""
 
 import math
 
 import numpy as np
 from scipy import integrate
 
-from d2dsched import simcore
+from d2dsched import policies, simcore
+from d2dsched.analytics import regularized_gamma_p, regularized_gamma_p_inv
+from d2dsched.weights import ecs_weights, solve_group_weights
 from d2dsched.model import sample_spatial
 
 
@@ -100,3 +103,81 @@ def pfs_select_numpy(X, structure, state):
             xbar[sel] += a * x[sel]
     state.xbar = xbar
     return winners
+
+
+def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2.0,
+                         pf_time_const=1000.0):
+    """simcore.simulate_policy with the plain accounting: the granted cells gathered as
+    u[rows, cols], a per-cell shape array for P and its inverse, pfs gains from
+    rng.gamma, and two 1-D sums per pair member.  The oracle for the flat gathers,
+    the scalar shape and the two-row sums of simulate_policy, which must give the
+    same bits.  Returns (user_grants, user_u_sum, user_rate_sum, group_grants,
+    selected_snr) with selected_snr one concatenated array per contender."""
+    C, nU = cs.n_contenders, cs.n_users
+    K1 = int(np.sum(~cs.is_pair))
+    K2 = C - K1
+    log_base = np.log(rate_log_base)
+    if policy in simcore.GROUP_POLICIES:
+        group_of = structure.group_of()
+        winner_of = [group_of[j] for j in range(C)]
+        n_winners = structure.n_groups
+        if policy == "gfs":
+            weights = solve_group_weights(structure)
+        elif policy == "ecs":
+            weights = ecs_weights(structure)
+    else:
+        winner_of, n_winners = list(range(C)), C
+    grants = np.zeros(nU, dtype=np.int64)
+    u_sum, rate_sum = np.zeros(nU), np.zeros(nU)
+    group_grants = np.zeros(n_winners, dtype=np.int64)
+    snrs = [[] for _ in range(C)]
+    turn = [0] * C
+    cfs_state, pf_state = policies.CfsState(), policies.PfState(t_c=pf_time_const)
+    done = 0
+    while done < slots:
+        n = min(simcore.CHUNK_SLOTS, slots - done)
+        if policy == "pfs":
+            gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
+            win = policies.pfs_select(np.log1p(gains * cs.mean_snr) / log_base, structure,
+                                      pf_state)
+        else:
+            u = rng.random((n, C))
+            if policy == "bcs":
+                win = policies.bcs_select(u, np.full(C, 1.0 / C))
+            elif policy == "dfs":
+                win = policies.dfs_select(u, K1, K2)
+            elif policy == "cfs":
+                cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
+                win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
+            elif policy in ("gfs", "ecs"):
+                win = policies.mws_select(u, structure, weights)
+            else:
+                win = policies.grr_select(n, structure.n_groups, offset=done)
+        group_grants += np.bincount(win, minlength=n_winners)
+        granted = [np.flatnonzero(win == w) for w in winner_of]
+        sizes = [g.size for g in granted]
+        rows = np.concatenate(granted)
+        cols = np.repeat(np.arange(C), sizes)
+        m = cs.shape_m[cols]
+        if policy == "pfs":
+            g = gains[rows, cols]
+            snr = g * cs.mean_snr[cols]
+            u_g = regularized_gamma_p(m, m * g)
+        else:
+            u_g = u[rows, cols]
+            snr = regularized_gamma_p_inv(m, u_g)
+            snr *= (cs.mean_snr / cs.shape_m)[cols]
+        rates = np.log1p(snr) / log_base
+        stop = 0
+        for j, size in enumerate(sizes):
+            start, stop = stop, stop + size
+            snrs[j].append(snr[start:stop])
+            k = len(cs.members[j])
+            for t, uid in enumerate(cs.members[j]):
+                take = slice(start + (t - turn[j]) % k, stop, k)
+                grants[uid] += rates[take].size
+                u_sum[uid] += u_g[take].sum()
+                rate_sum[uid] += rates[take].sum()
+            turn[j] = (turn[j] + size) % k
+        done += n
+    return grants, u_sum, rate_sum, group_grants, [np.concatenate(s) for s in snrs]

@@ -10,6 +10,7 @@ from helpers import first_realization_contenders
 from d2dsched import analytics, cli, simcore
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.model import SystemConfig
+from d2dsched.weights import solve_group_weights
 
 
 def _read_csv(path):
@@ -138,6 +139,23 @@ def test_analytic_lone_singleton_group_sees_its_base_curve(tmp_path):
     samples = simcore.run_experiment(config).selected_snr[0]
     assert samples.size == 40_000
     assert simcore.ks_distance(samples, analytic) < np.sqrt(np.log(2e6) / (2 * samples.size))
+
+
+def test_analytic_gfs_curve_from_solved_weights(tmp_path):
+    # the curve is the one the solver's weight for the D2D group gives, line for line
+    out = str(tmp_path / "gfs")
+    assert cli.main(["analytic", "--curve", "gfs", "--set", "group_sizes=5", "--out", out]) == 0
+    config = SystemConfig(group_sizes=(5,))
+    cs, spatial = first_realization_contenders(config)
+    structure = simcore.build_structure(config, spatial)
+    g = structure.group_of()[config.K1]
+    mu = float(solve_group_weights(structure).mu[g])
+    curve = analytics.gfs_selected_cdf(GammaSnrCdf(cs.shape_m[config.K1], cs.mean_snr[config.K1]),
+                                       structure.groups[g].size, mu)
+    expected = [cli._csv_line(["s_linear", "s_db", "f"])] + [
+        cli._csv_line(row) for row in zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values)]
+    with open(os.path.join(out, "curve_d2d.csv"), encoding="utf-8") as fh:
+        assert fh.read().splitlines() == expected
 
 
 def test_failed_analytic_leaves_no_output_directory(tmp_path, capsys):

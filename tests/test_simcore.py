@@ -1,15 +1,19 @@
 """Monte Carlo engine: accounting, aggregation, and the KS verification metric."""
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import first_realization_contenders
+from helpers import first_realization_contenders, reference_accounting
 
 from d2dsched import simcore
 from d2dsched.analytics import AnalyticCurve, bcs_selected_cdf
 from d2dsched.channel import GammaSnrCdf
+from d2dsched.cli import TABLE5_SHAPES
 from d2dsched.grouping import fixed_grouping
 from d2dsched.model import ConfigError, SystemConfig, sample_spatial
 
@@ -50,6 +54,83 @@ def test_pair_members_alternate(monkeypatch, policy, chunk):
     rng = np.random.default_rng(3)
     res = simcore.simulate_policy(cs, policy, 1001, rng)
     assert res.user_grants[0] == 501 and res.user_grants[1] == 500
+
+
+@pytest.mark.parametrize("shapes", [1.0, TABLE5_SHAPES + (2,)], ids=["m1", "table5"])
+@pytest.mark.parametrize("group_sizes", [(5,), None], ids=["fixed", "greedy"])
+@pytest.mark.parametrize("chunk", [simcore.CHUNK_SLOTS, 700], ids=["one-chunk", "chunked"])
+@pytest.mark.parametrize("policy", ["bcs", "dfs", "cfs", "gfs", "ecs", "grr", "pfs"])
+def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, shapes):
+    # the flat gathers, the scalar shape and the two-row sums give the same bits as
+    # the cell-by-cell accounting; 700 puts chunk boundaries inside the run
+    monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
+    cfg = SystemConfig(K1=10, K2=5, group_sizes=group_sizes, fading_shape_m=shapes, rng_seed=8,
+                       interference_radius_m=600.0)
+    cs, spatial = first_realization_contenders(cfg)
+    structure = simcore.build_structure(cfg, spatial)
+    slots = 900 if policy == "pfs" else 3000
+    res = simcore.simulate_policy(cs, policy, slots, np.random.default_rng(17), structure=structure)
+    grants, u_sum, rate_sum, group_grants, snr = reference_accounting(
+        cs, policy, slots, np.random.default_rng(17), structure=structure)
+    assert np.array_equal(res.user_grants, grants)
+    assert np.array_equal(res.user_u_sum, u_sum)
+    assert np.array_equal(res.user_rate_sum, rate_sum)
+    if policy in simcore.GROUP_POLICIES:
+        assert np.array_equal(res.group_grants, group_grants)
+    for j in range(cs.n_contenders):
+        kept = np.concatenate(res.selected_snr[j]) if res.selected_snr[j] else np.empty(0)
+        assert np.array_equal(kept, snr[j])
+
+
+@pytest.mark.parametrize("policy", ["bcs", "pfs"])
+def test_long_member_sums_match_reference(policy):
+    # two contenders of 20k grants each: every member's sums span many summation blocks
+    cs = simcore.standalone_contenders([3.0, 8.0], [1.0, 1.0])
+    structure = fixed_grouping([1, 1], nu=1.0)
+    slots = 40_000 if policy == "bcs" else 4000
+    res = simcore.simulate_policy(cs, policy, slots, np.random.default_rng(23), structure=structure)
+    grants, u_sum, rate_sum, _, _ = reference_accounting(cs, policy, slots, np.random.default_rng(23),
+                                                         structure=structure)
+    assert np.array_equal(res.user_grants, grants)
+    assert np.array_equal(res.user_u_sum, u_sum)
+    assert np.array_equal(res.user_rate_sum, rate_sum)
+
+
+def test_pfs_unit_shape_draw_is_the_exponential_stream():
+    # at m = 1 pfs draws standard_exponential for the Gamma(1, 1) gains: the same numbers
+    shape = np.ones(15)
+    gamma = np.random.default_rng(31).gamma(shape, 1.0 / shape, size=(200_000, 15))
+    expo = np.random.default_rng(31).standard_exponential((200_000, 15))
+    assert np.array_equal(gamma, expo)
+
+
+def test_import_starts_no_process_pool():
+    # the pool is imported only for runs with more than one worker
+    code = ("import sys, d2dsched.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    src = os.path.dirname(os.path.dirname(simcore.__file__))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("policy,rule", [("gfs", "solve_group_weights"), ("ecs", "ecs_weights")])
+@pytest.mark.parametrize("group_sizes,solves", [((2, 3), 1), (None, 3)], ids=["fixed", "greedy"])
+def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, group_sizes, solves):
+    # fixed groups are solved once for the run, greedy groups once per realization,
+    # and the run equals one whose every realization solves its own weights
+    cfg = SystemConfig(K1=3, K2=5, policy=policy, group_sizes=group_sizes,
+                       slots_per_realization=300, spatial_realizations=3, rng_seed=8)
+    own = simcore._reduce([simcore._realization_task((cfg, r, None)) for r in range(3)],
+                          policy, cfg.rng_seed, cfg.digest())
+    solver = getattr(simcore, rule)
+    calls = []
+    monkeypatch.setattr(simcore, rule, lambda structure: calls.append(structure) or solver(structure))
+    rep = simcore.run_experiment(cfg)
+    assert len(calls) == solves
+    for field in ("access_prob", "upi", "selected_rate", "group_access_prob"):
+        assert np.array_equal(getattr(rep, field), getattr(own, field))
 
 
 def test_grant_conservation():

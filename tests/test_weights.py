@@ -106,3 +106,4 @@ def test_weight_validation():
     for nu in (0.0, -0.5, np.nan, np.inf):
         with pytest.raises(ValueError, match="nu"):
             solve_group_weights(GroupStructure((Group((0,), nu), Group((1, 2), 1.0))))
+
