@@ -104,16 +104,19 @@ def _contfrac_q(a: float, x: np.ndarray) -> np.ndarray:
 
 
 def _gamma_p_one_shape(a: float, x: np.ndarray) -> np.ndarray:
+    if not math.isfinite(a):
+        raise ValueError(f"shape parameter a must be positive and finite, got {a!r}")
     if a.is_integer() and a <= _ERLANG_A_MAX:
         # at these shapes P(a, x) rounds to 1 from x = 700 on, where e^-x is still normal
         p = _erlang_p(int(a), np.minimum(x, _ERLANG_X_MAX))
         return np.clip(p, 0.0, 1.0, out=p)
-    out = np.empty_like(x)
+    out = np.ones_like(x)                  # P(a, inf) = 1
     small = x < a + 1.0
     if small.any():
         out[small] = _series_p(a, x[small])
-    if not small.all():
-        out[~small] = 1.0 - _contfrac_q(a, x[~small])
+    tail = ~small & (x < np.inf)
+    if tail.any():
+        out[tail] = 1.0 - _contfrac_q(a, x[tail])
     return np.clip(out, 0.0, 1.0)
 
 
@@ -128,14 +131,15 @@ def regularized_gamma_p(a, x):
     Absolute accuracy is better than 1e-13 over the tested domain.  At
     integer shapes a small P is the difference of two terms near 1 - e^-x,
     so its relative accuracy falls as P shrinks (0.3 % at P(9, 0.1) = 2.5e-15).
-    Scalar a and x give a Python float.
+    A shape that is not positive and finite, or an x that is negative or NaN,
+    raises ValueError; P(a, inf) = 1.  Scalar a and x give a Python float.
     """
     a_arr = np.asarray(a, dtype=float)
     x_arr = np.asarray(x, dtype=float)
-    if np.any(a_arr <= 0.0):
-        raise ValueError("shape parameter a must be positive")
-    if np.any(x_arr < 0.0):
-        raise ValueError("x must be nonnegative")
+    if not np.all(a_arr > 0.0):           # NaN too
+        raise ValueError("shape parameter a must be positive and finite")
+    if not np.all(x_arr >= 0.0):
+        raise ValueError("x must be nonnegative, not NaN")
     shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
     x_b = np.broadcast_to(x_arr, shape)
     if a_arr.size == 1:
@@ -356,8 +360,8 @@ def regularized_gamma_p_inv(a, p):
     """
     a_arr = np.asarray(a, dtype=float)
     p_arr = np.asarray(p, dtype=float)
-    if np.any(a_arr <= 0.0):
-        raise ValueError("shape parameter a must be positive")
+    if not np.all((a_arr > 0.0) & (a_arr < np.inf)):
+        raise ValueError("shape parameter a must be positive and finite")
     if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
         raise ValueError("p must lie in [0, 1]")
     shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)

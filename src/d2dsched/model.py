@@ -54,6 +54,10 @@ class SystemConfig:
     group_sizes: tuple[int, ...] | None = None   # fixed D2D grouping; None = greedy coloring
 
     def __post_init__(self):
+        if not isinstance(self.fading_shape_m, (int, float, np.number)):
+            self._store_tuple("fading_shape_m", "numbers")
+        if self.group_sizes is not None:
+            self._store_tuple("group_sizes", "integers")
         if self.K1 < 0 or self.K2 < 0 or self.K1 + 2 * self.K2 < 1:
             raise ConfigError("need K1 >= 0, K2 >= 0 and at least one user")
         for f in fields(self):          # every float setting, each fading_shape_m entry too
@@ -81,6 +85,17 @@ class SystemConfig:
             raise ConfigError("pf_time_const must be >= 1")
         if self.interference_radius_m <= 0:
             raise ConfigError("interference_radius_m must be positive")
+
+    def _store_tuple(self, key: str, entries: str) -> None:
+        """Store a list or 1-D array of `entries` as its tuple; else a ConfigError names key."""
+        value, kinds = getattr(self, key), "iu" if entries == "integers" else "iuf"
+        try:
+            arr = np.asarray(value)
+        except ValueError:                      # a ragged sequence
+            arr = np.empty((0, 0))
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
+            raise ConfigError(f"{key} must be a 1-D sequence of {entries}, got {value!r}")
+        object.__setattr__(self, key, value if isinstance(value, tuple) else tuple(arr.tolist()))
 
     # linear-scale views, converted once from dB/dBm
     @property
@@ -176,48 +191,27 @@ def power_law_gain(pathloss_const: float, pathloss_exp: float, distance_m: float
 
 @dataclass(frozen=True)
 class LinkGeometry:
-    """One transmitter-receiver link under the power-law path-loss model."""
+    """One transmitter-receiver link: the two numbers that fix its mean SNR."""
 
-    kind: str                 # cellular-downlink | cellular-uplink | d2d-direct
-    distance_m: float
-    pathloss_const: float     # linear C
-    pathloss_exp: float       # eta
-
-    def __post_init__(self):
-        power_law_gain(self.pathloss_const, self.pathloss_exp, self.distance_m)  # d > 0
-
-    @property
-    def path_gain(self) -> float:
-        return power_law_gain(self.pathloss_const, self.pathloss_exp, self.distance_m)
+    tx_power_mw: float
+    path_gain: float          # C d^-eta
 
 
 def cellular_downlink(config: SystemConfig, distance_m: float) -> LinkGeometry:
-    return LinkGeometry("cellular-downlink", distance_m,
-                        config.pathloss_const_cellular, config.pathloss_exp_cellular)
+    return LinkGeometry(config.tx_power_dl_mw, power_law_gain(
+        config.pathloss_const_cellular, config.pathloss_exp_cellular, distance_m))
 
 
 def cellular_uplink(config: SystemConfig, distance_m: float) -> LinkGeometry:
-    return LinkGeometry("cellular-uplink", distance_m,
-                        config.pathloss_const_cellular, config.pathloss_exp_cellular)
+    """Uplink whose transmit power exactly inverts the path loss to hit the RX threshold."""
+    gain = power_law_gain(config.pathloss_const_cellular, config.pathloss_exp_cellular, distance_m)
+    return LinkGeometry(config.ul_rx_threshold_mw * distance_m ** config.pathloss_exp_cellular
+                        / config.pathloss_const_cellular, gain)
 
 
 def d2d_direct(config: SystemConfig, distance_m: float) -> LinkGeometry:
-    return LinkGeometry("d2d-direct", distance_m,
-                        config.pathloss_const_d2d, config.pathloss_exp_d2d)
-
-
-@dataclass(frozen=True)
-class FadingSpec:
-    """Nakagami-m fading, expressed directly as a unit-mean Gamma power gain."""
-
-    shape_m: float = 1.0
-    mean_power: float = 1.0
-
-    def __post_init__(self):
-        if self.shape_m < 0.5:
-            raise ConfigError("Nakagami shape must be >= 0.5")
-        if self.mean_power <= 0:
-            raise ConfigError("mean_power must be positive")
+    return LinkGeometry(config.tx_power_d2d_mw, power_law_gain(
+        config.pathloss_const_d2d, config.pathloss_exp_d2d, distance_m))
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,28 @@ def test_gamma_domain_errors():
         analytics.regularized_gamma_p(1.0, -0.1)
 
 
+@pytest.mark.parametrize("fn, a, x, name", [
+    (analytics.regularized_gamma_p, math.nan, 1.0, "shape"),
+    (analytics.regularized_gamma_p, math.inf, 1.0, "shape"),
+    (analytics.regularized_gamma_p, [2.0, math.inf], 1.0, "shape"),
+    (analytics.regularized_gamma_p, 2.0, math.nan, "x"),
+    (analytics.regularized_gamma_p, 2.5, [1.0, math.nan], "x"),
+    (analytics.regularized_gamma_p_inv, math.nan, 0.5, "shape"),
+    (analytics.regularized_gamma_p_inv, math.inf, 0.5, "shape"),
+])
+def test_gamma_non_finite_arguments_raise(fn, a, x, name):
+    with pytest.raises(ValueError, match=name):
+        fn(a, x)
+
+
+@pytest.mark.parametrize("a", [0.75, 2.0, 2.5, 200.5])
+def test_gamma_at_infinity_is_one(a):
+    assert analytics.regularized_gamma_p(a, math.inf) == special.gammainc(a, math.inf) == 1.0
+    out = analytics.regularized_gamma_p(a, np.array([0.5 * a, math.inf, 3.0 * a]))
+    assert out[1] == 1.0
+    assert np.allclose(out, special.gammainc(a, [0.5 * a, math.inf, 3.0 * a]), rtol=0, atol=1e-13)
+
+
 def test_gamma_vectorized_shapes():
     a = np.array([0.7, 2.0, 6.0])
     x = np.linspace(0.0, 12.0, 7)[:, None]

@@ -6,9 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from d2dsched.model import (ConfigError, FadingSpec, LinkGeometry, SystemConfig,
-                            cellular_downlink, cellular_uplink, d2d_direct,
-                            parse_config_text, sample_spatial)
+from d2dsched.model import (ConfigError, SystemConfig, cellular_downlink, cellular_uplink,
+                            d2d_direct, parse_config_text, sample_spatial)
 
 
 def test_defaults_match_standard_setup():
@@ -61,6 +60,13 @@ def test_user_counts():
     dict(fading_shape_m=float("inf")),
     dict(fading_shape_m=(1.0, float("nan")), K1=1, K2=1),
     dict(noise_power_dbm=float("-inf")),
+    dict(fading_shape_m="1.0"),
+    dict(fading_shape_m=np.ones((3, 5))),
+    dict(fading_shape_m=[1.0, [2.0]]),
+    dict(fading_shape_m=["a"] * 15),
+    dict(group_sizes=[2.0, 3.0]),
+    dict(group_sizes=np.array([[2, 3]])),
+    dict(group_sizes="5"),
 ])
 def test_invalid_configs_rejected(kwargs):
     # the error names the setting at fault, the first one given
@@ -98,18 +104,16 @@ def test_link_geometry_path_gain():
     cfg = SystemConfig()
     link = cellular_downlink(cfg, 100.0)
     assert link.path_gain == pytest.approx(10 ** (-3.1) * 100.0 ** (-3.5))
-    assert cellular_uplink(cfg, 50.0).kind == "cellular-uplink"
-    assert d2d_direct(cfg, 20.0).pathloss_exp == 3.0
-    with pytest.raises(ConfigError):
-        LinkGeometry("cellular-downlink", 0.0, 1.0, 3.5)
-
-
-def test_fading_spec_validation():
-    assert FadingSpec(3.0).shape_m == 3.0
-    with pytest.raises(ConfigError):
-        FadingSpec(0.2)
-    with pytest.raises(ConfigError):
-        FadingSpec(1.0, mean_power=0.0)
+    assert link.tx_power_mw == cfg.tx_power_dl_mw
+    up = cellular_uplink(cfg, 50.0)
+    assert up.path_gain == pytest.approx(link.path_gain * 2.0 ** 3.5, rel=1e-12)
+    assert up.tx_power_mw * up.path_gain == pytest.approx(cfg.ul_rx_threshold_mw, rel=1e-12)
+    d2d = d2d_direct(cfg, 20.0)
+    assert d2d.path_gain == pytest.approx(10 ** (-3.1) * 20.0 ** (-3.0))
+    assert d2d.tx_power_mw == cfg.tx_power_d2d_mw
+    for make in (cellular_downlink, cellular_uplink, d2d_direct):
+        with pytest.raises(ConfigError, match="distance"):
+            make(cfg, 0.0)
 
 
 def test_shapes_per_contender():
@@ -117,6 +121,20 @@ def test_shapes_per_contender():
     assert np.array_equal(cfg.shapes_per_contender(), [1.0, 2.0, 3.0])
     with pytest.raises(ConfigError):
         SystemConfig(K1=2, K2=1, fading_shape_m=(1.0, 2.0))
+
+
+@pytest.mark.parametrize("key, as_tuple", [
+    ("fading_shape_m", (1.0, 2.0, 2.5, 1.0, 3.0)),
+    ("group_sizes", (1, 2)),
+])
+def test_sequence_settings_normalised_to_tuples(key, as_tuple):
+    base = dict(K1=2, K2=3, fading_shape_m=1.0, group_sizes=(3,))
+    configs = [SystemConfig(**{**base, key: form})
+               for form in (as_tuple, list(as_tuple), np.array(as_tuple))]
+    assert all(getattr(cfg, key) == as_tuple for cfg in configs)
+    assert configs[0] == configs[1] == configs[2]
+    assert len({cfg.digest() for cfg in configs}) == 1
+    assert type(getattr(configs[2], key)[0]) is type(as_tuple[0])
 
 
 def test_parse_config_text():

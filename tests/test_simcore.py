@@ -12,10 +12,11 @@ from helpers import first_realization_contenders, reference_accounting
 
 from d2dsched import simcore
 from d2dsched.analytics import AnalyticCurve, bcs_selected_cdf
-from d2dsched.channel import GammaSnrCdf
+from d2dsched.channel import GammaSnrCdf, mean_snr
 from d2dsched.cli import TABLE5_SHAPES
 from d2dsched.grouping import fixed_grouping
-from d2dsched.model import ConfigError, SystemConfig, sample_spatial
+from d2dsched.model import ConfigError, SystemConfig, cellular_downlink, d2d_direct, \
+    sample_spatial
 
 
 def test_round_robin_exact_shares():
@@ -169,6 +170,23 @@ def test_contender_mapping_and_kinds():
     # mean SNR falls with distance within one link class
     order = np.argsort(sp.cellular_distances)
     assert np.all(np.diff(cs.mean_snr[:2][order]) <= 0)
+
+
+@pytest.mark.parametrize("settings", [
+    dict(),
+    dict(pathloss_const_cellular_db=-35.5, pathloss_const_d2d_db=-28.0,
+         pathloss_exp_cellular=3.7, pathloss_exp_d2d=2.6, noise_power_dbm=-96.0,
+         tx_power_dl_dbm=43.0, tx_power_d2d_dbm=12.5),
+])
+def test_contender_means_equal_the_link_model(settings):
+    # simcore builds the means without link objects; they must be the same doubles
+    cfg = SystemConfig(K1=6, K2=4, **settings)
+    for seed in (1, 2, 3, 4, 5):
+        spatial = sample_spatial(cfg, np.random.default_rng(seed))
+        cs = simcore.contenders_from_spatial(cfg, spatial)
+        links = [cellular_downlink(cfg, d) for d in spatial.cellular_distances]
+        links += [d2d_direct(cfg, d) for d in spatial.pair_direct_distances]
+        assert cs.mean_snr.tolist() == [mean_snr(link, cfg) for link in links]
 
 
 def test_non_integer_shapes_selected_snr():
