@@ -14,7 +14,8 @@ _ERLANG_A_MAX = 170       # 1/j! stays a normal double for j <= 170
 _ERLANG_X_MAX = 700.0     # e^-x stays normal and the Erlang sum below e^x stays finite
 _HALLEY_MAX_ITER = 40
 _HALLEY_RTOL = 1e-7       # a step this small leaves an error of order its cube
-_INV_BLOCK = 8192         # cells per Halley iteration: bounds its temporaries' memory
+_INV_BLOCK = 8192         # cells per table lookup or Halley iteration: bounds their temporaries
+_ROW_RTOL = 1e-12         # a row's interpolant must be this close to P^-1 at every midpoint
 # starting values of the inverse: nodes uniform in the log-odds t = log(p / (1 - p)) on
 # |t| <= 30, that is p or 1 - p down to 9.4e-14
 _T_MAX = 30.0
@@ -231,86 +232,166 @@ def _dm_start(a: np.ndarray, lgam: np.ndarray, p: np.ndarray, q: np.ndarray) -> 
 
 
 def _shape_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The values of a nonempty ascending array and the length of each one's run."""
+    """The value of each run of equal entries of a nonempty array, and its length."""
     bounds = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
     return a[bounds[:-1]], np.diff(bounds)
 
 
+def _tails(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """p and q = 1 - p at log-odds t = log(p / q), each to full relative accuracy."""
+    e = np.exp(-np.abs(t))
+    lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)
+    return np.where(t < 0.0, lo, hi), np.where(t < 0.0, hi, lo)
+
+
 @functools.lru_cache(maxsize=256)
 def _start_row(a: float) -> np.ndarray | None:
-    """(4, 960) array: on each interval between log-odds nodes, the coefficients
-    c0..c3 in f (the position in the interval, 0 to 1) of the cubic Hermite
-    interpolant of y = log P^-1(a, p) through its values and slopes dy/dt at
-    the two nodes.
+    """(6, 960) array: on each interval between log-odds nodes, the coefficients
+    c0..c5 in f (the position in the interval, 0 to 1) of the quintic Hermite
+    interpolant of y = log P^-1(a, p) through its values and its first and
+    second derivatives in t at the two nodes.
 
-    The nodes are solved from the DiDonato & Morris start.  A row takes a few
-    ms to build and 30 KB to keep.  None where the nodes cannot be solved
-    (shapes near 0, whose lower tail underflows, or in the tens of thousands).
+    The nodes are solved by Halley steps from the DiDonato & Morris start; the
+    derivatives have closed forms.  A row is kept only if, at every interval
+    midpoint, the residual of P there puts exp(y) within _ROW_RTOL of P^-1
+    relative to it.  A row takes a few ms to build and 46 KB to keep.  None
+    at shape 1, where the nodes cannot be solved (shapes near 0 such as 0.02,
+    whose lower tail underflows, or above about 5000) and where a midpoint
+    misses the bound (shapes of 0.31 and below).
     """
-    e = np.exp(-np.abs(_T_NODES))
-    lo, hi = e / (1.0 + e), 1.0 / (1.0 + e)            # both tails to full relative accuracy
-    p, q = np.where(_T_NODES < 0.0, lo, hi), np.where(_T_NODES < 0.0, hi, lo)
+    if a == 1.0:            # the closed form -log(1 - p) answers shape 1
+        return None
+    p, q = _tails(_T_NODES)
     shape, lgam = np.full(p.size, a), np.full(p.size, math.lgamma(a))
+    erlang = np.full(p.size - 1, a.is_integer() and a <= _ERLANG_A_MAX)
+    h = 1.0 / _T_PER_UNIT
     with np.errstate(all="ignore"):
         try:
             x = _gamma_p_inv_cells(shape, lgam, _dm_start(shape, lgam, p, q), p, q)
         except GammaNotConverged:
             return None
         y = np.log(x)
-        # dy/dt = p q / (x pdf(x)), scaled to the node spacing
-        d = p * q / np.exp(a * y - x - lgam) / _T_PER_UNIT
+        # with f the Gamma(a) pdf and dx/dt = p q / f: dy/dt = p q / (x f) and
+        # d2y/dt2 = (dx/dt) ((q - p) x f - p q (a - x)) / (x^2 f) = dy/dt (q - p - dy/dt (a - x))
+        slope = p * q / np.exp(a * y - x - lgam)
+        curve = slope * (q - p - slope * (a - x))
+        slope *= h                  # both scaled to the node spacing
+        curve *= h * h
         dy = np.diff(y)
-        row = np.array([y[:-1], d[:-1], 3.0 * dy - 2.0 * d[:-1] - d[1:], d[:-1] + d[1:] - 2.0 * dy])
+        d0, d1 = slope[:-1], slope[1:]      # at each interval's two ends
+        s0, s1 = curve[:-1], curve[1:]
+        row = np.array([y[:-1], d0, 0.5 * s0,
+                        10.0 * dy - 6.0 * d0 - 4.0 * d1 - 1.5 * s0 + 0.5 * s1,
+                        -15.0 * dy + 8.0 * d0 + 7.0 * d1 + 1.5 * s0 - s1,
+                        6.0 * dy - 3.0 * d0 - 3.0 * d1 - 0.5 * s0 + 0.5 * s1])
+        # the check: the true residual at every midpoint, as a relative error in x
+        pm, qm = _tails(_T_NODES[:-1] + 0.5 * h)
+        xm = row[5].copy()                      # the interpolant's Horner sum at f = 1/2
+        for coef in row[4::-1]:
+            xm *= 0.5
+            xm += coef
+        np.exp(xm, out=xm)
+        try:
+            r = _tail_residual(shape[1:], lgam[1:], erlang, xm, pm, qm)
+        except GammaNotConverged:
+            return None
+        miss = np.abs(r) / np.exp(a * np.log(xm) - xm - lgam[1:])
+    if not np.all(miss <= _ROW_RTOL):          # NaN too
+        return None
     row.flags.writeable = False
     return row
 
 
-def _tabulated_start(a: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """exp of each cell's shape's interpolant at its log-odds t, |t| <= 30;
-    the cells in ascending order of shape."""
-    vals, counts = _shape_runs(a)
-    rows = [_start_row(v) for v in vals.tolist()]
-    # a shape without a row gives NaN starts, so its cells fall back to DiDonato & Morris
-    c0, c1, c2, c3 = np.concatenate(
-        [np.full((4, _T_NODES.size - 1), np.nan) if row is None else row for row in rows], axis=1)
-    s = t * _T_PER_UNIT
-    s += _T_MAX * _T_PER_UNIT
-    k = np.minimum(s.astype(np.intp), _T_NODES.size - 2)
-    f = s - k
-    k += np.repeat(np.arange(0, c0.size, _T_NODES.size - 1), counts)
-    y = c3.take(k)
-    y *= f
-    y += c2.take(k)
-    y *= f
-    y += c1.take(k)
-    y *= f
-    y += c0.take(k)
-    with np.errstate(invalid="ignore", over="ignore"):
+@functools.lru_cache(maxsize=16)
+def _stacked_rows(shapes: tuple[float, ...]) -> np.ndarray:
+    """The rows of the shapes side by side, (6, 960 * len(shapes)); NaN for a
+    shape without a row."""
+    rows = [_start_row(v) for v in shapes]
+    table = np.concatenate([np.full((6, _T_NODES.size - 1), np.nan) if row is None else row
+                            for row in rows], axis=1)
+    table.flags.writeable = False
+    return table
+
+
+def _tabulated_start(a, p: np.ndarray) -> np.ndarray:
+    """P^-1(a, p) of each cell from its shape's row: exp of the interpolant at
+    the log-odds t = log(p / (1 - p)), within _ROW_RTOL of the solution for
+    |t| <= 30; NaN for |t| > 30 and for shapes without a row.  `a` is one
+    float for every cell, or one shape per cell, equal shapes in consecutive
+    runs (one row offset per run).
+    """
+    with np.errstate(divide="ignore"):          # t = -inf at p = 0 and inf at p = 1
+        t = 1.0 - p
+        np.divide(p, t, out=t)
+        np.log(t, out=t)
+    off = np.abs(t) > _T_MAX
+    if off.all():                               # reads, and so builds, no row
+        return np.full_like(t, np.nan)
+    if isinstance(a, float):
+        table, offset = _start_row(a), None
+        if table is None:
+            return np.full_like(t, np.nan)
+    else:
+        vals, counts = _shape_runs(a)
+        shapes = np.unique(vals)
+        table = _stacked_rows(tuple(shapes.tolist()))
+        offset = np.repeat(np.searchsorted(shapes, vals) * (_T_NODES.size - 1), counts)
+    f = np.clip(t, -_T_MAX, _T_MAX, out=t)
+    f *= _T_PER_UNIT
+    f += _T_MAX * _T_PER_UNIT
+    k = f.astype(np.intp)
+    np.minimum(k, _T_NODES.size - 2, out=k)
+    f -= k                                      # the position in the interval
+    if offset is not None:
+        k += offset
+    c0, c1, c2, c3, c4, c5 = table
+    y = c5.take(k)
+    coef = np.empty_like(y)
+    for c in (c4, c3, c2, c1, c0):
+        y *= f
+        y += c.take(k, out=coef)
+    y[off] = np.nan
+    with np.errstate(over="ignore"):
         return np.exp(y, out=y)
 
 
-def _gamma_p_inv_block(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """P^-1(a, p) for shapes a != 1 and 0 < p < 1, one shape per cell, in
-    ascending order of shape.
-
-    The cells with log-odds |t| <= 30 start from their shape's tabulated row;
-    the others, and any start that under- or overflows, start from the
-    DiDonato & Morris values.
-    """
+def _dm_halley(a: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """P^-1(a, p) by Halley steps from the DiDonato & Morris start; one shape
+    per cell, in ascending order of shape."""
     q = 1.0 - p
     vals, counts = _shape_runs(a)
     lgam = np.repeat([math.lgamma(v) for v in vals.tolist()], counts)
-    t = np.log(p / q)
-    inside = np.abs(t) <= _T_MAX
-    x = np.full_like(p, np.nan)
-    if inside.all():
-        x = _tabulated_start(a, t)
-    elif inside.any():
-        x[inside] = _tabulated_start(a[inside], t[inside])
-    dm = ~((x > 0.0) & (x < np.inf))
-    if dm.any():
-        x[dm] = _dm_start(a[dm], lgam[dm], p[dm], q[dm])
-    return _gamma_p_inv_cells(a, lgam, x, p, q)
+    return _gamma_p_inv_cells(a, lgam, _dm_start(a, lgam, p, q), p, q)
+
+
+def _gamma_p_inv_block(a, p: np.ndarray) -> np.ndarray:
+    """P^-1(a, p) for 0 <= p <= 1: `a` one float other than 1 for every cell,
+    or one shape per cell, equal shapes in consecutive runs.
+
+    A cell with log-odds |t| <= 30 whose shape has a row is answered from the
+    table, with no residual evaluated, in slices of _INV_BLOCK cells.  Of
+    the others, p = 0 and 1 give 0 and inf and shape 1 the closed form; the
+    rest (off the table, of a shape without a row, or whose table value
+    under- or overflows) take Halley steps from the DiDonato & Morris start,
+    grouped by shape, in blocks of _INV_BLOCK cells.
+    """
+    x = np.empty_like(p)
+    for start in range(0, p.size, _INV_BLOCK):
+        cells = slice(start, start + _INV_BLOCK)
+        x[cells] = _tabulated_start(a if isinstance(a, float) else a[cells], p[cells])
+    rest = np.flatnonzero(~(x > 0.0) | (x == np.inf))
+    if rest.size:
+        shapes, pr = np.full(rest.size, a) if isinstance(a, float) else a[rest], p[rest]
+        inner = (pr > 0.0) & (pr < 1.0)
+        unit = inner & (shapes == 1.0)
+        x[rest] = np.where(pr == 1.0, np.inf, 0.0)
+        x[rest[unit]] = -np.log1p(-pr[unit])
+        halley = np.flatnonzero(inner & ~unit)
+        halley = halley[np.argsort(shapes[halley], kind="stable")]
+        for start in range(0, halley.size, _INV_BLOCK):
+            block = halley[start:start + _INV_BLOCK]
+            x[rest[block]] = _dm_halley(shapes[block], pr[block])
+    return x
 
 
 def _gamma_p_inv_cells(a, lgam, x, p, q) -> np.ndarray:
@@ -345,18 +426,21 @@ def regularized_gamma_p_inv(a, p):
     """Inverse of P(a, x) in x: the x >= 0 with P(a, x) = p, elementwise over
     broadcast a and p in [0, 1].
 
-    At a = 1 it is the closed form -log(1 - p).  Other shapes take Halley
-    steps on P, evaluated in the tail (P or 1 - P) that is small, so the
-    result keeps its relative accuracy in both tails: within 1e-11 of scipy's
-    gammaincinv for p and 1 - p down to 1e-12.  A point whose log-odds
-    t = log(p / (1 - p)) lies in [-30, 30] starts from its shape's table: a
-    cubic Hermite interpolant of log x in t over 961 nodes, built on the
-    shape's first use and good to a few parts in 1e9, so one step settles
-    it.  Other points, and the shapes whose table cannot be built, start
-    from the DiDonato & Morris (1986) values.  The result depends on a and p
-    alone.  A point whose steps have not settled after 40 raises
-    GammaNotConverged, as do the series and continued fraction of P.
-    P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a and p give a Python float.
+    At a = 1 it is the closed form -log(1 - p).  At other shapes a point
+    whose log-odds t = log(p / (1 - p)) lies in [-30, 30] is answered from
+    its shape's table: a quintic Hermite interpolant of log x in t through
+    the values and first and second derivatives at 961 nodes, built on the
+    shape's first use (a few ms, 46 KB) and kept only if it lies within
+    1e-12 of the solution, relative to it, at every interval midpoint, by
+    the true residual of P there.  Other points, and every point of a shape
+    whose table misses that bound or cannot be built, take Halley steps on P
+    from the DiDonato & Morris (1986) values, evaluated in the tail (P or
+    1 - P) that is small, so the result keeps its relative accuracy in both
+    tails: within 1e-11 of scipy's gammaincinv for p and 1 - p down to 1e-12.
+    The result depends on a and p alone.  A point whose steps have not
+    settled after 40 raises GammaNotConverged, as do the series and
+    continued fraction of P.  P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a
+    and p give a Python float.
     """
     a_arr = np.asarray(a, dtype=float)
     p_arr = np.asarray(p, dtype=float)
@@ -366,23 +450,13 @@ def regularized_gamma_p_inv(a, p):
         raise ValueError("p must lie in [0, 1]")
     shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
     p_flat = np.broadcast_to(p_arr, shape).ravel()
-    if a_arr.size and a_arr.min() == a_arr.max() == 1.0:
+    if not p_flat.size or a_arr.min() == a_arr.max() == 1.0:
         with np.errstate(divide="ignore"):        # P^-1(1, 1) = -log(0) = inf
             out = -np.log1p(-p_flat)
     else:
-        a_flat = np.broadcast_to(a_arr, shape).ravel()
-        out = np.where(p_flat == 1.0, np.inf, 0.0)
-        inner = (p_flat > 0.0) & (p_flat < 1.0)
-        unit = inner & (a_flat == 1.0)
-        out[unit] = -np.log1p(-p_flat[unit])
-        cells = np.flatnonzero(inner & ~unit)
-        # in order of shape, each shape's cells of a block are one run, summed by one Horner
-        # loop; a scalar shape needs no sort
-        if a_arr.size > 1:
-            cells = cells[np.argsort(a_flat[cells], kind="stable")]
-        for start in range(0, cells.size, _INV_BLOCK):
-            block = cells[start:start + _INV_BLOCK]
-            out[block] = _gamma_p_inv_block(a_flat[block], p_flat[block])
+        # simcore hands the cells over contender by contender, so equal shapes come in runs
+        a_cells = float(a_arr.flat[0]) if a_arr.size == 1 else np.broadcast_to(a_arr, shape).ravel()
+        out = _gamma_p_inv_block(a_cells, p_flat)
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 

@@ -54,7 +54,15 @@ class SystemConfig:
     group_sizes: tuple[int, ...] | None = None   # fixed D2D grouping; None = greedy coloring
 
     def __post_init__(self):
-        if not isinstance(self.fading_shape_m, (int, float, np.number)):
+        # numpy scalars as their Python values, so that equal configs digest alike
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, np.generic):
+                object.__setattr__(self, f.name, value.item())
+            elif isinstance(value, tuple):
+                object.__setattr__(self, f.name, tuple(
+                    v.item() if isinstance(v, np.generic) else v for v in value))
+        if not isinstance(self.fading_shape_m, (int, float)):
             self._store_tuple("fading_shape_m", "numbers")
         if self.group_sizes is not None:
             self._store_tuple("group_sizes", "integers")

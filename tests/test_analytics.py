@@ -146,6 +146,11 @@ def test_gamma_inverse_matches_scipy():
         analytics.regularized_gamma_p_inv(2.0, np.nan)
 
 
+def _clear_tables():
+    analytics._start_row.cache_clear()
+    analytics._stacked_rows.cache_clear()
+
+
 def test_gamma_inverse_non_convergence_raises(monkeypatch):
     # P's series cannot converge near x = 40000 at this shape, so neither can its inverse
     with pytest.raises(analytics.GammaNotConverged, match=r"series for a=40000\.5"):
@@ -154,7 +159,7 @@ def test_gamma_inverse_non_convergence_raises(monkeypatch):
     # At log-odds 32.2, off the tabulated start, every point starts from DiDonato & Morris,
     # which one step does not settle; no row is read or built, so neither does a built one
     shapes, p = np.array([2.0, 2.5, 0.75]), 1.0 - 1e-14
-    analytics._start_row.cache_clear()
+    _clear_tables()
     for table in ("cold", "warm"):
         with monkeypatch.context() as patched:
             patched.setattr(analytics, "_HALLEY_MAX_ITER", 1)
@@ -203,21 +208,26 @@ def test_gamma_inverse_is_pure():
     a = np.repeat([0.75, 2.0, 2.5, 9.0, 40.5, 170.0], 40)
     p = rng.random(a.size)
     p[::5], p[1::7], p[2::11] = 1e-10, 1.0 - 1e-14, 1e-15
-    analytics._start_row.cache_clear()
+    _clear_tables()
     cold = analytics.regularized_gamma_p_inv(a, p)
     assert np.array_equal(analytics.regularized_gamma_p_inv(a, p), cold)
     order = rng.permutation(a.size)
     assert np.array_equal(analytics.regularized_gamma_p_inv(a[order], p[order]), cold[order])
-    analytics._start_row.cache_clear()
+    _clear_tables()
     single = [analytics.regularized_gamma_p_inv(ai, pi) for ai, pi in zip(a, p)]
     assert np.array_equal(single, cold)
 
 
-def test_tabulated_cells_take_one_halley_step(monkeypatch):
-    # a start from the table is close enough that one Halley step settles every cell
+def test_tabulated_cells_take_no_halley_step(monkeypatch):
+    # a cell on the table is answered from its shape's row with no residual evaluated;
+    # the doubles just outside |t| = 30 still take Halley steps
     rng = np.random.default_rng(6)
     a = np.repeat(TABLE_SHAPES, 20)
     p = special.expit(rng.uniform(-30.0, 30.0, a.size))
+    lo, hi = special.expit(-30.0), special.expit(30.0)
+    outside = np.concatenate([lo * (1.0 - 1e-9 * np.arange(1, 4)),
+                              hi + np.arange(1, 4) * np.spacing(hi)])
+    assert np.all(np.abs(np.log(outside / (1.0 - outside))) > 30.0)
     analytics.regularized_gamma_p_inv(a, p)          # builds the rows
     evaluated = []
     residual = analytics._tail_residual
@@ -228,7 +238,61 @@ def test_tabulated_cells_take_one_halley_step(monkeypatch):
 
     monkeypatch.setattr(analytics, "_tail_residual", counted)
     analytics.regularized_gamma_p_inv(a, p)
-    assert evaluated == [a.size]
+    assert evaluated == []
+    cells = np.concatenate([p, outside])
+    shapes = np.concatenate([a, np.full(outside.size, 2.5)])
+    x = analytics.regularized_gamma_p_inv(shapes, cells)
+    assert evaluated and evaluated[0] == outside.size
+    want = special.gammaincinv(shapes, cells)
+    assert np.max(np.abs(x - want) / want) < INV_RTOL
+
+
+def test_row_missing_its_bound_is_refused(monkeypatch):
+    # a row whose interpolant misses the bound at a midpoint is refused, and its
+    # shape's cells take Halley steps from DiDonato & Morris, to the same accuracy.
+    # No double-precision row meets a bound of 1e-300 relative
+    p = _table_ps(np.random.default_rng(12))
+    _clear_tables()
+    try:
+        with monkeypatch.context() as patched:
+            patched.setattr(analytics, "_ROW_RTOL", 1e-300)
+            assert analytics._start_row(2.5) is None
+            for a in (2.5, np.full(p.size, 2.5), np.repeat([2.5, 2.0], p.size)):
+                cells = np.resize(p, np.size(a))
+                want = special.gammaincinv(a, cells)
+                x = analytics.regularized_gamma_p_inv(a, cells)
+                assert np.max(np.abs(x - want) / want) < INV_RTOL
+    finally:
+        _clear_tables()
+    # at the real bound shape 0.3 is refused too, though its nodes solve
+    assert analytics._start_row(0.3) is None
+    want = special.gammaincinv(0.3, p)
+    assert np.max(np.abs(analytics.regularized_gamma_p_inv(0.3, p) - want) / want) < INV_RTOL
+    monkeypatch.setattr(analytics, "_ROW_RTOL", 1.0)
+    assert analytics._start_row.__wrapped__(0.3) is not None
+
+
+@pytest.mark.parametrize("a", [0.75, 2.0, 2.5, 8.0, 40.5])
+def test_row_derivatives_match_finite_differences(a):
+    # the closed forms of dy/dt and d2y/dt2 at every node but the last, y = log P^-1(a, p)
+    # and t = log(p / (1 - p)), against central differences of scipy's inverse with one
+    # Richardson step (truncation O(d^4)); each tail from the inverse in that tail,
+    # so p = expit(t) loses no digits near 1.  Tolerance fixed beforehand: 1e-8
+    # absolute, where |d2y/dt2| reaches 0.2 and a wrong term moves it by 1e-3 or more
+    def y(t):
+        return np.log(np.where(t <= 0.0, special.gammaincinv(a, special.expit(t)),
+                               special.gammainccinv(a, special.expit(-t))))
+
+    def richardson(diff, d):
+        return (4.0 * diff(d / 2.0) - diff(d)) / 3.0
+
+    t = analytics._T_NODES[:-1]
+    h = 1.0 / analytics._T_PER_UNIT
+    row = analytics._start_row(a)
+    slope = richardson(lambda d: (y(t + d) - y(t - d)) / (2.0 * d), h)
+    curve = richardson(lambda d: (y(t + d) - 2.0 * y(t) + y(t - d)) / d ** 2, h)
+    assert np.max(np.abs(row[1] / h - slope)) < 1e-8
+    assert np.max(np.abs(2.0 * row[2] / h ** 2 - curve)) < 1e-8
 
 
 def _uniform_base(s):

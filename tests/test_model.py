@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from d2dsched.cli import PRESETS
 from d2dsched.model import (ConfigError, SystemConfig, cellular_downlink, cellular_uplink,
                             d2d_direct, parse_config_text, sample_spatial)
 
@@ -167,6 +168,21 @@ def test_parse_errors():
         parse_config_text("cfs_d2d_random = true")    # CFS serves D2D users round-robin only
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text("resources = 2")            # more resources are more realizations
+
+
+def test_numpy_scalars_digest_as_python_values():
+    # repr(np.float64(2.0)) is "np.float64(2.0)", which the digest hashed apart from 2.0
+    assert SystemConfig(fading_shape_m=np.float64(2.0)).digest() == \
+        SystemConfig(fading_shape_m=2.0).digest()
+    assert SystemConfig(K1=np.int64(10)).digest() == SystemConfig().digest()
+    shapes = (np.float64(1.0), 2.0, np.int64(3), 1.0, 2.5)
+    cfg = SystemConfig(K1=2, K2=3, fading_shape_m=shapes, group_sizes=(np.int64(3),))
+    assert [type(m) for m in cfg.fading_shape_m] == [float, float, int, float, float]
+    assert cfg.digest() == SystemConfig(K1=2, K2=3, fading_shape_m=(1.0, 2.0, 3, 1.0, 2.5),
+                                        group_sizes=(3,)).digest()
+    # configs of Python values keep the digests they had before
+    assert SystemConfig().digest() == "b7dd5742f29c00d6"
+    assert SystemConfig(**PRESETS["sec4c-comparison"]["desk"]).digest() == "ad3925f8adcde078"
 
 
 def test_overrides_and_digest():

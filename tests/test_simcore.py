@@ -7,13 +7,14 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import special
 
 from helpers import first_realization_contenders, reference_accounting
 
 from d2dsched import simcore
 from d2dsched.analytics import AnalyticCurve, bcs_selected_cdf
 from d2dsched.channel import GammaSnrCdf, mean_snr
-from d2dsched.cli import TABLE5_SHAPES
+from d2dsched.cli import TABLE5_MEANS, TABLE5_SHAPES, TABLE5_SIZES
 from d2dsched.grouping import fixed_grouping
 from d2dsched.model import ConfigError, SystemConfig, cellular_downlink, d2d_direct, \
     sample_spatial
@@ -199,6 +200,35 @@ def test_non_integer_shapes_selected_snr():
     for j in range(4):
         curve = bcs_selected_cdf(GammaSnrCdf(shapes[j], means[j]), 4)
         assert simcore.ks_distance(rep.selected_snr[j], curve) < 0.012
+
+
+@pytest.mark.parametrize("policy", ["gfs", "bcs"])
+def test_granted_snrs_invert_their_own_u(monkeypatch, policy):
+    # at the table-5 shapes every granted SNR is mean/m * gammaincinv(m, u) of the cell's
+    # own uniform, within 1e-11 relative, and those uniforms are the granted cells of
+    # the realization's first draw, in slot order, contender by contender
+    slots, seed = 6000, 23
+    structure = fixed_grouping(TABLE5_SIZES, len(TABLE5_MEANS), nu=1.0)
+    seen = []
+    inverse = simcore.regularized_gamma_p_inv
+
+    def recorded(m, u):
+        seen.append(u.copy())
+        return inverse(m, u)
+
+    monkeypatch.setattr(simcore, "regularized_gamma_p_inv", recorded)
+    rep = simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, structure, policy, slots, seed)
+    (u,) = seen
+    drawn = simcore.realization_rng(seed).random((slots, len(TABLE5_MEANS)))
+    start = 0
+    for j, (mean, m) in enumerate(zip(TABLE5_MEANS, TABLE5_SHAPES)):
+        snr = rep.selected_snr[j]
+        cells = u[start:start + snr.size]
+        start += snr.size
+        assert np.array_equal(drawn[np.isin(drawn[:, j], cells), j], cells)
+        want = mean / m * special.gammaincinv(m, cells)
+        assert np.max(np.abs(snr - want) / want) < 1e-11
+    assert start == u.size
 
 
 def test_ks_distance_cases():
