@@ -54,20 +54,22 @@ def _erlang_p(m: int, x: np.ndarray) -> np.ndarray:
 
 def _series_p(a: float, x: np.ndarray) -> np.ndarray:
     # P(a,x) = x^a e^-x / Gamma(a+1) * sum_{n>=0} x^n / ((a+1)...(a+n)),  x < a+1
-    total = np.ones_like(x)
-    term = np.ones_like(x)
-    active = np.arange(x.size)
+    total = np.empty_like(x)
+    # the cells still summing, with their x, last term and partial sum
+    cells, xc, term, sc = np.arange(x.size), x, np.ones_like(x), np.ones_like(x)
     ap = a
     for _ in range(_MAX_ITER):
         ap += 1.0
-        term[active] *= x[active] / ap
-        total[active] += term[active]
-        live = term[active] > 1e-17 * total[active]
-        if not live.any():
+        term *= xc / ap
+        sc += term
+        live = term > 1e-17 * sc
+        if not live.all():
+            total[cells] = sc               # final for the cells that stop here
+            cells, xc, term, sc = cells[live], xc[live], term[live], sc[live]
+        if not cells.size:
             break
-        active = active[live]
     else:
-        raise _not_converged("series", a, active.size, x.size)
+        raise _not_converged("series", a, cells.size, x.size)
     with np.errstate(divide="ignore", invalid="ignore"):
         logpre = a * np.log(x) - x - math.lgamma(a + 1.0)
     out = total * np.exp(logpre)
@@ -142,93 +144,57 @@ def regularized_gamma_p(a, x):
     if not np.all(x_arr >= 0.0):
         raise ValueError("x must be nonnegative, not NaN")
     shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
-    x_b = np.broadcast_to(x_arr, shape)
+    x_flat = np.broadcast_to(x_arr, shape).ravel()
     if a_arr.size == 1:
-        out = _gamma_p_one_shape(float(a_arr.flat[0]), x_b.ravel()).reshape(shape)
+        out = _gamma_p_one_shape(float(a_arr.flat[0]), x_flat)
     else:
-        if shape[len(shape) - a_arr.ndim:] != a_arr.shape:
-            a_arr = np.broadcast_to(a_arr, shape)
-        # one row of x per element of a (a spans the trailing axes); group the rows by shape
-        a_flat = a_arr.ravel()
-        x_rows = x_b.reshape(-1, a_flat.size).T
-        out = np.empty(x_rows.shape)
-        for val in np.unique(a_flat):
-            rows = np.flatnonzero(a_flat == val)
-            out[rows] = _gamma_p_one_shape(float(val), x_rows[rows].ravel()).reshape(rows.size, -1)
-        out = out.T.reshape(shape)
+        a_flat = np.broadcast_to(a_arr, shape).ravel()
+        out = np.empty_like(x_flat)
+        for val in np.unique(a_flat).tolist():
+            cells = a_flat == val
+            out[cells] = _gamma_p_one_shape(val, x_flat[cells])
+    out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
 
 
-def _erlang_tail(m: np.ndarray, x: np.ndarray, lgam: np.ndarray) -> np.ndarray:
-    # P(m,x) = x^m e^-x/m! sum_{k>=0} x^k m!/(m+k)!, positive terms, by Horner; for the
-    # x < m where the Erlang sum cancels, its terms shrink at least as fast as (x/(m+1))^k
-    r = x / (m + 1.0)
-    with np.errstate(divide="ignore"):
-        terms = np.ceil(np.log(1e-17 * (1.0 - r)) / np.log(r))
-    k = np.arange(1.0, terms.max(initial=0.0) + 1.0)[:, None]
-    ratio = x / (m + k)
-    ratio[k > terms] = 0.0           # each cell's sum starts at its own last term
-    s = np.ones_like(x)
-    for row in ratio[::-1]:
-        s *= row
-        s += 1.0
-    with np.errstate(divide="ignore"):
-        return s * np.exp(m * np.log(x) - x - lgam - np.log(m))
+def _tail_residual(a: float, x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P(a, x) - p per cell, computed in the tail that is small, with q = 1 - p.
 
-
-def _tail_residual(a, lgam, erlang, x, p, q) -> np.ndarray:
-    """P(a, x) - p per cell, computed in the tail that is small, with q = 1 - p;
-    `erlang` marks the cells of integer shape up to 170.
-
-    At integer shapes the Erlang sums give q - Q for p > 1/2 and P - p
-    otherwise, with the positive tail series where the Erlang P cancels.
-    Other shapes give P - p from the series below a+1 and q - Q from the
-    continued fraction above.  Either way the residual keeps its tail's
-    relative accuracy.
+    At integer shapes up to 170 the Erlang sums give q - Q for p > 1/2 and
+    P - p otherwise, with the series where the Erlang P cancels.  Other
+    shapes give P - p from the series below a+1 and q - Q from the continued
+    fraction above.  Either way the residual keeps its tail's relative
+    accuracy.
     """
-    r = np.empty_like(x)
-    if erlang.any():
-        cells = slice(None) if erlang.all() else np.flatnonzero(erlang)
-        m, xe, pe, qe = a[cells], x[cells], p[cells], q[cells]
+    if a.is_integer() and a <= _ERLANG_A_MAX:
         # Q(a, x) stays below 1e-128 from x = 700 on, below any q = 1 - p > 0
-        xs = np.minimum(xe, _ERLANG_X_MAX)
-        # the cells come in ascending order of shape, so each shape is one run of them
-        s = np.empty_like(xs)
-        start = 0
-        vals, counts = _shape_runs(m)
-        for val, n in zip(vals.tolist(), counts.tolist()):
-            s[start:start + n] = _erlang_sum(int(val), xs[start:start + n])
-            start += n
+        xs = np.minimum(x, _ERLANG_X_MAX)
+        s = _erlang_sum(int(a), xs)
         one_minus_e = -np.expm1(-xs)
-        re = np.where(pe > 0.5, qe - (np.exp(-xs) + s), one_minus_e - s - pe)
+        r = np.where(p > 0.5, q - (np.exp(-xs) + s), one_minus_e - s - p)
         # P = (1 - e^-x) - s loses its digits where it is far below 1 - e^-x
-        cancels = np.flatnonzero((pe <= 0.5) & (re + pe < 1e-3 * one_minus_e))
-        if cancels.size:
-            re[cancels] = _erlang_tail(m[cancels], xe[cancels], lgam[cells][cancels]) - pe[cancels]
-        r[cells] = re
-    for val in () if erlang.all() else np.unique(a[~erlang]):
-        sel = a == val
-        low = sel & (x < val + 1.0)
-        high = sel & ~low
-        r[low] = _series_p(float(val), x[low]) - p[low]
-        r[high] = q[high] - _contfrac_q(float(val), x[high])
+        cancels = (p <= 0.5) & (r + p < 1e-3 * one_minus_e)
+        if cancels.any():
+            r[cancels] = _series_p(a, x[cancels]) - p[cancels]
+        return r
+    r = np.empty_like(x)
+    low = x < a + 1.0
+    r[low] = _series_p(a, x[low]) - p[low]
+    r[~low] = q[~low] - _contfrac_q(a, x[~low])
     return r
 
 
-def _dm_start(a: np.ndarray, lgam: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def _dm_start(a: float, lgam: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     # starting values of DiDonato & Morris (1986) as in Numerical Recipes' invgammp
+    if a < 1.0:
+        t = 1.0 - a * (0.253 + a * 0.12)
+        return np.where(p < t, (p / t) ** (1.0 / a), 1.0 - np.log(q / (1.0 - t)))
     t = np.sqrt(-2.0 * np.log(np.minimum(p, q)))
     z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
     z = np.where(p < 0.5, z, -z)                       # the standard normal p-quantile
-    wilson_hilferty = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * np.sqrt(a))) ** 3
+    wilson_hilferty = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
     # P(a, x) < x^a / Gamma(a+1) for every x, so this root lies below the solution
-    x = np.maximum(wilson_hilferty, np.exp((np.log(p) + lgam + np.log(a)) / a))
-    small = a < 1.0
-    if small.any():
-        t = 1.0 - a[small] * (0.253 + a[small] * 0.12)
-        ps, qs = p[small], q[small]
-        x[small] = np.where(ps < t, (ps / t) ** (1.0 / a[small]), 1.0 - np.log(qs / (1.0 - t)))
-    return x
+    return np.maximum(wilson_hilferty, np.exp((np.log(p) + lgam + math.log(a)) / a))
 
 
 def _shape_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,13 +228,14 @@ def _start_row(a: float) -> np.ndarray | None:
     if a == 1.0:            # the closed form -log(1 - p) answers shape 1
         return None
     p, q = _tails(_T_NODES)
-    shape, lgam = np.full(p.size, a), np.full(p.size, math.lgamma(a))
-    erlang = np.full(p.size - 1, a.is_integer() and a <= _ERLANG_A_MAX)
+    lgam = math.lgamma(a)
     h = 1.0 / _T_PER_UNIT
     with np.errstate(all="ignore"):
         try:
-            x = _gamma_p_inv_cells(shape, lgam, _dm_start(shape, lgam, p, q), p, q)
+            x = _halley(a, p, q)
         except GammaNotConverged:
+            return None
+        if np.isnan(x).any():                   # nodes the steps left unsettled
             return None
         y = np.log(x)
         # with f the Gamma(a) pdf and dx/dt = p q / f: dy/dt = p q / (x f) and
@@ -292,10 +259,10 @@ def _start_row(a: float) -> np.ndarray | None:
             xm += coef
         np.exp(xm, out=xm)
         try:
-            r = _tail_residual(shape[1:], lgam[1:], erlang, xm, pm, qm)
+            r = _tail_residual(a, xm, pm, qm)
         except GammaNotConverged:
             return None
-        miss = np.abs(r) / np.exp(a * np.log(xm) - xm - lgam[1:])
+        miss = np.abs(r) / np.exp(a * np.log(xm) - xm - lgam)
     if not np.all(miss <= _ROW_RTOL):          # NaN too
         return None
     row.flags.writeable = False
@@ -355,13 +322,27 @@ def _tabulated_start(a, p: np.ndarray) -> np.ndarray:
         return np.exp(y, out=y)
 
 
-def _dm_halley(a: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """P^-1(a, p) by Halley steps from the DiDonato & Morris start; one shape
-    per cell, in ascending order of shape."""
-    q = 1.0 - p
-    vals, counts = _shape_runs(a)
-    lgam = np.repeat([math.lgamma(v) for v in vals.tolist()], counts)
-    return _gamma_p_inv_cells(a, lgam, _dm_start(a, lgam, p, q), p, q)
+def _halley(a: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """P^-1(a, p) by Halley steps from the DiDonato & Morris start, with q = 1 - p;
+    NaN where the steps have not settled after _HALLEY_MAX_ITER."""
+    a1, lgam = a - 1.0, math.lgamma(a)
+    x = _dm_start(a, lgam, p, q)
+    out = np.full_like(p, np.nan)
+    cells = np.arange(p.size)
+    for _ in range(_HALLEY_MAX_ITER):
+        err = _tail_residual(a, x, p, q)
+        with np.errstate(divide="ignore"):
+            u = err / np.exp(a1 * np.log(x) - x - lgam)       # Newton step err / pdf
+        step = u / (1.0 - 0.5 * np.minimum(1.0, u * (a1 / x - 1.0)))
+        x = x - step
+        np.copyto(x, 0.5 * (x + step), where=x <= 0.0)      # halve the last x instead
+        done = np.abs(step) <= _HALLEY_RTOL * x
+        out[cells[done]] = x[done]
+        if done.all():
+            break
+        live = ~done
+        cells, x, p, q = cells[live], x[live], p[live], q[live]
+    return out
 
 
 def _gamma_p_inv_block(a, p: np.ndarray) -> np.ndarray:
@@ -373,7 +354,8 @@ def _gamma_p_inv_block(a, p: np.ndarray) -> np.ndarray:
     the others, p = 0 and 1 give 0 and inf and shape 1 the closed form; the
     rest (off the table, of a shape without a row, or whose table value
     under- or overflows) take Halley steps from the DiDonato & Morris start,
-    grouped by shape, in blocks of _INV_BLOCK cells.
+    one shape at a time, in blocks of _INV_BLOCK cells.  Points whose steps
+    have not settled, of every shape, raise one GammaNotConverged.
     """
     x = np.empty_like(p)
     for start in range(0, p.size, _INV_BLOCK):
@@ -386,40 +368,19 @@ def _gamma_p_inv_block(a, p: np.ndarray) -> np.ndarray:
         unit = inner & (shapes == 1.0)
         x[rest] = np.where(pr == 1.0, np.inf, 0.0)
         x[rest[unit]] = -np.log1p(-pr[unit])
-        halley = np.flatnonzero(inner & ~unit)
-        halley = halley[np.argsort(shapes[halley], kind="stable")]
-        for start in range(0, halley.size, _INV_BLOCK):
-            block = halley[start:start + _INV_BLOCK]
-            x[rest[block]] = _dm_halley(shapes[block], pr[block])
+        halley = inner & ~unit
+        for val in np.unique(shapes[halley]).tolist():
+            cells = rest[halley & (shapes == val)]
+            for start in range(0, cells.size, _INV_BLOCK):
+                block = cells[start:start + _INV_BLOCK]
+                x[block] = _halley(val, p[block], 1.0 - p[block])
+        unsettled = np.isnan(x[rest[halley]])
+        if unsettled.any():
+            raise GammaNotConverged(
+                f"regularized_gamma_p_inv: Halley iteration did not converge in "
+                f"{_HALLEY_MAX_ITER} steps at {np.count_nonzero(unsettled)} of {unsettled.size} "
+                f"points (shapes {np.unique(shapes[halley][unsettled]).tolist()})")
     return x
-
-
-def _gamma_p_inv_cells(a, lgam, x, p, q) -> np.ndarray:
-    """P^-1(a, p) by Halley steps from x, with lgam = log Gamma(a) and q = 1 - p;
-    one shape per cell, in ascending order of shape."""
-    out = np.empty_like(p)
-    cells = np.arange(p.size)
-    a1 = a - 1.0
-    erlang = (a <= _ERLANG_A_MAX) & (a == np.floor(a))
-    for _ in range(_HALLEY_MAX_ITER):
-        err = _tail_residual(a, lgam, erlang, x, p, q)
-        with np.errstate(divide="ignore"):
-            u = err / np.exp(a1 * np.log(x) - x - lgam)       # Newton step err / pdf
-        step = u / (1.0 - 0.5 * np.minimum(1.0, u * (a1 / x - 1.0)))
-        x = x - step
-        np.copyto(x, 0.5 * (x + step), where=x <= 0.0)      # halve the last x instead
-        done = np.abs(step) <= _HALLEY_RTOL * x
-        if done.all():
-            out[cells] = x
-            return out
-        if done.any():
-            out[cells[done]] = x[done]
-            live = ~done
-            cells, a, a1, lgam, erlang = cells[live], a[live], a1[live], lgam[live], erlang[live]
-            x, p, q = x[live], p[live], q[live]
-    raise GammaNotConverged(f"regularized_gamma_p_inv: Halley iteration did not converge in "
-                            f"{_HALLEY_MAX_ITER} steps at {cells.size} of {out.size} points "
-                            f"(shapes {np.unique(a).tolist()})")
 
 
 def regularized_gamma_p_inv(a, p):
@@ -434,12 +395,13 @@ def regularized_gamma_p_inv(a, p):
     1e-12 of the solution, relative to it, at every interval midpoint, by
     the true residual of P there.  Other points, and every point of a shape
     whose table misses that bound or cannot be built, take Halley steps on P
-    from the DiDonato & Morris (1986) values, evaluated in the tail (P or
-    1 - P) that is small, so the result keeps its relative accuracy in both
-    tails: within 1e-11 of scipy's gammaincinv for p and 1 - p down to 1e-12.
-    The result depends on a and p alone.  A point whose steps have not
-    settled after 40 raises GammaNotConverged, as do the series and
-    continued fraction of P.  P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a
+    from the DiDonato & Morris (1986) values, one shape at a time, with the
+    residual evaluated in the tail (P or 1 - P) that is small, so the result
+    keeps its relative accuracy in both tails: within 1e-11 of scipy's
+    gammaincinv for p and 1 - p down to 1e-12.  The result depends on a and
+    p alone.  Points whose steps have not settled after 40 raise one
+    GammaNotConverged that counts them over every shape; the series and
+    continued fraction of P raise it too.  P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a
     and p give a Python float.
     """
     a_arr = np.asarray(a, dtype=float)

@@ -14,6 +14,18 @@ from d2dsched.channel import GammaSnrCdf
 from d2dsched.model import SystemConfig
 
 
+def _clear_tables():
+    analytics._start_row.cache_clear()
+    analytics._stacked_rows.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def _fresh_tables():
+    # a row refused or built under a patched constant must not be served to later tests
+    yield
+    _clear_tables()
+
+
 def _lower_gamma(a, x):
     return analytics.regularized_gamma_p(a, x) * math.gamma(a)
 
@@ -146,11 +158,6 @@ def test_gamma_inverse_matches_scipy():
         analytics.regularized_gamma_p_inv(2.0, np.nan)
 
 
-def _clear_tables():
-    analytics._start_row.cache_clear()
-    analytics._stacked_rows.cache_clear()
-
-
 def test_gamma_inverse_non_convergence_raises(monkeypatch):
     # P's series cannot converge near x = 40000 at this shape, so neither can its inverse
     with pytest.raises(analytics.GammaNotConverged, match=r"series for a=40000\.5"):
@@ -232,9 +239,9 @@ def test_tabulated_cells_take_no_halley_step(monkeypatch):
     evaluated = []
     residual = analytics._tail_residual
 
-    def counted(*args):
-        evaluated.append(args[3].size)
-        return residual(*args)
+    def counted(a, x, p, q):
+        evaluated.append(x.size)
+        return residual(a, x, p, q)
 
     monkeypatch.setattr(analytics, "_tail_residual", counted)
     analytics.regularized_gamma_p_inv(a, p)
@@ -253,23 +260,50 @@ def test_row_missing_its_bound_is_refused(monkeypatch):
     # No double-precision row meets a bound of 1e-300 relative
     p = _table_ps(np.random.default_rng(12))
     _clear_tables()
-    try:
-        with monkeypatch.context() as patched:
-            patched.setattr(analytics, "_ROW_RTOL", 1e-300)
-            assert analytics._start_row(2.5) is None
-            for a in (2.5, np.full(p.size, 2.5), np.repeat([2.5, 2.0], p.size)):
-                cells = np.resize(p, np.size(a))
-                want = special.gammaincinv(a, cells)
-                x = analytics.regularized_gamma_p_inv(a, cells)
-                assert np.max(np.abs(x - want) / want) < INV_RTOL
-    finally:
-        _clear_tables()
+    with monkeypatch.context() as patched:
+        patched.setattr(analytics, "_ROW_RTOL", 1e-300)
+        assert analytics._start_row(2.5) is None
+        for a in (2.5, np.full(p.size, 2.5), np.repeat([2.5, 2.0], p.size)):
+            cells = np.resize(p, np.size(a))
+            want = special.gammaincinv(a, cells)
+            x = analytics.regularized_gamma_p_inv(a, cells)
+            assert np.max(np.abs(x - want) / want) < INV_RTOL
     # at the real bound shape 0.3 is refused too, though its nodes solve
     assert analytics._start_row(0.3) is None
     want = special.gammaincinv(0.3, p)
     assert np.max(np.abs(analytics.regularized_gamma_p_inv(0.3, p) - want) / want) < INV_RTOL
     monkeypatch.setattr(analytics, "_ROW_RTOL", 1.0)
     assert analytics._start_row.__wrapped__(0.3) is not None
+
+
+def test_row_with_unsettled_nodes_is_refused(monkeypatch):
+    # one Halley step from DiDonato & Morris settles no node at this shape: the
+    # steps leave NaN there, and no row is built from the unsettled values
+    p, q = analytics._tails(analytics._T_NODES)
+    monkeypatch.setattr(analytics, "_HALLEY_MAX_ITER", 1)
+    assert np.isnan(analytics._halley(2.5, p, q)).any()
+    assert analytics._start_row.__wrapped__(2.5) is None
+
+
+# bound of the series take-over, fixed before the run: the series' prefactor
+# exp(a log x - x - log Gamma(a+1)) is good to about 1e-16 times |a log x|
+ERLANG_CANCEL_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("a", [2.0, 9.0, 40.0, 170.0])
+def test_tail_residual_where_erlang_p_cancels_matches_scipy(a):
+    # where P < 1e-4 (1 - e^-x) the Erlang P = (1 - e^-x) - e^-x sum_j x^j/j! has lost
+    # four or more digits, so the residual takes P from the series instead
+    x = a * np.geomspace(1e-12, 1.0, 600)
+    want = special.gammainc(a, x)
+    cancels = (want > 1e-300) & (want < 1e-4 * -np.expm1(-x))
+    x, want = x[cancels], want[cancels]
+    assert x.size >= 50
+    erlang = analytics._erlang_p(int(a), x)
+    assert np.max(np.abs(erlang - want) / want) > 1e-6
+    p = 0.5 * want
+    got = analytics._tail_residual(a, x, p, 1.0 - p) + p
+    assert np.max(np.abs(got - want) / want) < ERLANG_CANCEL_RTOL
 
 
 @pytest.mark.parametrize("a", [0.75, 2.0, 2.5, 8.0, 40.5])
