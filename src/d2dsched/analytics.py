@@ -184,8 +184,9 @@ def _tail_residual(a: float, x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.
     return r
 
 
-def _dm_start(a: float, lgam: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    # starting values of DiDonato & Morris (1986) as in Numerical Recipes' invgammp
+def _dm_start(a: float, low: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    # starting values of DiDonato & Morris (1986) as in Numerical Recipes' invgammp;
+    # `low` is the root of x^a / Gamma(a+1) = p
     if a < 1.0:
         t = 1.0 - a * (0.253 + a * 0.12)
         return np.where(p < t, (p / t) ** (1.0 / a), 1.0 - np.log(q / (1.0 - t)))
@@ -193,8 +194,8 @@ def _dm_start(a: float, lgam: float, p: np.ndarray, q: np.ndarray) -> np.ndarray
     z = (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481)) - t
     z = np.where(p < 0.5, z, -z)                       # the standard normal p-quantile
     wilson_hilferty = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
-    # P(a, x) < x^a / Gamma(a+1) for every x, so this root lies below the solution
-    return np.maximum(wilson_hilferty, np.exp((np.log(p) + lgam + math.log(a)) / a))
+    # P(a, x) < x^a / Gamma(a+1) for every x, so `low` lies below the solution
+    return np.maximum(wilson_hilferty, low)
 
 
 def _shape_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -235,7 +236,7 @@ def _start_row(a: float) -> np.ndarray | None:
             x = _halley(a, p, q)
         except GammaNotConverged:
             return None
-        if np.isnan(x).any():                   # nodes the steps left unsettled
+        if not np.all(x > 0.0):                 # nodes unsettled (NaN) or underflowed
             return None
         y = np.log(x)
         # with f the Gamma(a) pdf and dx/dt = p q / f: dy/dt = p q / (x f) and
@@ -323,12 +324,20 @@ def _tabulated_start(a, p: np.ndarray) -> np.ndarray:
 
 
 def _halley(a: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """P^-1(a, p) by Halley steps from the DiDonato & Morris start, with q = 1 - p;
-    NaN where the steps have not settled after _HALLEY_MAX_ITER."""
+    """P^-1(a, p) for 0 < p < 1 by Halley steps from the DiDonato & Morris start,
+    with q = 1 - p; NaN where the steps have not settled after _HALLEY_MAX_ITER.
+
+    A root below the smallest normal double is the root of x^a / Gamma(a+1) = p,
+    which equals P(a, x) there to the last bit; it is 0 where it underflows.
+    """
     a1, lgam = a - 1.0, math.lgamma(a)
-    x = _dm_start(a, lgam, p, q)
+    low = np.exp((np.log(p) + lgam + math.log(a)) / a)
     out = np.full_like(p, np.nan)
-    cells = np.arange(p.size)
+    tiny = low < np.finfo(float).tiny           # no Halley step: it would divide by x
+    out[tiny] = low[tiny]
+    cells = np.flatnonzero(~tiny)
+    p, q = p[cells], q[cells]
+    x = _dm_start(a, low[cells], p, q)
     for _ in range(_HALLEY_MAX_ITER):
         err = _tail_residual(a, x, p, q)
         with np.errstate(divide="ignore"):
@@ -401,8 +410,9 @@ def regularized_gamma_p_inv(a, p):
     gammaincinv for p and 1 - p down to 1e-12.  The result depends on a and
     p alone.  Points whose steps have not settled after 40 raise one
     GammaNotConverged that counts them over every shape; the series and
-    continued fraction of P raise it too.  P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a
-    and p give a Python float.
+    continued fraction of P raise it too.  A root below the smallest normal
+    double is that of x^a / Gamma(a+1) = p, 0 where it underflows.
+    P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a and p give a Python float.
     """
     a_arr = np.asarray(a, dtype=float)
     p_arr = np.asarray(p, dtype=float)

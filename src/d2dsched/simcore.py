@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dsched import channel, policies
-from d2dsched.analytics import regularized_gamma_p, regularized_gamma_p_inv
+from d2dsched.analytics import regularized_gamma_p_inv
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
 from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, power_law_gain, \
@@ -137,11 +137,11 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     a group for the group policies.  Every contender of the winner is granted
     the slot, and a pair's grants go to its two members in strict alternation.
 
-    Each chunk draws what the policy selects on for every (slot, contender)
-    cell and computes the rest for the granted cells only.  The six score
-    policies draw u ~ U(0, 1), the CDF-mapped channel, and give a granted cell
-    the SNR mean_snr/m * P^-1(m, u).  pfs selects on rates, so it draws the
-    Gamma gains and maps its granted cells to u = P(m, m * gain).
+    Each chunk draws u ~ U(0, 1), the CDF-mapped channel, for every (slot,
+    contender) cell; a cell's SNR is mean_snr/m * P^-1(m, u).  The six score
+    policies select on u and map only their granted cells to SNR.  pfs
+    selects on rates, so it maps every cell and takes its granted SNRs from
+    that map.
 
     `weights`, when given, are `policy_weights(policy, structure)` solved
     once for several realizations that share the structure.
@@ -166,9 +166,9 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
         n_winners = C
     else:
         raise ValueError(f"unknown policy {policy!r}")
-    # one shape for every contender reaches P and its inverse as a scalar
+    # one shape for every contender reaches the inverse as a scalar
     shape = float(cs.shape_m[0]) if np.all(cs.shape_m == cs.shape_m[0]) else None
-    snr_per_x = cs.mean_snr / cs.shape_m        # SNR of a granted cell per unit of P^-1
+    snr_per_x = cs.mean_snr / cs.shape_m        # SNR of a cell per unit of P^-1
     contender_ids = np.arange(C)
     grants = [0] * nU
     u_sum = [0.0] * nU
@@ -181,30 +181,27 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     done = 0
     while done < slots:
         n = min(CHUNK_SLOTS, slots - done)
+        u = rng.random((n, C))
         if policy == "pfs":
-            # the rates decide: draw every gain, map the granted cells to u below;
-            # at m = 1 the Gamma draw is the standard exponential's stream
-            if shape == 1.0:
-                gains = rng.standard_exponential((n, C))
-            else:
-                gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
-            win = policies.pfs_select(np.log1p(gains * cs.mean_snr) / log_base, structure,
-                                      pf_state)
+            # the rates decide: map every cell, contender by contender so that the
+            # inverse meets runs of equal shape
+            x = regularized_gamma_p_inv(cs.shape_m[:, None] if shape is None else shape, u.T)
+            x *= snr_per_x[:, None]
+            snr_all = np.ascontiguousarray(x.T)
+            win = policies.pfs_select(np.log1p(snr_all) / log_base, structure, pf_state)
+        elif policy == "bcs":
+            # the scores decide: map the granted cells to SNR below
+            win = policies.bcs_select(u, np.full(C, 1.0 / C))
+        elif policy == "dfs":
+            win = policies.dfs_select(u, K1, K2)
+        elif policy == "cfs":
+            cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
+            # the round-robin over the 2*K2 D2D users alternates each pair's members
+            win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
+        elif policy in ("gfs", "ecs"):
+            win = policies.mws_select(u, structure, weights)
         else:
-            # the scores decide: draw every u, map the granted cells to SNR below
-            u = rng.random((n, C))
-            if policy == "bcs":
-                win = policies.bcs_select(u, np.full(C, 1.0 / C))
-            elif policy == "dfs":
-                win = policies.dfs_select(u, K1, K2)
-            elif policy == "cfs":
-                cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
-                # the round-robin over the 2*K2 D2D users alternates each pair's members
-                win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
-            elif policy in ("gfs", "ecs"):
-                win = policies.mws_select(u, structure, weights)
-            else:
-                win = policies.grr_select(n, structure.n_groups, offset=done)
+            win = policies.grr_select(n, structure.n_groups, offset=done)
 
         # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
         order = np.argsort(win.astype(np.min_scalar_type(n_winners)), kind="stable")
@@ -222,16 +219,14 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
         flat = np.concatenate(granted)          # row-major cell index: slot * C + contender
         flat *= C
         flat += cols
-        m = np.repeat(cs.shape_m, sizes) if shape is None else shape
         # row 0 the granted cells' u, row 1 their rates: one sum gives a member both
         ur = np.empty((2, flat.size))
+        u.take(flat, out=ur[0])
         if policy == "pfs":
-            g = gains.take(flat)
-            snr = g * np.repeat(cs.mean_snr, sizes)
-            ur[0] = regularized_gamma_p(m, m * g)
+            snr = snr_all.take(flat)
         else:
-            u.take(flat, out=ur[0])
-            snr = regularized_gamma_p_inv(m, ur[0])
+            snr = regularized_gamma_p_inv(np.repeat(cs.shape_m, sizes) if shape is None else shape,
+                                          ur[0])
             snr *= np.repeat(snr_per_x, sizes)
         rates = np.log1p(snr, out=ur[1])
         rates /= log_base

@@ -8,7 +8,7 @@ import numpy as np
 from scipy import integrate
 
 from d2dsched import policies, simcore
-from d2dsched.analytics import regularized_gamma_p, regularized_gamma_p_inv
+from d2dsched.analytics import regularized_gamma_p_inv
 from d2dsched.weights import ecs_weights, solve_group_weights
 from d2dsched.model import sample_spatial
 
@@ -108,11 +108,12 @@ def pfs_select_numpy(X, structure, state):
 def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2.0,
                          pf_time_const=1000.0):
     """simcore.simulate_policy with the plain accounting: the granted cells gathered as
-    u[rows, cols], a per-cell shape array for P and its inverse, pfs gains from
-    rng.gamma, and two 1-D sums per pair member.  The oracle for the flat gathers,
-    the scalar shape and the two-row sums of simulate_policy, which must give the
-    same bits.  Returns (user_grants, user_u_sum, user_rate_sum, group_grants,
-    selected_snr) with selected_snr one concatenated array per contender."""
+    u[rows, cols], a per-cell shape array for the inverse, pfs's every cell mapped
+    in one row-major call and its granted cells mapped again, and two 1-D sums per
+    pair member.  The oracle for the flat gathers, the scalar shape, pfs's reuse of
+    its map and the two-row sums of simulate_policy, which must give the same bits.
+    Returns (user_grants, user_u_sum, user_rate_sum, group_grants, selected_snr)
+    with selected_snr one concatenated array per contender."""
     C, nU = cs.n_contenders, cs.n_users
     K1 = int(np.sum(~cs.is_pair))
     K2 = C - K1
@@ -136,37 +137,30 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     done = 0
     while done < slots:
         n = min(simcore.CHUNK_SLOTS, slots - done)
+        u = rng.random((n, C))
         if policy == "pfs":
-            gains = rng.gamma(cs.shape_m, 1.0 / cs.shape_m, size=(n, C))
-            win = policies.pfs_select(np.log1p(gains * cs.mean_snr) / log_base, structure,
-                                      pf_state)
+            snr_all = regularized_gamma_p_inv(np.broadcast_to(cs.shape_m, (n, C)), u)
+            snr_all *= cs.mean_snr / cs.shape_m
+            win = policies.pfs_select(np.log1p(snr_all) / log_base, structure, pf_state)
+        elif policy == "bcs":
+            win = policies.bcs_select(u, np.full(C, 1.0 / C))
+        elif policy == "dfs":
+            win = policies.dfs_select(u, K1, K2)
+        elif policy == "cfs":
+            cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
+            win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
+        elif policy in ("gfs", "ecs"):
+            win = policies.mws_select(u, structure, weights)
         else:
-            u = rng.random((n, C))
-            if policy == "bcs":
-                win = policies.bcs_select(u, np.full(C, 1.0 / C))
-            elif policy == "dfs":
-                win = policies.dfs_select(u, K1, K2)
-            elif policy == "cfs":
-                cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
-                win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
-            elif policy in ("gfs", "ecs"):
-                win = policies.mws_select(u, structure, weights)
-            else:
-                win = policies.grr_select(n, structure.n_groups, offset=done)
+            win = policies.grr_select(n, structure.n_groups, offset=done)
         group_grants += np.bincount(win, minlength=n_winners)
         granted = [np.flatnonzero(win == w) for w in winner_of]
         sizes = [g.size for g in granted]
         rows = np.concatenate(granted)
         cols = np.repeat(np.arange(C), sizes)
-        m = cs.shape_m[cols]
-        if policy == "pfs":
-            g = gains[rows, cols]
-            snr = g * cs.mean_snr[cols]
-            u_g = regularized_gamma_p(m, m * g)
-        else:
-            u_g = u[rows, cols]
-            snr = regularized_gamma_p_inv(m, u_g)
-            snr *= (cs.mean_snr / cs.shape_m)[cols]
+        u_g = u[rows, cols]
+        snr = regularized_gamma_p_inv(cs.shape_m[cols], u_g)
+        snr *= (cs.mean_snr / cs.shape_m)[cols]
         rates = np.log1p(snr) / log_base
         stop = 0
         for j, size in enumerate(sizes):

@@ -158,6 +158,17 @@ def test_gamma_inverse_matches_scipy():
         analytics.regularized_gamma_p_inv(2.0, np.nan)
 
 
+@pytest.mark.parametrize("a, p", [(0.75, 1e-300), (0.5, 1e-200), (0.9, 1e-320), (2.5, 1e-300)])
+def test_gamma_inverse_far_lower_tail_matches_scipy(a, p):
+    # below shape 1 the first three roots underflow to scipy's 0: no Halley step starts
+    # from 0, so nothing divides by it; a cell beside them takes its steps as usual
+    ps = np.array([p, 1e-100])
+    want = special.gammaincinv(a, ps)
+    got = analytics.regularized_gamma_p_inv(a, ps)
+    for x, w in zip(got, want):
+        assert x == w if w == 0.0 else abs(x - w) < INV_RTOL * w
+
+
 def test_gamma_inverse_non_convergence_raises(monkeypatch):
     # P's series cannot converge near x = 40000 at this shape, so neither can its inverse
     with pytest.raises(analytics.GammaNotConverged, match=r"series for a=40000\.5"):

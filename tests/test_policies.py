@@ -35,24 +35,17 @@ def test_cdf_map_values():
     assert cdf.evaluate(0.0) == 0.0
     assert cdf.evaluate(np.log(2.0)) == pytest.approx(0.5, abs=1e-12)
     # the simulator draws u and maps a granted cell back to snr = F^-1(u); a lone
-    # contender is granted every slot, so it reports every u it drew
-    for m in (1.0, 2.5):
-        cs = simcore.standalone_contenders([3.0], [m])
-        res = simcore.simulate_policy(cs, "bcs", 25, np.random.default_rng(4))
-        u = np.random.default_rng(4).random(25)
-        assert res.user_u_sum[0] == pytest.approx(u.sum(), rel=1e-15)
-        snr = res.selected_snr[0][0]
-        assert np.allclose(GammaSnrCdf(m, 3.0).evaluate(snr), u, rtol=0, atol=1e-12)
-    # pfs draws unit-mean gains and maps its granted cells straight to u, without the
-    # SNR scale; a lone group is granted every slot
+    # contender, or pfs's lone group of one, is granted every slot, so it reports
+    # every u it drew
     lone = GroupStructure((Group((0,), 0.5),))
-    for m in (1.0, 2.5):
-        cs = simcore.standalone_contenders([3.0], [m])
-        res = simcore.simulate_policy(cs, "pfs", 25, np.random.default_rng(4), lone)
-        gains = np.random.default_rng(4).gamma(cs.shape_m, 1.0 / cs.shape_m, size=(25, 1))
-        assert np.array_equal(res.selected_snr[0][0], 3.0 * gains[:, 0])
-        u = GammaSnrCdf(m, 3.0).evaluate(3.0 * gains)
-        assert res.user_u_sum[0] == pytest.approx(u.sum(), rel=1e-12)
+    for policy, structure in (("bcs", None), ("pfs", lone)):
+        for m in (1.0, 2.5):
+            cs = simcore.standalone_contenders([3.0], [m])
+            res = simcore.simulate_policy(cs, policy, 25, np.random.default_rng(4), structure)
+            u = np.random.default_rng(4).random(25)
+            assert res.user_u_sum[0] == pytest.approx(u.sum(), rel=1e-15)
+            snr = res.selected_snr[0][0]
+            assert np.allclose(GammaSnrCdf(m, 3.0).evaluate(snr), u, rtol=0, atol=1e-12)
 
 
 def test_cdf_map_uniformity():

@@ -63,8 +63,9 @@ def test_pair_members_alternate(monkeypatch, policy, chunk):
 @pytest.mark.parametrize("chunk", [simcore.CHUNK_SLOTS, 700], ids=["one-chunk", "chunked"])
 @pytest.mark.parametrize("policy", ["bcs", "dfs", "cfs", "gfs", "ecs", "grr", "pfs"])
 def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, shapes):
-    # the flat gathers, the scalar shape and the two-row sums give the same bits as
-    # the cell-by-cell accounting; 700 puts chunk boundaries inside the run
+    # the flat gathers, the scalar shape, pfs's reuse of its map and the two-row sums
+    # give the same bits as the cell-by-cell accounting; 700 puts chunk boundaries
+    # inside the run
     monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
     cfg = SystemConfig(K1=10, K2=5, group_sizes=group_sizes, fading_shape_m=shapes, rng_seed=8,
                        interference_radius_m=600.0)
@@ -96,14 +97,6 @@ def test_long_member_sums_match_reference(policy):
     assert np.array_equal(res.user_grants, grants)
     assert np.array_equal(res.user_u_sum, u_sum)
     assert np.array_equal(res.user_rate_sum, rate_sum)
-
-
-def test_pfs_unit_shape_draw_is_the_exponential_stream():
-    # at m = 1 pfs draws standard_exponential for the Gamma(1, 1) gains: the same numbers
-    shape = np.ones(15)
-    gamma = np.random.default_rng(31).gamma(shape, 1.0 / shape, size=(200_000, 15))
-    expo = np.random.default_rng(31).standard_exponential((200_000, 15))
-    assert np.array_equal(gamma, expo)
 
 
 def test_import_starts_no_process_pool():
