@@ -2,6 +2,8 @@
 
 Selection functions are vectorized over slots: they take an (n_slots, n)
 matrix of CDF-mapped channel values in [0, 1] and return one winner per slot.
+pfs, whose rate averages make it sequential in slots, instead steps a block
+of realizations in lockstep, one numpy step per slot over all of them.
 Every score policy selects through one kernel, `_weighted_argmax`: the
 contender with the largest log(u)/w wins.  A group competes through its best
 member, so gfs and ecs give each contender its group's weight and map the
@@ -50,7 +52,7 @@ def _weighted_argmax(u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
-def _group_index(structure: GroupStructure, n_columns: int) -> np.ndarray:
+def group_index(structure: GroupStructure, n_columns: int) -> np.ndarray:
     """Group of each of the n_columns contenders; every contender must be in one."""
     group_of = structure.group_of()
     try:
@@ -133,7 +135,7 @@ def mws_select(u: np.ndarray, structure: GroupStructure, weights: PolicyWeights)
     gfs passes the max-min solver's weights, ecs the equal-access-time ones.
     """
     u = np.atleast_2d(u)
-    group = _group_index(structure, u.shape[1])
+    group = group_index(structure, u.shape[1])
     w = np.asarray(weights.w, dtype=float)
     if w.shape != (structure.n_groups,):
         raise ValueError(f"{w.size} weights for {structure.n_groups} groups")
@@ -147,7 +149,8 @@ def grr_select(n_slots: int, n_groups: int, offset: int = 0) -> np.ndarray:
 
 @dataclass
 class PfState:
-    """Per-contender exponential rate averages for the proportional-fair policy.
+    """Exponential rate averages of the proportional-fair policy, one row per
+    realization of a block and one column per contender.
 
     Averages initialize to the first observed metric, so the first slot is
     decided by the raw metric.
@@ -157,33 +160,43 @@ class PfState:
     xbar: np.ndarray | None = field(default=None)
 
 
-def pfs_select(X: np.ndarray, structure: GroupStructure, state: PfState) -> np.ndarray:
-    """Sequential PF-over-groups selection; updates `state` in place.
+def pfs_select(X: np.ndarray, group: np.ndarray, state: PfState) -> np.ndarray:
+    """PF-over-groups selection for a block of realizations in lockstep; updates
+    `state` in place.
 
-    The winning group's members all fold their current metric into their
-    averages; everyone else decays by (1 - 1/t_c).  The group of the contender
-    with the largest ratio wins.  The loop runs on Python floats, one slot at a
-    time.
+    X holds the rates slot-major, (n_slots, R, C), and `group` the group id of
+    each contender of each realization, (R, C), as `group_index` builds it.
+    In each slot and each row the group of the contender with the largest
+    ratio X / xbar wins; its members fold a·X into their averages after every
+    average decays by 1 - a, a = 1/t_c.  The recurrence is sequential in
+    slots but independent across rows, so one numpy step per slot serves
+    every row, with the same IEEE operations in the same order per row as a
+    loop over one realization.  Returns the winning group ids, (n_slots, R).
     """
-    X = np.atleast_2d(X)
-    group = _group_index(structure, X.shape[1]).tolist()
+    n, R, C = X.shape
     a = 1.0 / state.t_c
     decay = 1.0 - a
-    members = [tuple(g.members) for g in structure.groups]
-    winners = []
-    xbar = None if state.xbar is None else state.xbar.tolist()
-    for x in X.tolist():
-        if xbar is None:
-            ratio = x                      # first slot: raw metric
-        else:
-            ratio = [xj / bj for xj, bj in zip(x, xbar)]
-        gi = group[ratio.index(max(ratio))]
-        winners.append(gi)
-        if xbar is None:
-            xbar = list(x)
-        else:
-            xbar = [bj * decay for bj in xbar]
-            for j in members[gi]:
-                xbar[j] += a * x[j]
-    state.xbar = None if xbar is None else np.array(xbar)
-    return np.array(winners, dtype=int)
+    aX = X * a
+    # row r * C + j of `together` marks the contenders of realization r that share
+    # contender j's group: the members whose averages take a·X when j wins
+    offsets = np.arange(0, R * C, C)
+    together = (group[:, :, None] == group[:, None, :]).reshape(R * C, C)
+    best = np.empty((n, R), dtype=np.intp)   # winning contender + its row offset
+    members = np.empty((R, C), dtype=bool)
+    ratio = np.empty((R, C))
+    xbar = state.xbar
+    first = 0
+    if xbar is None and n:
+        np.argmax(X[0], axis=1, out=best[0])   # the raw metric decides the first slot
+        best[0] += offsets
+        xbar = X[0].copy()
+        first = 1
+    for x, ax, b in zip(X[first:], aX[first:], best[first:]):
+        np.divide(x, xbar, out=ratio)
+        np.argmax(ratio, axis=1, out=b)
+        b += offsets
+        together.take(b, axis=0, out=members)
+        xbar *= decay
+        np.add(xbar, ax, out=xbar, where=members)
+    state.xbar = xbar
+    return group.reshape(-1).take(best)

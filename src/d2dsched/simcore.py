@@ -127,6 +127,100 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
         np.random.SeedSequence(entropy=seed, spawn_key=(0, realization)))
 
 
+class _Accounts:
+    """Grant accounting of one realization, fed one chunk of slots at a time."""
+
+    def __init__(self, cs: ContenderSet, policy: str, structure: GroupStructure | None,
+                 rate_log_base: float):
+        C = cs.n_contenders
+        if policy in GROUP_POLICIES:
+            if structure is None:
+                raise ValueError(f"{policy} requires a group structure")
+            self.winner_of = policies.group_index(structure, C).tolist()
+            self.n_winners = structure.n_groups
+            self.group_grants = np.zeros(self.n_winners, dtype=np.int64)
+        elif policy in ("bcs", "dfs", "cfs"):
+            self.winner_of = list(range(C))
+            self.n_winners = C
+            self.group_grants = None
+        else:
+            raise ValueError(f"unknown policy {policy!r}")
+        self.cs = cs
+        self.structure = structure
+        self.log_base = np.log(rate_log_base)
+        # one shape for every contender reaches the inverse as a scalar
+        self.shape = float(cs.shape_m[0]) if np.all(cs.shape_m == cs.shape_m[0]) else None
+        self.snr_per_x = cs.mean_snr / cs.shape_m       # SNR of a cell per unit of P^-1
+        self.grants = [0] * cs.n_users
+        self.u_sum = [0.0] * cs.n_users
+        self.rate_sum = [0.0] * cs.n_users
+        self.selected_snr = [[] for _ in range(C)]
+        self.turn = [0] * C           # member of each contender due for its next grant
+
+    def snr_map(self, u: np.ndarray) -> np.ndarray:
+        """Every cell of the (n, C) scores u mapped to SNR, contender by contender
+        so that the inverse meets runs of equal shape."""
+        x = regularized_gamma_p_inv(self.cs.shape_m[:, None] if self.shape is None else self.shape,
+                                    u.T)
+        x *= self.snr_per_x[:, None]
+        return np.ascontiguousarray(x.T)
+
+    def add(self, win: np.ndarray, u: np.ndarray, snr_all: np.ndarray | None = None) -> None:
+        """Grant a chunk: `win` names each slot's winner and u holds the chunk's
+        (n, C) scores.  The granted cells are mapped to SNR, or taken from
+        `snr_all` when the policy mapped every cell."""
+        C = u.shape[1]
+        cs = self.cs
+        # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
+        order = np.argsort(win.astype(np.min_scalar_type(self.n_winners)), kind="stable")
+        counts = np.bincount(win, minlength=self.n_winners)
+        ends = np.cumsum(counts)
+        if self.group_grants is not None:
+            self.group_grants += counts
+        # the granted cells, contender by contender, each contender's in slot order
+        granted = [order[ends[w] - counts[w]:ends[w]] for w in self.winner_of]
+        sizes = [sl.size for sl in granted]
+        # the kept SNR arrays come before the chunk's temporaries, so freeing those
+        # leaves no holes below long-lived arrays in the heap
+        kept = [np.empty(size) for size in sizes]
+        cols = np.repeat(np.arange(C), sizes)
+        flat = np.concatenate(granted)          # row-major cell index: slot * C + contender
+        flat *= C
+        flat += cols
+        # row 0 the granted cells' u, row 1 their rates: one sum gives a member both
+        ur = np.empty((2, flat.size))
+        u.take(flat, out=ur[0])
+        if snr_all is not None:
+            snr = snr_all.take(flat)
+        else:
+            snr = regularized_gamma_p_inv(
+                np.repeat(cs.shape_m, sizes) if self.shape is None else self.shape, ur[0])
+            snr *= np.repeat(self.snr_per_x, sizes)
+        rates = np.log1p(snr, out=ur[1])
+        rates /= self.log_base
+        stop = 0
+        for j, size in enumerate(sizes):
+            if size == 0:
+                continue
+            start, stop = stop, stop + size
+            kept[j][:] = snr[start:stop]
+            self.selected_snr[j].append(kept[j])
+            k = len(cs.members[j])
+            for t, uid in enumerate(cs.members[j]):
+                cells = ur[:, start + (t - self.turn[j]) % k:stop:k]
+                su, sr = cells.sum(axis=1).tolist()
+                self.grants[uid] += cells.shape[1]
+                self.u_sum[uid] += su
+                self.rate_sum[uid] += sr
+            self.turn[j] = (self.turn[j] + size) % k
+
+    def result(self, slots: int) -> SimResult:
+        return SimResult(slots=slots, user_grants=np.array(self.grants, dtype=np.int64),
+                         user_u_sum=np.array(self.u_sum), user_rate_sum=np.array(self.rate_sum),
+                         group_grants=self.group_grants, selected_snr=self.selected_snr,
+                         structure=self.structure)
+
+
 def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
                     structure: GroupStructure | None = None, rate_log_base: float = 2.0,
                     pf_time_const: float = 1000.0,
@@ -137,60 +231,33 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
     a group for the group policies.  Every contender of the winner is granted
     the slot, and a pair's grants go to its two members in strict alternation.
 
-    Each chunk draws u ~ U(0, 1), the CDF-mapped channel, for every (slot,
-    contender) cell; a cell's SNR is mean_snr/m * P^-1(m, u).  The six score
-    policies select on u and map only their granted cells to SNR.  pfs
-    selects on rates, so it maps every cell and takes its granted SNRs from
-    that map.
+    Each chunk of up to CHUNK_SLOTS slots draws u ~ U(0, 1), the CDF-mapped
+    channel, for every (slot, contender) cell; a cell's SNR is
+    mean_snr/m * P^-1(m, u).  The six score policies select on u and map only
+    their granted cells to SNR.  pfs runs as a block of one realization of
+    `simulate_pfs`.
 
     `weights`, when given, are `policy_weights(policy, structure)` solved
     once for several realizations that share the structure.
     """
+    if policy == "pfs":
+        (result,) = simulate_pfs([(cs, rng, structure)], slots, CHUNK_SLOTS, rate_log_base,
+                                 pf_time_const)
+        return result
     if slots < 1:
         raise ValueError("slots must be >= 1")
+    accounts = _Accounts(cs, policy, structure, rate_log_base)
+    if weights is None:
+        weights = policy_weights(policy, structure)
     C = cs.n_contenders
-    nU = cs.n_users
     K1 = int(np.sum(~cs.is_pair))
     K2 = C - K1
-    log_base = np.log(rate_log_base)
-    if policy in GROUP_POLICIES:
-        if structure is None:
-            raise ValueError(f"{policy} requires a group structure")
-        if weights is None:
-            weights = policy_weights(policy, structure)
-        group_of = structure.group_of()
-        winner_of = [group_of[j] for j in range(C)]
-        n_winners = structure.n_groups
-    elif policy in ("bcs", "dfs", "cfs"):
-        winner_of = list(range(C))
-        n_winners = C
-    else:
-        raise ValueError(f"unknown policy {policy!r}")
-    # one shape for every contender reaches the inverse as a scalar
-    shape = float(cs.shape_m[0]) if np.all(cs.shape_m == cs.shape_m[0]) else None
-    snr_per_x = cs.mean_snr / cs.shape_m        # SNR of a cell per unit of P^-1
-    contender_ids = np.arange(C)
-    grants = [0] * nU
-    u_sum = [0.0] * nU
-    rate_sum = [0.0] * nU
-    group_grants = np.zeros(n_winners, dtype=np.int64) if policy in GROUP_POLICIES else None
-    selected_snr = [[] for _ in range(C)]
-    turn = [0] * C                # member of each contender due for its next grant
     cfs_state = policies.CfsState()
-    pf_state = policies.PfState(t_c=pf_time_const)
     done = 0
     while done < slots:
         n = min(CHUNK_SLOTS, slots - done)
         u = rng.random((n, C))
-        if policy == "pfs":
-            # the rates decide: map every cell, contender by contender so that the
-            # inverse meets runs of equal shape
-            x = regularized_gamma_p_inv(cs.shape_m[:, None] if shape is None else shape, u.T)
-            x *= snr_per_x[:, None]
-            snr_all = np.ascontiguousarray(x.T)
-            win = policies.pfs_select(np.log1p(snr_all) / log_base, structure, pf_state)
-        elif policy == "bcs":
-            # the scores decide: map the granted cells to SNR below
+        if policy == "bcs":
             win = policies.bcs_select(u, np.full(C, 1.0 / C))
         elif policy == "dfs":
             win = policies.dfs_select(u, K1, K2)
@@ -202,53 +269,48 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
             win = policies.mws_select(u, structure, weights)
         else:
             win = policies.grr_select(n, structure.n_groups, offset=done)
-
-        # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
-        order = np.argsort(win.astype(np.min_scalar_type(n_winners)), kind="stable")
-        counts = np.bincount(win, minlength=n_winners)
-        ends = np.cumsum(counts)
-        if group_grants is not None:
-            group_grants += counts
-        # the granted cells, contender by contender, each contender's in slot order
-        granted = [order[ends[w] - counts[w]:ends[w]] for w in winner_of]
-        sizes = [sl.size for sl in granted]
-        # the kept SNR arrays come before the chunk's temporaries, so freeing those
-        # leaves no holes below long-lived arrays in the heap
-        kept = [np.empty(size) for size in sizes]
-        cols = np.repeat(contender_ids, sizes)
-        flat = np.concatenate(granted)          # row-major cell index: slot * C + contender
-        flat *= C
-        flat += cols
-        # row 0 the granted cells' u, row 1 their rates: one sum gives a member both
-        ur = np.empty((2, flat.size))
-        u.take(flat, out=ur[0])
-        if policy == "pfs":
-            snr = snr_all.take(flat)
-        else:
-            snr = regularized_gamma_p_inv(np.repeat(cs.shape_m, sizes) if shape is None else shape,
-                                          ur[0])
-            snr *= np.repeat(snr_per_x, sizes)
-        rates = np.log1p(snr, out=ur[1])
-        rates /= log_base
-        stop = 0
-        for j, size in enumerate(sizes):
-            if size == 0:
-                continue
-            start, stop = stop, stop + size
-            kept[j][:] = snr[start:stop]
-            selected_snr[j].append(kept[j])
-            k = len(cs.members[j])
-            for t, uid in enumerate(cs.members[j]):
-                cells = ur[:, start + (t - turn[j]) % k:stop:k]
-                su, sr = cells.sum(axis=1).tolist()
-                grants[uid] += cells.shape[1]
-                u_sum[uid] += su
-                rate_sum[uid] += sr
-            turn[j] = (turn[j] + size) % k
+        accounts.add(win, u)
         done += n
-    return SimResult(slots=slots, user_grants=np.array(grants, dtype=np.int64),
-                     user_u_sum=np.array(u_sum), user_rate_sum=np.array(rate_sum),
-                     group_grants=group_grants, selected_snr=selected_snr, structure=structure)
+    return accounts.result(slots)
+
+
+def simulate_pfs(block: list, slots: int, chunk: int, rate_log_base: float = 2.0,
+                 pf_time_const: float = 1000.0) -> list[SimResult]:
+    """Run pfs over a block of realizations in lockstep, one SimResult each.
+
+    `block` lists each realization's (ContenderSet, rng, GroupStructure), all
+    with the same contender count.  Each chunk of `chunk` slots draws every
+    realization's u from its own rng and maps every cell to SNR, since the
+    rates decide;
+    `policies.pfs_select` then picks the winners of every realization, with
+    the rate averages carried across chunks, and the grants take their SNRs
+    from the map.  Each user's sums are summed chunk by chunk, so the chunk
+    fixes their last bits: `run_experiment` gives every block
+    max(1, CHUNK_SLOTS // R) slots for its R realizations, which keeps a
+    block within one score-policy chunk and reports identical for any split.
+    """
+    if slots < 1:
+        raise ValueError("slots must be >= 1")
+    accounts = [_Accounts(cs, "pfs", structure, rate_log_base) for cs, _, structure in block]
+    C = block[0][0].n_contenders
+    group = np.array([acc.winner_of for acc in accounts])
+    state = policies.PfState(t_c=pf_time_const)
+    done = 0
+    while done < slots:
+        n = min(chunk, slots - done)
+        X = np.empty((n, len(block), C))
+        drawn = []
+        for r, (acc, (_, rng, _)) in enumerate(zip(accounts, block)):
+            u = rng.random((n, C))
+            snr_all = acc.snr_map(u)
+            np.log1p(snr_all, out=X[:, r])
+            drawn.append((u, snr_all))
+        X /= accounts[0].log_base
+        win = policies.pfs_select(X, group, state)
+        for r, (acc, (u, snr_all)) in enumerate(zip(accounts, drawn)):
+            acc.add(win[:, r], u, snr_all)
+        done += n
+    return [acc.result(slots) for acc in accounts]
 
 
 # ---------------------------------------------------------------------------
@@ -328,15 +390,26 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
 
 
 def _realization_task(args):
-    config, realization, weights = args
-    rng = realization_rng(config.rng_seed, realization)
-    spatial = sample_spatial(config, rng)
-    cs = contenders_from_spatial(config, spatial)
-    structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
-    return simulate_policy(cs, config.policy, config.slots_per_realization, rng,
-                           structure=structure,
-                           rate_log_base=config.rate_log_base,
-                           pf_time_const=config.pf_time_const, weights=weights), cs
+    """Run a contiguous block of realizations: (SimResult, ContenderSet) each, in order."""
+    config, block, weights = args
+    runs = []
+    for real in block:
+        rng = realization_rng(config.rng_seed, real)
+        spatial = sample_spatial(config, rng)
+        cs = contenders_from_spatial(config, spatial)
+        structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
+        runs.append((cs, rng, structure))
+    if config.policy == "pfs":
+        # the chunk of the whole experiment, whatever the block
+        chunk = max(1, CHUNK_SLOTS // config.spatial_realizations)
+        results = simulate_pfs(runs, config.slots_per_realization, chunk,
+                               config.rate_log_base, config.pf_time_const)
+    else:
+        results = [simulate_policy(cs, config.policy, config.slots_per_realization, rng,
+                                   structure=structure, rate_log_base=config.rate_log_base,
+                                   weights=weights)
+                   for cs, rng, structure in runs]
+    return [(result, cs) for result, (cs, _, _) in zip(results, runs)]
 
 
 def _n_workers(requested: int | None) -> int:
@@ -355,20 +428,29 @@ def run_experiment(config: SystemConfig, n_workers: int | None = None) -> Experi
     """Outer loop over spatial realizations, inner loop over fading slots;
     results reduce identically for any worker count.
 
+    The realizations run as min(workers, R) contiguous blocks of sizes that
+    differ by at most one, a block per process; each realization draws from
+    its own substream, so the blocks change no result.  pfs runs each block in
+    lockstep (`simulate_pfs`), the other policies one realization at a time.
+
     When no layout changes the group structure, its `gfs` or `ecs` weights
     are solved once for the run; greedy grouping solves them per realization.
     """
     structure = fixed_structure(config)
     weights = None if structure is None else policy_weights(config.policy, structure)
-    tasks = [(config, real, weights) for real in range(config.spatial_realizations)]
-    workers = _n_workers(n_workers)
-    if workers > 1 and len(tasks) > 1:
+    R = config.spatial_realizations
+    k = min(_n_workers(n_workers), R)
+    size, extra = divmod(R, k)
+    starts = [i * size + min(i, extra) for i in range(k + 1)]
+    tasks = [(config, range(starts[i], starts[i + 1]), weights) for i in range(k)]
+    if k > 1:
         from concurrent.futures import ProcessPoolExecutor    # imported only when it runs
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outputs = list(pool.map(_realization_task, tasks))
+        with ProcessPoolExecutor(max_workers=k) as pool:
+            blocks = list(pool.map(_realization_task, tasks))
     else:
-        outputs = [_realization_task(t) for t in tasks]
-    return _reduce(outputs, config.policy, config.rng_seed, config.digest())
+        blocks = [_realization_task(t) for t in tasks]
+    return _reduce([out for block in blocks for out in block], config.policy, config.rng_seed,
+                   config.digest())
 
 
 def run_standalone(mean_snrs, shapes, structure: GroupStructure, policy: str, slots: int,

@@ -83,8 +83,9 @@ def mws_select_reps(u, structure, weights):
 
 
 def pfs_select_numpy(X, structure, state):
-    """Proportional-fair group selection as one numpy step per slot: the oracle for
-    policies.pfs_select, which must pick the same winners and leave the same averages."""
+    """Proportional-fair group selection of one realization, one numpy step per
+    slot over its (n, C) rates: the oracle for each row of policies.pfs_select,
+    which must pick the same winners and leave the same averages."""
     X = np.atleast_2d(X)
     a = 1.0 / state.t_c
     members = [np.asarray(g.members) for g in structure.groups]
@@ -106,12 +107,14 @@ def pfs_select_numpy(X, structure, state):
 
 
 def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2.0,
-                         pf_time_const=1000.0):
+                         pf_time_const=1000.0, chunk=None):
     """simcore.simulate_policy with the plain accounting: the granted cells gathered as
     u[rows, cols], a per-cell shape array for the inverse, pfs's every cell mapped
-    in one row-major call and its granted cells mapped again, and two 1-D sums per
-    pair member.  The oracle for the flat gathers, the scalar shape, pfs's reuse of
-    its map and the two-row sums of simulate_policy, which must give the same bits.
+    in one row-major call, its winners picked by pfs_select_numpy and its granted
+    cells mapped again, and two 1-D sums per pair member.  The oracle for the flat
+    gathers, the scalar shape, pfs's lockstep selection and reuse of its map and
+    the two-row sums of simcore, which must give the same bits.
+    `chunk` slots are drawn and summed at once, by default simcore.CHUNK_SLOTS.
     Returns (user_grants, user_u_sum, user_rate_sum, group_grants, selected_snr)
     with selected_snr one concatenated array per contender."""
     C, nU = cs.n_contenders, cs.n_users
@@ -136,12 +139,12 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     cfs_state, pf_state = policies.CfsState(), policies.PfState(t_c=pf_time_const)
     done = 0
     while done < slots:
-        n = min(simcore.CHUNK_SLOTS, slots - done)
+        n = min(chunk or simcore.CHUNK_SLOTS, slots - done)
         u = rng.random((n, C))
         if policy == "pfs":
             snr_all = regularized_gamma_p_inv(np.broadcast_to(cs.shape_m, (n, C)), u)
             snr_all *= cs.mean_snr / cs.shape_m
-            win = policies.pfs_select(np.log1p(snr_all) / log_base, structure, pf_state)
+            win = pfs_select_numpy(np.log1p(snr_all) / log_base, structure, pf_state)
         elif policy == "bcs":
             win = policies.bcs_select(u, np.full(C, 1.0 / C))
         elif policy == "dfs":

@@ -183,35 +183,41 @@ def test_round_robin_rotation():
 
 def test_proportional_fair_first_slot_and_symmetry():
     st = fixed_grouping([1, 1], nu=1.0)
+    group = policies.group_index(st, 2)[None]         # one realization
     state = policies.PfState(t_c=1000.0)
-    first = policies.pfs_select(np.array([[2.0, 1.0]]), st, state)
-    assert first[0] == 0                              # raw metric decides the first slot
+    first = policies.pfs_select(np.array([[[2.0, 1.0]]]), group, state)
+    assert first[0, 0] == 0                           # raw metric decides the first slot
     rng = np.random.default_rng(49)
-    X = rng.exponential(1.0, size=(200_000, 2))
-    X[:, 1] *= 10.0                                   # scaled but equally shaped metric
-    win = policies.pfs_select(X, st, state)
-    freqs = np.bincount(win, minlength=2) / win.size
+    X = rng.exponential(1.0, size=(200_000, 1, 2))
+    X[:, :, 1] *= 10.0                                # scaled but equally shaped metric
+    win = policies.pfs_select(X, group, state)
+    freqs = np.bincount(win[:, 0], minlength=2) / win.shape[0]
     assert np.all(np.abs(freqs - 0.5) < 0.01)
     assert state.xbar is not None and np.all(state.xbar > 0)
 
 
-@pytest.mark.parametrize("t_c, st", [
-    pytest.param(50.0, fixed_grouping([1, 3, 2, 4], nu=1.0), id="50.0"),
-    pytest.param(1000.0, fixed_grouping([1, 3, 2, 4], nu=1.0), id="1000.0"),
-    pytest.param(50.0, INTERLEAVED, id="interleaved-50.0"),
-    pytest.param(1000.0, INTERLEAVED, id="interleaved-1000.0"),
-])
-def test_proportional_fair_matches_numpy_loop(t_c, st):
-    # same winners and averages as the numpy loop, with the state carried across two calls
+@pytest.mark.parametrize("t_c", [50.0, 1000.0])
+def test_proportional_fair_matches_numpy_loop(t_c):
+    # three realizations in lockstep, each with its own group map as greedy coloring
+    # gives them: every row picks the winners and leaves the averages of the numpy
+    # loop run on that row alone, with the state carried across two calls
+    maps = [fixed_grouping([1, 3, 2, 4], nu=1.0), INTERLEAVED,
+            GroupStructure((Group((0, 9), 0.5), Group((1,), 1.0), Group((2, 5, 6), 0.5),
+                            Group((3,), 1.0), Group((4, 8), 0.5), Group((7,), 1.0)))]
+    group = np.array([policies.group_index(st, 10) for st in maps])
     rng = np.random.default_rng(5)
-    X = np.log1p(rng.gamma(2.0, 0.5, size=(6000, 10)) * np.geomspace(1.0, 40.0, 10)) / np.log(2.0)
-    state, ref = policies.PfState(t_c=t_c), policies.PfState(t_c=t_c)
-    got = np.concatenate([policies.pfs_select(X[:2501], st, state),
-                          policies.pfs_select(X[2501:], st, state)])
-    want = np.concatenate([pfs_select_numpy(X[:2501], st, ref), pfs_select_numpy(X[2501:], st, ref)])
-    assert np.array_equal(got, want)
-    assert np.array_equal(state.xbar, ref.xbar)
-    assert np.bincount(got, minlength=st.n_groups).min() > 0
+    X = np.log1p(rng.gamma(2.0, 0.5, size=(6000, 3, 10)) * np.geomspace(1.0, 40.0, 10)) / np.log(2.0)
+    state = policies.PfState(t_c=t_c)
+    got = np.concatenate([policies.pfs_select(X[:2501], group, state),
+                          policies.pfs_select(X[2501:], group, state)])
+    assert got.shape == (6000, 3)
+    for r, st in enumerate(maps):
+        ref = policies.PfState(t_c=t_c)
+        want = np.concatenate([pfs_select_numpy(X[:2501, r], st, ref),
+                               pfs_select_numpy(X[2501:, r], st, ref)])
+        assert np.array_equal(got[:, r], want)
+        assert np.array_equal(state.xbar[r], ref.xbar)
+        assert np.bincount(got[:, r], minlength=st.n_groups).min() > 0
 
 
 @pytest.mark.parametrize("zeros", [False, True])
@@ -258,8 +264,9 @@ def test_group_structure_must_cover_the_scores():
     u = np.random.default_rng(50).random((20, 4))
     with pytest.raises(ValueError, match="contender 3"):
         policies.mws_select(u, st, pw)
+    cs = simcore.standalone_contenders([1.0] * 4, [1.0] * 4)
     with pytest.raises(ValueError, match="contender 3"):
-        policies.pfs_select(u, st, policies.PfState(t_c=100.0))
+        simcore.simulate_policy(cs, "pfs", 20, np.random.default_rng(50), structure=st)
     gap = GroupStructure((Group((0,), 1.0), Group((1, 2, 4), 0.5)))
     with pytest.raises(ValueError, match="contender 3"):
         policies.mws_select(u, gap, solve_group_weights(gap))
@@ -267,7 +274,7 @@ def test_group_structure_must_cover_the_scores():
     with pytest.raises(ValueError, match="covers 5 contenders"):
         policies.mws_select(u, wide, solve_group_weights(wide))
     with pytest.raises(ValueError, match="covers 5 contenders"):
-        policies.pfs_select(u, wide, policies.PfState(t_c=100.0))
+        simcore.simulate_policy(cs, "pfs", 20, np.random.default_rng(50), structure=wide)
 
 
 def test_one_weight_per_group_required():

@@ -65,24 +65,39 @@ def test_pair_members_alternate(monkeypatch, policy, chunk):
 def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, shapes):
     # the flat gathers, the scalar shape, pfs's reuse of its map and the two-row sums
     # give the same bits as the cell-by-cell accounting; 700 puts chunk boundaries
-    # inside the run
+    # inside the run.  pfs runs a block of three realizations in lockstep, so 700
+    # gives 233-slot chunks, which do not divide the 900 slots; the chunks fix the
+    # order of each user's sums, so the reference sums over the same chunks
     monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
     cfg = SystemConfig(K1=10, K2=5, group_sizes=group_sizes, fading_shape_m=shapes, rng_seed=8,
                        interference_radius_m=600.0)
-    cs, spatial = first_realization_contenders(cfg)
-    structure = simcore.build_structure(cfg, spatial)
-    slots = 900 if policy == "pfs" else 3000
-    res = simcore.simulate_policy(cs, policy, slots, np.random.default_rng(17), structure=structure)
-    grants, u_sum, rate_sum, group_grants, snr = reference_accounting(
-        cs, policy, slots, np.random.default_rng(17), structure=structure)
-    assert np.array_equal(res.user_grants, grants)
-    assert np.array_equal(res.user_u_sum, u_sum)
-    assert np.array_equal(res.user_rate_sum, rate_sum)
-    if policy in simcore.GROUP_POLICIES:
-        assert np.array_equal(res.group_grants, group_grants)
-    for j in range(cs.n_contenders):
-        kept = np.concatenate(res.selected_snr[j]) if res.selected_snr[j] else np.empty(0)
-        assert np.array_equal(kept, snr[j])
+    runs = []
+    for r in range(3 if policy == "pfs" else 1):
+        spatial = sample_spatial(cfg, simcore.realization_rng(cfg.rng_seed, r))
+        runs.append((simcore.contenders_from_spatial(cfg, spatial),
+                     simcore.build_structure(cfg, spatial), 17 + r))
+    if policy == "pfs":
+        slots = 900
+        results = simcore.simulate_pfs([(cs, np.random.default_rng(seed), structure)
+                                        for cs, structure, seed in runs],
+                                       slots, simcore.CHUNK_SLOTS // len(runs))
+    else:
+        slots = 3000
+        ((cs, structure, seed),) = runs
+        results = [simcore.simulate_policy(cs, policy, slots, np.random.default_rng(seed),
+                                           structure=structure)]
+    for res, (cs, structure, seed) in zip(results, runs):
+        grants, u_sum, rate_sum, group_grants, snr = reference_accounting(
+            cs, policy, slots, np.random.default_rng(seed), structure=structure,
+            chunk=simcore.CHUNK_SLOTS // len(runs))
+        assert np.array_equal(res.user_grants, grants)
+        assert np.array_equal(res.user_u_sum, u_sum)
+        assert np.array_equal(res.user_rate_sum, rate_sum)
+        if policy in simcore.GROUP_POLICIES:
+            assert np.array_equal(res.group_grants, group_grants)
+        for j in range(cs.n_contenders):
+            kept = np.concatenate(res.selected_snr[j]) if res.selected_snr[j] else np.empty(0)
+            assert np.array_equal(kept, snr[j])
 
 
 @pytest.mark.parametrize("policy", ["bcs", "pfs"])
@@ -117,7 +132,7 @@ def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, grou
     # and the run equals one whose every realization solves its own weights
     cfg = SystemConfig(K1=3, K2=5, policy=policy, group_sizes=group_sizes,
                        slots_per_realization=300, spatial_realizations=3, rng_seed=8)
-    own = simcore._reduce([simcore._realization_task((cfg, r, None)) for r in range(3)],
+    own = simcore._reduce(simcore._realization_task((cfg, range(3), None)),
                           policy, cfg.rng_seed, cfg.digest())
     solver = getattr(simcore, rule)
     calls = []
@@ -126,6 +141,39 @@ def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, grou
     assert len(calls) == solves
     for field in ("access_prob", "upi", "selected_rate", "group_access_prob"):
         assert np.array_equal(getattr(rep, field), getattr(own, field))
+
+
+@pytest.mark.parametrize("group_sizes", [(5,), None], ids=["fixed", "greedy"])
+def test_pfs_blocks_and_workers_change_no_report(monkeypatch, group_sizes):
+    # 1, 2, 5 and 8 workers run blocks of 5, 3 + 2, 1 each and 1 each (no empty
+    # block): the lockstep blocks reduce to the same report, to the bit
+    cfg = SystemConfig(K1=10, K2=5, policy="pfs", group_sizes=group_sizes,
+                       slots_per_realization=400, spatial_realizations=5, rng_seed=31,
+                       interference_radius_m=600.0)
+    one = simcore.run_experiment(cfg, n_workers=1)
+    for workers in (2, 5, 8):
+        rep = simcore.run_experiment(cfg, n_workers=workers)
+        for field in ("access_prob", "upi", "selected_rate", "effective_rate", "user_group"):
+            assert np.array_equal(getattr(rep, field), getattr(one, field)), (workers, field)
+        if group_sizes is None:
+            assert rep.group_access_prob is None and one.group_access_prob is None
+        else:
+            assert np.array_equal(rep.group_access_prob, one.group_access_prob)
+        assert all(np.array_equal(a, b) for a, b in zip(rep.selected_snr, one.selected_snr))
+    # with chunk boundaries inside the run (700 // 5 = 140-slot chunks) every split
+    # into blocks gives each realization the same bits
+    monkeypatch.setattr(simcore, "CHUNK_SLOTS", 700)
+    splits = ([range(5)], [range(3), range(3, 5)], [range(r, r + 1) for r in range(5)])
+    runs = [[res for block in split for res, _ in simcore._realization_task((cfg, block, None))]
+            for split in splits]
+    for other in runs[1:]:
+        for a, b in zip(runs[0], other):
+            assert np.array_equal(a.user_grants, b.user_grants)
+            assert np.array_equal(a.user_u_sum, b.user_u_sum)
+            assert np.array_equal(a.user_rate_sum, b.user_rate_sum)
+            assert np.array_equal(a.group_grants, b.group_grants)
+            assert all(np.array_equal(np.concatenate(x), np.concatenate(y))
+                       for x, y in zip(a.selected_snr, b.selected_snr) if x)
 
 
 def test_grant_conservation():
