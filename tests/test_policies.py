@@ -16,6 +16,12 @@ from d2dsched.weights import PolicyWeights, ecs_weights, normalized_weights, \
 # three cellular singletons, then D2D groups listed out of order of their lowest member
 INTERLEAVED = GroupStructure((Group((0,), 1.0), Group((1,), 1.0), Group((2,), 1.0),
                               Group((4, 7), 0.5), Group((3, 6, 9), 0.5), Group((5, 8), 0.5)))
+# group maps for proportional-fair blocks: contiguous groups, INTERLEAVED, and groups
+# scattered across the whole contender range
+PF_MAPS = {"contiguous": fixed_grouping([1, 3, 2, 4], nu=1.0),
+           "interleaved": INTERLEAVED,
+           "scattered": GroupStructure((Group((0, 9), 0.5), Group((1,), 1.0), Group((2, 5, 6), 0.5),
+                                        Group((3,), 1.0), Group((4, 8), 0.5), Group((7,), 1.0)))}
 BLOCK_EDGES = [1, 2047, 2048, 2049, 5000]
 
 
@@ -196,14 +202,18 @@ def test_proportional_fair_first_slot_and_symmetry():
     assert state.xbar is not None and np.all(state.xbar > 0)
 
 
-@pytest.mark.parametrize("t_c", [50.0, 1000.0])
-def test_proportional_fair_matches_numpy_loop(t_c):
+@pytest.mark.parametrize("t_c, lead", [
+    pytest.param(50.0, "contiguous", id="50.0"),
+    pytest.param(1000.0, "contiguous", id="1000.0"),
+    pytest.param(50.0, "interleaved", id="interleaved-50.0"),
+    pytest.param(1000.0, "interleaved", id="interleaved-1000.0"),
+])
+def test_proportional_fair_matches_numpy_loop(t_c, lead):
     # three realizations in lockstep, each with its own group map as greedy coloring
-    # gives them: every row picks the winners and leaves the averages of the numpy
-    # loop run on that row alone, with the state carried across two calls
-    maps = [fixed_grouping([1, 3, 2, 4], nu=1.0), INTERLEAVED,
-            GroupStructure((Group((0, 9), 0.5), Group((1,), 1.0), Group((2, 5, 6), 0.5),
-                            Group((3,), 1.0), Group((4, 8), 0.5), Group((7,), 1.0)))]
+    # gives them, the lead map in the first row: every row picks the winners and leaves
+    # the averages of the numpy loop run on that row alone, with the state carried
+    # across two calls
+    maps = [PF_MAPS[lead]] + [st for name, st in PF_MAPS.items() if name != lead]
     group = np.array([policies.group_index(st, 10) for st in maps])
     rng = np.random.default_rng(5)
     X = np.log1p(rng.gamma(2.0, 0.5, size=(6000, 3, 10)) * np.geomspace(1.0, 40.0, 10)) / np.log(2.0)
