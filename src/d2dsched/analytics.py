@@ -459,10 +459,11 @@ class AnalyticCurve:
 def _quantile(cdf, p: float) -> float:
     """Invert a monotone CDF callable by bracketed geometric bisection.
 
-    The upper bracket doubles from 1 until the CDF reaches p; a CDF that stays
-    below p up to the largest double raises ValueError.  At most 200 steps; it
-    stops at the first step that leaves the bracket unchanged, since every
-    later step would repeat that one.
+    It serves only CDFs without a closed-form inverse, which are the
+    unconditional curves' distance mixtures.  The upper bracket doubles from 1
+    until the CDF reaches p; a CDF that stays below p up to the largest double
+    raises ValueError.  At most 200 steps; it stops at the first step that
+    leaves the bracket unchanged, since every later step would repeat that one.
     """
     lo, hi = 1e-30, 1.0
     while cdf(hi) < p:
@@ -483,9 +484,15 @@ def _quantile(cdf, p: float) -> float:
     return hi
 
 
-def make_log_grid(cdf, n: int = 2048) -> np.ndarray:
-    """Logarithmic SNR grid of n points spanning the 1e-4 and 1 - 1e-4 quantiles of a CDF."""
-    return np.geomspace(_quantile(cdf, 1e-4), _quantile(cdf, 1.0 - 1e-4), n)
+def make_log_grid(quantile: Callable[[float], float], n: int = 2048) -> np.ndarray:
+    """Logarithmic SNR grid of n points spanning the 1e-4 and 1 - 1e-4 quantiles of a
+    CDF, given its quantile function p -> s.
+
+    A conditional curve passes its base's closed-form `quantile`; the
+    unconditional curves, whose CDFs have no closed-form inverse, pass the
+    bisection `functools.partial(_quantile, cdf)`.
+    """
+    return np.geomspace(quantile(1e-4), quantile(1.0 - 1e-4), n)
 
 
 def _cdf_guard(values: np.ndarray) -> np.ndarray:
@@ -494,8 +501,9 @@ def _cdf_guard(values: np.ndarray) -> np.ndarray:
 
 
 def _selected_curve(base, of_F: Callable, provenance: dict) -> AnalyticCurve:
-    """of_F(F) tabulated on the log grid of the base CDF F, a callable."""
-    grid = make_log_grid(base)
+    """of_F(F) tabulated on the log grid of the base CDF F, a callable with a
+    closed-form `quantile` (channel.GammaSnrCdf), so no bisection runs."""
+    grid = make_log_grid(base.quantile)
     return AnalyticCurve(grid, _cdf_guard(of_F(np.asarray(base(grid)))), provenance)
 
 
@@ -591,8 +599,8 @@ def dfs_unconditional_cdfs(config, K: int, n_grid: int = 2048) -> tuple[Analytic
                                lambda d: 2.0 * d / R ** 2)
     f_d2d = _distance_average(A_d, config.pathloss_exp_d2d, K / 2.0, d_min, d_max,
                               lambda d: 1.0 / (d_max - d_min))
-    grid_c = make_log_grid(f_cell, n_grid)
-    grid_d = make_log_grid(f_d2d, n_grid)
+    grid_c = make_log_grid(functools.partial(_quantile, f_cell), n_grid)
+    grid_d = make_log_grid(functools.partial(_quantile, f_d2d), n_grid)
     cell_curve = AnalyticCurve(grid_c, _cdf_guard(f_cell(grid_c)),
                                {"kind": "dfs-unconditional-cellular", "K": K, "A_c": A_c}, f_cell)
     d2d_curve = AnalyticCurve(grid_d, _cdf_guard(f_d2d(grid_d)),

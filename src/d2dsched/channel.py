@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from d2dsched.analytics import regularized_gamma_p
+from d2dsched.analytics import regularized_gamma_p, regularized_gamma_p_inv
 from d2dsched.model import LinkGeometry, SystemConfig
 
 
@@ -12,7 +12,8 @@ class GammaSnrCdf:
     """Exact SNR CDF for a power-law link with unit-mean Gamma fading.
 
     SNR = mean_snr * G with G ~ Gamma(shape=m, mean=1), so
-    F(s) = P(m, m s / mean_snr), the regularized lower incomplete gamma.
+    F(s) = P(m, m s / mean_snr), the regularized lower incomplete gamma, and
+    its p-quantile is mean_snr / m * P^-1(m, p) in closed form.
     """
 
     def __init__(self, shape_m: float, mean_snr: float):
@@ -28,6 +29,10 @@ class GammaSnrCdf:
         return regularized_gamma_p(self.shape_m, self.shape_m * s / self.mean_snr)
 
     __call__ = evaluate
+
+    def quantile(self, p):
+        """The SNR s with F(s) = p, for p in [0, 1]; a scalar p gives a Python float."""
+        return self.mean_snr / self.shape_m * regularized_gamma_p_inv(self.shape_m, p)
 
 
 def snr_of(tx_power_mw: float, path_gain: float, config: SystemConfig) -> float:

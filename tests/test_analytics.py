@@ -1,5 +1,6 @@
 """Incomplete gamma evaluation and the closed-form selected-SNR curves."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -340,12 +341,19 @@ def test_row_derivatives_match_finite_differences(a):
     assert np.max(np.abs(2.0 * row[2] / h ** 2 - curve)) < 1e-8
 
 
-def _uniform_base(s):
-    return np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+class _UniformBase:
+    """The uniform CDF on [0, 1], whose quantile function is the identity."""
+
+    def __call__(self, s):
+        return np.clip(np.asarray(s, dtype=float), 0.0, 1.0)
+
+    def quantile(self, p):
+        return p
 
 
+_uniform_base = _UniformBase()
 # every curve of the uniform base shares its log grid from 1e-4 to 1 - 1e-4
-U = analytics.make_log_grid(_uniform_base)
+U = analytics.make_log_grid(_uniform_base.quantile)
 
 
 def test_power_curve_trivial_cases():
@@ -430,12 +438,27 @@ def test_curve_evaluate_interpolates():
         analytics.AnalyticCurve(np.array([1.0, 2.0]), np.array([0.5]))
 
 
+@pytest.mark.parametrize("shape_m, mean_snr", [(1.0, 1.0), (2.0, 300.0), (0.5, 3e-3),
+                                              (7.5, 40.0)])
+def test_conditional_grid_ends_match_scipy(monkeypatch, shape_m, mean_snr):
+    # a conditional curve's grid comes from its base's closed-form quantile, never the bisection
+    def no_bisection(cdf, p):
+        raise AssertionError("conditional curves must not bisect their base")
+
+    monkeypatch.setattr(analytics, "_quantile", no_bisection)
+    base = GammaSnrCdf(shape_m, mean_snr)
+    grid = analytics.bcs_selected_cdf(base, 3).grid
+    want = mean_snr / shape_m * special.gammaincinv(shape_m, [1e-4, 1.0 - 1e-4])
+    assert grid.size == 2048 and np.all(np.diff(grid) > 0)
+    assert abs(grid[0] - want[0]) < INV_RTOL * want[0]
+    assert abs(grid[-1] - want[1]) < INV_RTOL * want[1]
+
+
 def test_log_grid_spans_quantiles():
+    # the unconditional curves have no closed-form inverse: their grids bisect the CDF
     cell, d2d = analytics.dfs_unconditional_cdfs(SystemConfig(), 8, n_grid=64)
-    cdfs = [GammaSnrCdf(1.0, 1.0), GammaSnrCdf(2.0, 300.0), GammaSnrCdf(0.5, 3e-3),
-            GammaSnrCdf(7.5, 40.0), cell.exact, d2d.exact]
-    for cdf in cdfs:
-        grid = analytics.make_log_grid(cdf, n=100)
+    for cdf in (cell.exact, d2d.exact):
+        grid = analytics.make_log_grid(functools.partial(analytics._quantile, cdf), n=100)
         assert cdf(grid[0]) == pytest.approx(1e-4, rel=0.05)
         assert cdf(grid[-1]) == pytest.approx(1.0 - 1e-4, rel=0.05)
         assert np.all(np.diff(grid) > 0)
@@ -456,7 +479,7 @@ def test_quantile_without_upper_bracket_raises():
         return 3000.0 / 3001.0 * -np.expm1(-np.asarray(s, dtype=float))
 
     with pytest.raises(ValueError, match="upper bracket"):
-        analytics.bcs_selected_cdf(capped, 3)
+        analytics._quantile(capped, 1.0 - 1e-4)
 
 
 def test_index_references():

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from helpers import ks_uniform
 
 from d2dsched import channel
 from d2dsched.model import SystemConfig, cellular_downlink, cellular_uplink, d2d_direct
+
+INV_RTOL = 1e-11       # the inverse's bound against scipy, as in test_analytics
 
 
 def test_gamma_cdf_at_zero_and_median():
@@ -21,6 +24,18 @@ def test_gamma_cdf_validation():
         channel.GammaSnrCdf(0.2, 1.0)
     with pytest.raises(ValueError):
         channel.GammaSnrCdf(1.0, 0.0)
+
+
+@pytest.mark.parametrize("shape_m", [0.5, 1.0, 2.0, 2.5, 7.5, 40.5])
+@pytest.mark.parametrize("mean_snr", [3e-3, 1.0, 300.0])
+def test_gamma_quantile_matches_scipy(shape_m, mean_snr):
+    cdf = channel.GammaSnrCdf(shape_m, mean_snr)
+    p = np.array([1e-4, 0.5, 1.0 - 1e-4])
+    want = mean_snr / shape_m * special.gammaincinv(shape_m, p)
+    assert np.max(np.abs(cdf.quantile(p) - want) / want) < INV_RTOL
+    for pi, wi in zip(p, want):
+        q = cdf.quantile(float(pi))
+        assert isinstance(q, float) and abs(q - wi) < INV_RTOL * wi
 
 
 @pytest.mark.parametrize("shape_m, mean_snr, name", [

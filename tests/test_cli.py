@@ -159,7 +159,10 @@ def test_analytic_gfs_curve_from_solved_weights(tmp_path):
 
 
 def test_failed_analytic_leaves_no_output_directory(tmp_path, capsys):
-    # the base CDF's series does not converge at this shape, after the settings are checked
+    # the base CDF's inverse, which places the curve's grid, does not converge at this
+    # shape (its series raises); it raises after the settings are checked
+    with pytest.raises(analytics.GammaNotConverged):
+        GammaSnrCdf(40000.5, 1.0).quantile(1e-4)
     out = str(tmp_path / "bcs")
     assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
                      "--out", out]) == 1
@@ -212,7 +215,7 @@ def test_errors_exit_nonzero(small_config, tmp_path, capsys):
         assert cli.main(["weights", "--sizes", "1,2", "--nu", nus]) == 1
         captured = capsys.readouterr()
         assert "nu" in captured.err and "nan" not in captured.out
-    # the incomplete gamma's series does not converge at this shape
+    # the incomplete gamma's series does not converge at this shape, inside its inverse
     assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
                      "--out", out]) == 1
     assert "did not converge" in capsys.readouterr().err
