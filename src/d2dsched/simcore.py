@@ -68,9 +68,17 @@ def contenders_from_spatial(config: SystemConfig, spatial: SpatialRealization) -
 
 
 def standalone_contenders(mean_snrs, shapes) -> ContenderSet:
-    """Contender set for table-driven scenarios: one user per contender."""
+    """Contender set for table-driven scenarios: one user per contender.  The
+    means and shapes must pass the checks of `channel.GammaSnrCdf`."""
     means = np.asarray(mean_snrs, dtype=float)
     m = np.asarray(shapes, dtype=float)
+    if means.ndim != 1 or m.shape != means.shape:
+        raise ValueError(f"mean_snrs and shapes must be 1-D sequences of equal length, "
+                         f"got {means.shape} and {m.shape}")
+    if not np.all((0.0 < means) & (means < np.inf)):
+        raise ValueError(f"mean_snrs must be positive and finite, got {mean_snrs!r}")
+    if not np.all((0.5 <= m) & (m < np.inf)):
+        raise ValueError(f"shapes must be finite and >= 0.5, got {shapes!r}")
     members = tuple((i,) for i in range(means.size))
     return ContenderSet(np.zeros(means.size, bool), m, means, members)
 
@@ -222,93 +230,89 @@ class _Accounts:
 
 
 def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
-                    structure: GroupStructure | None = None, rate_log_base: float = 2.0,
-                    pf_time_const: float = 1000.0,
-                    weights: PolicyWeights | None = None) -> SimResult:
-    """Run one realization of `slots` fading slots under the given policy.
+                    structure: GroupStructure | None = None) -> SimResult:
+    """Run one realization of `slots` fading slots under the given policy: a
+    block of one of `simulate_block`."""
+    (result,) = simulate_block([(cs, rng, structure)], policy, slots)
+    return result
 
-    A policy only names each slot's winner: a contender for bcs, dfs and cfs,
-    a group for the group policies.  Every contender of the winner is granted
-    the slot, and a pair's grants go to its two members in strict alternation.
 
-    Each chunk of up to CHUNK_SLOTS slots draws u ~ U(0, 1), the CDF-mapped
-    channel, for every (slot, contender) cell; a cell's SNR is
-    mean_snr/m * P^-1(m, u).  The six score policies select on u and map only
-    their granted cells to SNR.  pfs runs as a block of one realization of
-    `simulate_pfs`.
-
-    `weights`, when given, are `policy_weights(policy, structure)` solved
-    once for several realizations that share the structure.
-    """
-    if policy == "pfs":
-        (result,) = simulate_pfs([(cs, rng, structure)], slots, CHUNK_SLOTS, rate_log_base,
-                                 pf_time_const)
-        return result
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    accounts = _Accounts(cs, policy, structure, rate_log_base)
-    if weights is None:
-        weights = policy_weights(policy, structure)
-    C = cs.n_contenders
-    K1 = int(np.sum(~cs.is_pair))
+def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int,
+                  weights: PolicyWeights | None, cfs_state: policies.CfsState) -> None:
+    """Select and grant one realization's (n, C) chunk of scores u, whose first
+    slot is `done`.  u and its winners die with the call, before the next
+    realization draws."""
+    C = u.shape[1]
+    K1 = int(np.sum(~acc.cs.is_pair))
     K2 = C - K1
-    cfs_state = policies.CfsState()
-    done = 0
-    while done < slots:
-        n = min(CHUNK_SLOTS, slots - done)
-        u = rng.random((n, C))
-        if policy == "bcs":
-            win = policies.bcs_select(u, np.full(C, 1.0 / C))
-        elif policy == "dfs":
-            win = policies.dfs_select(u, K1, K2)
-        elif policy == "cfs":
-            cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
-            # the round-robin over the 2*K2 D2D users alternates each pair's members
-            win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
-        elif policy in ("gfs", "ecs"):
-            win = policies.mws_select(u, structure, weights)
-        else:
-            win = policies.grr_select(n, structure.n_groups, offset=done)
-        accounts.add(win, u)
-        done += n
-    return accounts.result(slots)
+    if policy == "bcs":
+        win = policies.bcs_select(u, np.full(C, 1.0 / C))
+    elif policy == "dfs":
+        win = policies.dfs_select(u, K1, K2)
+    elif policy == "cfs":
+        cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
+        # the round-robin over the 2*K2 D2D users alternates each pair's members
+        win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
+    elif policy in ("gfs", "ecs"):
+        win = policies.mws_select(u, acc.structure, weights)
+    else:
+        win = policies.grr_select(u.shape[0], acc.structure.n_groups, offset=done)
+    acc.add(win, u)
 
 
-def simulate_pfs(block: list, slots: int, chunk: int, rate_log_base: float = 2.0,
-                 pf_time_const: float = 1000.0) -> list[SimResult]:
-    """Run pfs over a block of realizations in lockstep, one SimResult each.
+def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
+                   rate_log_base: float = 2.0, pf_time_const: float = 1000.0,
+                   weights: PolicyWeights | None = None) -> list[SimResult]:
+    """Run `slots` fading slots of each realization of a block, one SimResult each.
 
     `block` lists each realization's (ContenderSet, rng, GroupStructure), all
-    with the same contender count.  Each chunk of `chunk` slots draws every
-    realization's u from its own rng and maps every cell to SNR, since the
-    rates decide;
-    `policies.pfs_select` then picks the winners of every realization, with
-    the rate averages carried across chunks, and the grants take their SNRs
-    from the map.  Each user's sums are summed chunk by chunk, so the chunk
-    fixes their last bits: `run_experiment` gives every block
-    max(1, CHUNK_SLOTS // R) slots for its R realizations, which keeps a
-    block within one score-policy chunk and reports identical for any split.
+    with the same contender count.  A policy only names each slot's winner: a
+    contender for bcs, dfs and cfs, a group for the group policies.  Every
+    contender of the winner is granted the slot, and a pair's grants go to its
+    two members in strict alternation.
+
+    Each chunk draws every realization's u ~ U(0, 1), the CDF-mapped channel,
+    from its own rng; a cell's SNR is mean_snr/m * P^-1(m, u).  The six score
+    policies select on u one realization at a time, CHUNK_SLOTS slots a chunk,
+    each with its own cfs cursor and `policy_weights` (or the shared
+    `weights`), and map only their granted cells to SNR.  pfs decides on
+    rates: it maps every cell, and `policies.pfs_select` steps the whole block
+    in lockstep with the rate averages carried across chunks.  Its chunk is
+    max(1, CHUNK_SLOTS // `realizations`) slots, `realizations` counting the
+    whole experiment's, so a chunk holds no more cells than a score-policy
+    chunk.  The chunks fix the last bits of each user's sums, so any split of
+    an experiment into blocks reports the same bits.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    accounts = [_Accounts(cs, "pfs", structure, rate_log_base) for cs, _, structure in block]
+    accounts = [_Accounts(cs, policy, structure, rate_log_base) for cs, _, structure in block]
     C = block[0][0].n_contenders
-    group = np.array([acc.winner_of for acc in accounts])
-    state = policies.PfState(t_c=pf_time_const)
+    if policy == "pfs":
+        chunk = max(1, CHUNK_SLOTS // realizations)
+        group = np.array([acc.winner_of for acc in accounts])
+        state = policies.PfState(t_c=pf_time_const)
+    else:
+        chunk = CHUNK_SLOTS
+        rules = [(weights if weights is not None else policy_weights(policy, structure),
+                  policies.CfsState()) for _, _, structure in block]
     done = 0
     while done < slots:
         n = min(chunk, slots - done)
-        X = np.empty((n, len(block), C))
-        drawn = []
-        for r, (acc, (_, rng, _)) in enumerate(zip(accounts, block)):
-            u = rng.random((n, C))
-            snr_all = acc.snr_map(u)
-            np.log1p(snr_all, out=X[:, r])
-            drawn.append((u, snr_all))
-        X /= accounts[0].log_base
-        win = policies.pfs_select(X, group, state)
-        for r, (acc, (u, snr_all)) in enumerate(zip(accounts, drawn)):
-            acc.add(win[:, r], u, snr_all)
+        if policy == "pfs":
+            X = np.empty((n, len(block), C))
+            drawn = []
+            for r, (acc, (_, rng, _)) in enumerate(zip(accounts, block)):
+                u = rng.random((n, C))
+                snr_all = acc.snr_map(u)
+                np.log1p(snr_all, out=X[:, r])
+                drawn.append((u, snr_all))
+            X /= accounts[0].log_base
+            win = policies.pfs_select(X, group, state)
+            for r, (acc, (u, snr_all)) in enumerate(zip(accounts, drawn)):
+                acc.add(win[:, r], u, snr_all)
+        else:
+            for acc, (_, rng, _), (w, cfs_state) in zip(accounts, block, rules):
+                _grant_scores(acc, policy, rng.random((n, C)), done, w, cfs_state)
         done += n
     return [acc.result(slots) for acc in accounts]
 
@@ -390,7 +394,8 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
 
 
 def _realization_task(args):
-    """Run a contiguous block of realizations: (SimResult, ContenderSet) each, in order."""
+    """Run a contiguous block of realizations through one `simulate_block` call,
+    after sampling each one's layout: (SimResult, ContenderSet) each, in order."""
     config, block, weights = args
     runs = []
     for real in block:
@@ -399,16 +404,9 @@ def _realization_task(args):
         cs = contenders_from_spatial(config, spatial)
         structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
         runs.append((cs, rng, structure))
-    if config.policy == "pfs":
-        # the chunk of the whole experiment, whatever the block
-        chunk = max(1, CHUNK_SLOTS // config.spatial_realizations)
-        results = simulate_pfs(runs, config.slots_per_realization, chunk,
-                               config.rate_log_base, config.pf_time_const)
-    else:
-        results = [simulate_policy(cs, config.policy, config.slots_per_realization, rng,
-                                   structure=structure, rate_log_base=config.rate_log_base,
-                                   weights=weights)
-                   for cs, rng, structure in runs]
+    results = simulate_block(runs, config.policy, config.slots_per_realization,
+                             config.spatial_realizations, config.rate_log_base,
+                             config.pf_time_const, weights)
     return [(result, cs) for result, (cs, _, _) in zip(results, runs)]
 
 
@@ -430,8 +428,8 @@ def run_experiment(config: SystemConfig, n_workers: int | None = None) -> Experi
 
     The realizations run as min(workers, R) contiguous blocks of sizes that
     differ by at most one, a block per process; each realization draws from
-    its own substream, so the blocks change no result.  pfs runs each block in
-    lockstep (`simulate_pfs`), the other policies one realization at a time.
+    its own substream, so the blocks change no result.  Each block is one
+    `simulate_block` call.
 
     When no layout changes the group structure, its `gfs` or `ecs` weights
     are solved once for the run; greedy grouping solves them per realization.

@@ -108,13 +108,15 @@ def pfs_select_numpy(X, structure, state):
 
 def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2.0,
                          pf_time_const=1000.0, chunk=None):
-    """simcore.simulate_policy with the plain accounting: the granted cells gathered as
-    u[rows, cols], a per-cell shape array for the inverse, pfs's every cell mapped
-    in one row-major call, its winners picked by pfs_select_numpy and its granted
-    cells mapped again, and two 1-D sums per pair member.  The oracle for the flat
-    gathers, the scalar shape, pfs's lockstep selection and reuse of its map and
-    the two-row sums of simcore, which must give the same bits.
-    `chunk` slots are drawn and summed at once, by default simcore.CHUNK_SLOTS.
+    """One realization of simcore.simulate_block with the plain accounting: the
+    granted cells gathered as u[rows, cols], a per-cell shape array for the inverse,
+    pfs's every cell mapped in one row-major call, its winners picked by
+    pfs_select_numpy and its granted cells mapped again, and two 1-D sums per pair
+    member.  The oracle for the flat gathers, the scalar shape, pfs's lockstep
+    selection and reuse of its map and the two-row sums of simcore, which must give
+    the same bits.  `chunk` slots are drawn and summed at once, by default
+    simcore.CHUNK_SLOTS; a block of R realizations steps pfs in
+    simcore.CHUNK_SLOTS // R.
     Returns (user_grants, user_u_sum, user_rate_sum, group_grants, selected_snr)
     with selected_snr one concatenated array per contender."""
     C, nU = cs.n_contenders, cs.n_users

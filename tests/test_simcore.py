@@ -40,6 +40,18 @@ def test_index_estimate_bounds():
         simcore.run_standalone([1.0], [1.0], None, "bcs", 0, seed=1)
 
 
+@pytest.mark.parametrize("means,shapes,name", [
+    ([1.0, float("nan")], [1.0, 1.0], "mean_snrs"),
+    ([1.0, -3.0], [1.0, 1.0], "mean_snrs"),
+    ([1.0, 1.0], [1.0, 0.2], "shapes"),
+    ([1.0] * 8, [1.0] * 3, "shapes"),
+], ids=["nan-mean", "negative-mean", "small-shape", "short-shapes"])
+def test_standalone_refuses_malformed_scenarios(means, shapes, name):
+    # the bounds of GammaSnrCdf, and one shape per mean
+    with pytest.raises(ValueError, match=f"{name} must"):
+        simcore.run_standalone(means, shapes, None, "bcs", 100, seed=1)
+
+
 def test_plain_competition_small():
     rep = simcore.run_standalone([2.0] * 4, [1.0] * 4, None, "bcs", 1_000_000, seed=2)
     assert np.all(np.abs(rep.upi - 0.4) < 0.005)
@@ -64,32 +76,27 @@ def test_pair_members_alternate(monkeypatch, policy, chunk):
 @pytest.mark.parametrize("policy", ["bcs", "dfs", "cfs", "gfs", "ecs", "grr", "pfs"])
 def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, shapes):
     # the flat gathers, the scalar shape, pfs's reuse of its map and the two-row sums
-    # give the same bits as the cell-by-cell accounting; 700 puts chunk boundaries
-    # inside the run.  pfs runs a block of three realizations in lockstep, so 700
-    # gives 233-slot chunks, which do not divide the 900 slots; the chunks fix the
-    # order of each user's sums, so the reference sums over the same chunks
+    # give the same bits as the cell-by-cell accounting, for a block of three
+    # realizations; 700 puts chunk boundaries inside the run.  The score policies
+    # interleave the realizations in 700-slot chunks of their 3000 slots; pfs steps
+    # them in lockstep in 233-slot chunks, which do not divide its 900 slots.  The
+    # chunks fix the order of each user's sums, so the reference sums over the same
+    # chunks
     monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
     cfg = SystemConfig(K1=10, K2=5, group_sizes=group_sizes, fading_shape_m=shapes, rng_seed=8,
                        interference_radius_m=600.0)
     runs = []
-    for r in range(3 if policy == "pfs" else 1):
+    for r in range(3):
         spatial = sample_spatial(cfg, simcore.realization_rng(cfg.rng_seed, r))
         runs.append((simcore.contenders_from_spatial(cfg, spatial),
                      simcore.build_structure(cfg, spatial), 17 + r))
-    if policy == "pfs":
-        slots = 900
-        results = simcore.simulate_pfs([(cs, np.random.default_rng(seed), structure)
-                                        for cs, structure, seed in runs],
-                                       slots, simcore.CHUNK_SLOTS // len(runs))
-    else:
-        slots = 3000
-        ((cs, structure, seed),) = runs
-        results = [simcore.simulate_policy(cs, policy, slots, np.random.default_rng(seed),
-                                           structure=structure)]
+    slots = 900 if policy == "pfs" else 3000
+    results = simcore.simulate_block([(cs, np.random.default_rng(seed), structure)
+                                      for cs, structure, seed in runs], policy, slots, len(runs))
+    chunk = simcore.CHUNK_SLOTS // len(runs) if policy == "pfs" else simcore.CHUNK_SLOTS
     for res, (cs, structure, seed) in zip(results, runs):
         grants, u_sum, rate_sum, group_grants, snr = reference_accounting(
-            cs, policy, slots, np.random.default_rng(seed), structure=structure,
-            chunk=simcore.CHUNK_SLOTS // len(runs))
+            cs, policy, slots, np.random.default_rng(seed), structure=structure, chunk=chunk)
         assert np.array_equal(res.user_grants, grants)
         assert np.array_equal(res.user_u_sum, u_sum)
         assert np.array_equal(res.user_rate_sum, rate_sum)
@@ -144,10 +151,12 @@ def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, grou
 
 
 @pytest.mark.parametrize("group_sizes", [(5,), None], ids=["fixed", "greedy"])
-def test_pfs_blocks_and_workers_change_no_report(monkeypatch, group_sizes):
+@pytest.mark.parametrize("policy", ["pfs", "cfs", "gfs"])
+def test_blocks_and_workers_change_no_report(monkeypatch, policy, group_sizes):
     # 1, 2, 5 and 8 workers run blocks of 5, 3 + 2, 1 each and 1 each (no empty
-    # block): the lockstep blocks reduce to the same report, to the bit
-    cfg = SystemConfig(K1=10, K2=5, policy="pfs", group_sizes=group_sizes,
+    # block): the blocks reduce to the same report, to the bit.  pfs steps a block
+    # in lockstep; cfs keeps a cursor and greedy gfs its weights per realization
+    cfg = SystemConfig(K1=10, K2=5, policy=policy, group_sizes=group_sizes,
                        slots_per_realization=400, spatial_realizations=5, rng_seed=31,
                        interference_radius_m=600.0)
     one = simcore.run_experiment(cfg, n_workers=1)
@@ -160,9 +169,10 @@ def test_pfs_blocks_and_workers_change_no_report(monkeypatch, group_sizes):
         else:
             assert np.array_equal(rep.group_access_prob, one.group_access_prob)
         assert all(np.array_equal(a, b) for a, b in zip(rep.selected_snr, one.selected_snr))
-    # with chunk boundaries inside the run (700 // 5 = 140-slot chunks) every split
-    # into blocks gives each realization the same bits
-    monkeypatch.setattr(simcore, "CHUNK_SLOTS", 700)
+    # with chunk boundaries inside every policy's run (pfs: 150 // 5 = 30-slot
+    # chunks, the score policies 150-slot chunks of the 400 slots) every split into
+    # blocks gives each realization the same bits
+    monkeypatch.setattr(simcore, "CHUNK_SLOTS", 150)
     splits = ([range(5)], [range(3), range(3, 5)], [range(r, r + 1) for r in range(5)])
     runs = [[res for block in split for res, _ in simcore._realization_task((cfg, block, None))]
             for split in splits]
