@@ -557,13 +557,22 @@ def gfs_selected_cdf(base, m_i: int, mu_i: float) -> AnalyticCurve:
 # ---------------------------------------------------------------------------
 # unconditional curves (spatial distribution integrated out, m = 1 fading)
 
+@functools.cache
+def _gauss_legendre_32() -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 32-point Gauss-Legendre rule on [-1, 1], built on
+    first use and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 def _distance_average(A: float, eta: float, k: float, lo: float, hi: float, density):
     """s -> E_d[(1 - exp(-A s d^eta))^k] for d with the given density on [lo, hi].
 
     Composite Gauss-Legendre in ln d: 16 equal panels of 32 nodes.  Vectorized
     over s; a scalar s gives a scalar.
     """
-    x, w = np.polynomial.legendre.leggauss(32)
+    x, w = _gauss_legendre_32()
     edges = np.linspace(math.log(lo), math.log(hi), 17)
     half = 0.5 * np.diff(edges)[:, None]
     d = np.exp(edges[:-1, None] + half * (x + 1.0)).ravel()

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,13 +72,22 @@ class GroupStructure:
 
 
 def build_conflict_graph(spatial: SpatialRealization, radius_m: float) -> ConflictGraph:
-    """Edge between two pairs iff their centroid distance is below the radius."""
+    """Edge between two pairs iff their centroid distance is below the radius.
+
+    The test is np.hypot(dx, dy) < radius_m.  Squared distances decide it, and
+    only the pairs whose squared distance lies within 8 eps r^2 of r^2, where
+    rounding could flip the comparison, are decided by hypot itself.
+    """
     xy = spatial.centroid_xy()
     if xy.shape[0] < 1:
         raise ValueError("need at least one D2D pair")
-    diff = xy[:, None, :] - xy[None, :, :]
-    dist = np.hypot(diff[..., 0], diff[..., 1])
-    adj = dist < radius_m
+    dx = np.subtract.outer(xy[:, 0], xy[:, 0])
+    dy = np.subtract.outer(xy[:, 1], xy[:, 1])
+    d2 = dx * dx + dy * dy
+    r2 = math.copysign(radius_m * radius_m, radius_m)   # a negative radius keeps no edge
+    adj = d2 < r2
+    near = np.abs(d2 - r2) <= 8.0 * np.finfo(float).eps * r2
+    adj[near] = np.hypot(dx[near], dy[near]) < radius_m
     np.fill_diagonal(adj, False)
     return ConflictGraph(adj)
 
@@ -85,22 +95,24 @@ def build_conflict_graph(spatial: SpatialRealization, radius_m: float) -> Confli
 def greedy_coloring(graph: ConflictGraph) -> GroupStructure:
     """Welsh-Powell greedy coloring: vertices in descending-degree order (ties by
     lower id) take the smallest color absent among colored neighbors.  Each color
-    is one D2D group with fairness factor 1/2."""
+    is one D2D group with fairness factor 1/2; a graph of no vertices has none."""
+    adj = graph.adjacency
     n = graph.n_vertices
-    deg = graph.adjacency.sum(axis=1)
-    order = np.lexsort((np.arange(n), -deg))
-    color = np.full(n, -1)
+    neighbours = np.nonzero(adj)[1].tolist()    # row by row, each row in ascending id
+    ends = np.cumsum(adj.sum(axis=1)).tolist()
+    starts = [0] + ends[:-1]
+    order = sorted(range(n), key=lambda v: (starts[v] - ends[v], v))   # -degree, then id
+    color = [-1] * n
     for v in order:
-        used = {color[u] for u in np.flatnonzero(graph.adjacency[v]) if color[u] >= 0}
+        used = {color[u] for u in neighbours[starts[v]:ends[v]]}
         c = 0
         while c in used:
             c += 1
         color[v] = c
-    groups = []
-    for c in range(color.max() + 1):
-        members = tuple(int(v) for v in np.flatnonzero(color == c))
-        groups.append(Group(members, 0.5))
-    return GroupStructure(tuple(groups))
+    members = [[] for _ in range(max(color, default=-1) + 1)]
+    for v, c in enumerate(color):
+        members[c].append(v)
+    return GroupStructure(tuple(Group(tuple(m), 0.5) for m in members))
 
 
 def fixed_grouping(sizes, n_contenders: int | None = None, nu: float = 0.5,

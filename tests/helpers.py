@@ -1,6 +1,6 @@
 """Shared test utilities: geometry replay, KS statistics, a quadrature oracle, the
-per-group-maximum group selection, the numpy proportional-fair loop and the
-cell-by-cell grant accounting."""
+per-group-maximum group selection, the numpy proportional-fair loop, the
+cell-by-cell grant accounting and a nested-loop Welsh-Powell coloring."""
 
 import math
 
@@ -9,6 +9,7 @@ from scipy import integrate
 
 from d2dsched import policies, simcore
 from d2dsched.analytics import regularized_gamma_p_inv
+from d2dsched.grouping import Group, GroupStructure
 from d2dsched.weights import ecs_weights, solve_group_weights
 from d2dsched.model import sample_spatial
 
@@ -180,3 +181,27 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
             turn[j] = (turn[j] + size) % k
         done += n
     return grants, u_sum, rate_sum, group_grants, [np.concatenate(s) for s in snrs]
+
+
+def welsh_powell_reference(adjacency):
+    """Welsh-Powell by nested loops over the adjacency matrix: repeatedly take the
+    uncolored vertex of highest degree (the lowest id among equals) and give it the
+    smallest color no neighbor holds.  The oracle for grouping.greedy_coloring, which
+    must return the same GroupStructure, groups in color order with members in
+    ascending id."""
+    adj = np.asarray(adjacency, dtype=bool).tolist()
+    n = len(adj)
+    degree = [sum(row) for row in adj]
+    color = [None] * n
+    for _ in range(n):
+        v = None
+        for u in range(n):
+            if color[u] is None and (v is None or degree[u] > degree[v]):
+                v = u
+        c = 0
+        while any(adj[v][u] and color[u] == c for u in range(n)):
+            c += 1
+        color[v] = c
+    n_colors = max(color, default=-1) + 1
+    return GroupStructure(tuple(Group(tuple(v for v in range(n) if color[v] == c), 0.5)
+                                for c in range(n_colors)))
