@@ -139,7 +139,9 @@ def cmd_run(args) -> int:
     config = _build_config(args)
     report = simcore.run_experiment(config)
     theory = None
-    if args.emit_cdfs and config.policy == "dfs" and np.all(config.shapes_per_contender() == 1.0):
+    # the unconditional curves exist for two users or more, at unit shape
+    if (args.emit_cdfs and config.policy == "dfs" and config.n_users >= 2
+            and np.all(config.shapes_per_contender() == 1.0)):
         cell, d2d = analytics.dfs_unconditional_cdfs(config, config.n_users)
         theory = {j: (cell if j < config.K1 else d2d) for j in range(config.n_contenders)}
     _write_report(report, args.out, emit_cdfs=args.emit_cdfs, theory_curves=theory)

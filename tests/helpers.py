@@ -54,10 +54,31 @@ def unconditional_quad(config, K):
     return cell, d2d
 
 
+def distance_average_plain(A, eta, k, lo, hi, density):
+    """analytics._distance_average with the plain kernel: the same 512 quadrature
+    nodes, every node's (1 - exp(-A s d^eta)) ** k taken, weighted and summed.  The
+    oracle for the kernel that skips the powers which underflow to 0.0, which must
+    give the same bits."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    edges = np.linspace(math.log(lo), math.log(hi), 17)
+    half = 0.5 * np.diff(edges)[:, None]
+    d = np.exp(edges[:-1, None] + half * (x + 1.0)).ravel()
+    weight = (half * w).ravel() * d * density(d)
+    exponent = -A * d ** eta
+
+    def cdf(s):
+        f = -np.expm1(np.multiply.outer(s, exponent))
+        f **= k
+        f *= weight
+        return f.sum(axis=-1)
+
+    return cdf
+
+
 def log_grid_200(cdf, n):
     """make_log_grid with every quantile run through all 200 geometric bisection
-    steps: the oracle for analytics._quantile, which stops once the bracket stops
-    moving."""
+    steps from the bracket [1e-30, first power of two the CDF reaches p at]: the
+    oracle for analytics._quantile, which must return the same doubles."""
     def quantile(p):
         lo, hi = 1e-30, 1.0
         while cdf(hi) < p:

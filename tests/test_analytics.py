@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from helpers import log_grid_200, unconditional_quad
+from helpers import distance_average_plain, log_grid_200, unconditional_quad
 
 from d2dsched import analytics
 from d2dsched.channel import GammaSnrCdf
+from d2dsched.cli import PRESETS
 from d2dsched.model import SystemConfig
 
 
@@ -455,21 +456,43 @@ def test_conditional_grid_ends_match_scipy(monkeypatch, shape_m, mean_snr):
 
 
 def test_log_grid_spans_quantiles():
-    # the unconditional curves have no closed-form inverse: their grids bisect the CDF
+    # the unconditional curves have no closed-form inverse: their grids search the CDF
     cell, d2d = analytics.dfs_unconditional_cdfs(SystemConfig(), 8, n_grid=64)
     for cdf in (cell.exact, d2d.exact):
         grid = analytics.make_log_grid(functools.partial(analytics._quantile, cdf), n=100)
         assert cdf(grid[0]) == pytest.approx(1e-4, rel=0.05)
         assert cdf(grid[-1]) == pytest.approx(1.0 - 1e-4, rel=0.05)
         assert np.all(np.diff(grid) > 0)
-        # stopping once the bracket stops moving returns what all 200 steps return
+        # the search returns what all 200 bisection steps return
+        assert np.array_equal(grid, log_grid_200(cdf, 100))
+        for p in (1e-4, 1.0 - 1e-4):
+            calls = []
+            analytics._quantile(lambda s: calls.append(s) or cdf(s), p)
+            # the geometric bisection took its doubling steps and up to 80 more
+            assert len(calls) <= 40
+
+
+def _table2(scale):
+    return SystemConfig(**PRESETS["table2-orthogonal"][scale])
+
+
+@pytest.mark.parametrize("scale", ["desk", "full"])
+@pytest.mark.parametrize("K", [2, 3, 9, 20, 50, 100])
+def test_quantile_matches_full_bisection(scale, K):
+    cell, d2d = analytics.dfs_unconditional_cdfs(_table2(scale), K, n_grid=4)
+    total = 0
+    for cdf in (cell.exact, d2d.exact):
+        grid = analytics.make_log_grid(functools.partial(analytics._quantile, cdf), n=100)
         assert np.array_equal(grid, log_grid_200(cdf, 100))
         for p in (1e-4, 1.0 - 1e-4):
             calls = []
             q = analytics._quantile(lambda s: calls.append(s) or cdf(s), p)
-            # cdf(1), cdf(2), ... up to the first power of two above q, then the bisection
-            doubling = 1 + max(0, math.ceil(math.log2(q)))
-            assert len(calls) - doubling <= 80
+            # the smallest double that reaches p
+            assert cdf(q) >= p > cdf(np.nextafter(q, 0.0))
+            assert len(calls) <= 40
+            total += len(calls)
+    # both curves' grid ends: 309 evaluations by the geometric bisection at K = 20
+    assert total <= 150
 
 
 def test_quantile_without_upper_bracket_raises():
@@ -480,6 +503,61 @@ def test_quantile_without_upper_bracket_raises():
 
     with pytest.raises(ValueError, match="upper bracket"):
         analytics._quantile(capped, 1.0 - 1e-4)
+
+
+def test_quantile_without_lower_bracket_raises():
+    # a CDF with an atom at 0 reaches 1e-4 at the lower bracket 1e-30: its grid used
+    # to start at 1e-30 without a word
+    def atom(s):
+        return 0.5 - 0.5 * np.expm1(-np.asarray(s, dtype=float))
+
+    with pytest.raises(ValueError, match="lower bracket"):
+        analytics._quantile(atom, 1e-4)
+
+
+@pytest.mark.parametrize("K", [1, 0, -2])
+def test_unconditional_curves_refuse_K_below_2(K):
+    # K = 1 would give the pairs k = 1/2; K = -2 used to return a grid of 1e-30s
+    with pytest.raises(ValueError, match="K must be >= 2"):
+        analytics.dfs_unconditional_cdfs(SystemConfig(), K, n_grid=64)
+
+
+def _distance_mixtures(config):
+    """(A, eta, lo, hi, density) of the cellular and the pair distance averages, as
+    dfs_unconditional_cdfs sets them up."""
+    A_c = config.noise_power_mw / (config.pathloss_const_cellular * config.tx_power_dl_mw)
+    A_d = config.noise_power_mw / (config.pathloss_const_d2d * config.tx_power_d2d_mw)
+    R, d_min, d_max = config.cell_radius_m, config.d2d_min_m, config.d2d_max_m
+    return ((A_c, config.pathloss_exp_cellular, 1e-8 * R, R, lambda d: 2.0 * d / R ** 2),
+            (A_d, config.pathloss_exp_d2d, d_min, d_max, lambda d: 1.0 / (d_max - d_min)))
+
+
+@pytest.mark.parametrize("scale", ["desk", "full"])
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 4.5, 10.0, 20.0, 50.0])
+def test_distance_average_matches_plain_kernel(scale, k):
+    s = np.geomspace(1e-30, 1e12, 401)
+    for A, eta, lo, hi, density in _distance_mixtures(_table2(scale)):
+        cdf = analytics._distance_average(A, eta, k, lo, hi, density)
+        want = distance_average_plain(A, eta, k, lo, hi, density)(s)
+        assert np.array_equal(cdf(s), want)
+        # one s at a time, as the quantile search calls it
+        assert [cdf(v) for v in s[::8]] == want[::8].tolist()
+        if k >= 20.0:
+            # the sweep crosses the subnormal values of the CDF
+            assert np.any((want > 0.0) & (want < np.finfo(float).tiny))
+
+
+@pytest.mark.parametrize("k", [1.0, 1.5, 2.0, 4.5, 10.0, 20.0, 50.0, 1000.0])
+def test_zero_power_floor(k):
+    floor = analytics._zero_power_floor(k)
+    # the 4096 doubles just below the floor give a power of exactly 0.0
+    below = (np.array(floor).view(np.int64) - np.arange(1, 4097)).view(float)
+    below = below[below >= 0.0]
+    assert np.all(below ** k == 0.0) and np.all(np.power(below, k) == 0.0)
+    assert all(h ** k == 0.0 for h in below[::256].tolist())
+    if floor > 0.0:
+        # and the floor is within a factor 4 on the power of the smallest subnormal
+        assert (floor * 2.0 ** (2.0 / k)) ** k > 0.0
 
 
 def test_index_references():

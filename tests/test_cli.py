@@ -188,6 +188,19 @@ def test_analytic_bcs_needs_cellular_users(tmp_path, capsys):
     assert not os.path.exists(out)
 
 
+def test_run_emits_theory_curves_for_two_users_or_more(tmp_path):
+    # the unconditional curves need K >= 2: a lone user's CDF file carries no theory
+    for K1, has_theory in ((1, False), (2, True)):
+        out = str(tmp_path / f"K1_{K1}")
+        assert cli.main(["run", "--set", f"K1={K1}", "--set", "K2=0", "--set", "policy=dfs",
+                         "--set", "slots_per_realization=3000", "--set", "spatial_realizations=1",
+                         "--emit-cdfs", "--out", out]) == 0
+        header, rows = _read_csv(os.path.join(out, "cdf_0.csv"))
+        assert header == ["s_db", "f_emp", "f_theory", "abs_diff"] and len(rows) == 512
+        theory = np.array([float(r[2]) for r in rows])
+        assert np.all(np.isfinite(theory)) if has_theory else np.all(np.isnan(theory))
+
+
 def test_sweep_emits_one_report_per_value(small_config, tmp_path):
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", small_config, "--out", out,
