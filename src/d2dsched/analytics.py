@@ -45,15 +45,6 @@ def _erlang_sum(m: int, x: np.ndarray) -> np.ndarray:
     return s
 
 
-def _erlang_p(m: int, x: np.ndarray) -> np.ndarray:
-    # P(m,x) = -expm1(-x) - e^-x sum_{j=1}^{m-1} x^j/j!
-    p = -np.expm1(-x)
-    if m == 1:
-        return p
-    p -= _erlang_sum(m, x)
-    return p
-
-
 def _series_p(a: float, x: np.ndarray) -> np.ndarray:
     # P(a,x) = x^a e^-x / Gamma(a+1) * sum_{n>=0} x^n / ((a+1)...(a+n)),  x < a+1
     total = np.empty_like(x)
@@ -108,20 +99,56 @@ def _contfrac_q(a: float, x: np.ndarray) -> np.ndarray:
     return np.exp(a * np.log(x) - x - math.lgamma(a)) * h
 
 
+def _is_erlang(a: float) -> bool:
+    return a.is_integer() and a <= _ERLANG_A_MAX
+
+
+def _gamma_tail(a: float, x: np.ndarray, upper: np.ndarray | None = None) -> np.ndarray:
+    """P(a, x) per cell, or Q(a, x) = 1 - P(a, x) where `upper` is set, each to its own
+    relative accuracy.
+
+    At integer shapes up to 170 both come from the Erlang sum
+    S = e^-x sum_{j=1}^{a-1} x^j / j! at x clipped to 700, where e^-x is still
+    normal, P rounds to 1 and Q is below 1e-128: Q = e^-x + S, and
+    P = (1 - e^-x) - S, from the series where that difference is below
+    1e-3 (1 - e^-x), having lost three digits or more; `upper` may then be
+    any mask.  Other shapes take P from the series and Q from the continued
+    fraction, which need x < a+1 and x >= a+1: there `upper` must be x >= a+1.
+    """
+    if _is_erlang(a):
+        xs = np.minimum(x, _ERLANG_X_MAX)
+        one_minus_e = -np.expm1(-xs)
+        if a == 1.0:
+            return one_minus_e if upper is None else np.where(upper, np.exp(-xs), one_minus_e)
+        s = _erlang_sum(int(a), xs)
+        out = one_minus_e - s
+        cancels = out < 1e-3 * one_minus_e
+        if upper is not None:
+            cancels &= ~upper
+            out = np.where(upper, np.exp(-xs) + s, out)
+        if cancels.any():
+            out[cancels] = _series_p(a, x[cancels])
+        return out
+    out = np.empty_like(x)
+    low = ~upper
+    out[low] = _series_p(a, x[low])
+    out[upper] = _contfrac_q(a, x[upper])
+    return out
+
+
 def _gamma_p_one_shape(a: float, x: np.ndarray) -> np.ndarray:
     if not math.isfinite(a):
         raise ValueError(f"shape parameter a must be positive and finite, got {a!r}")
-    if a.is_integer() and a <= _ERLANG_A_MAX:
-        # at these shapes P(a, x) rounds to 1 from x = 700 on, where e^-x is still normal
-        p = _erlang_p(int(a), np.minimum(x, _ERLANG_X_MAX))
+    if _is_erlang(a):
+        p = _gamma_tail(a, x)                   # P in both tails, x = inf too
         return np.clip(p, 0.0, 1.0, out=p)
-    out = np.ones_like(x)                  # P(a, inf) = 1
-    small = x < a + 1.0
-    if small.any():
-        out[small] = _series_p(a, x[small])
-    tail = ~small & (x < np.inf)
-    if tail.any():
-        out[tail] = 1.0 - _contfrac_q(a, x[tail])
+    out = np.ones_like(x)                       # P(a, inf) = 1
+    finite = x < np.inf
+    if finite.any():
+        xf = x[finite]
+        upper = xf >= a + 1.0
+        t = _gamma_tail(a, xf, upper)
+        out[finite] = np.where(upper, 1.0 - t, t)
     return np.clip(out, 0.0, 1.0)
 
 
@@ -129,13 +156,15 @@ def regularized_gamma_p(a, x):
     """Regularized lower incomplete gamma P(a, x), elementwise over broadcast a and x.
 
     Integer shapes up to 170 use the closed-form Erlang sum
-    P(m, x) = 1 - e^-x sum_{j<m} x^j / j!.  Other shapes use the series for
-    x < a+1 and the continued fraction otherwise; either raises
+    P(m, x) = 1 - e^-x sum_{j<m} x^j / j!, and the series where that
+    difference has cancelled to below 1e-3 (1 - e^-x).  Other shapes use the
+    series for x < a+1 and the continued fraction otherwise; either raises
     GammaNotConverged (an ArithmeticError) when a point has not converged
     after 600 iterations.
-    Absolute accuracy is better than 1e-13 over the tested domain.  At
-    integer shapes a small P is the difference of two terms near 1 - e^-x,
-    so its relative accuracy falls as P shrinks (0.3 % at P(9, 0.1) = 2.5e-15).
+    Absolute accuracy is better than 1e-13 over the tested domain, and a
+    small P keeps its relative accuracy at every shape: within 1e-12 of
+    scipy's gammainc where the Erlang difference cancels, as at
+    P(9, 0.03) = 5.3e-20.
     A shape that is not positive and finite, or an x that is negative or NaN,
     raises ValueError; P(a, inf) = 1.  Scalar a and x give a Python float.
     """
@@ -162,28 +191,14 @@ def regularized_gamma_p(a, x):
 def _tail_residual(a: float, x: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """P(a, x) - p per cell, computed in the tail that is small, with q = 1 - p.
 
-    At integer shapes up to 170 the Erlang sums give q - Q for p > 1/2 and
-    P - p otherwise, with the series where the Erlang P cancels.  Other
-    shapes give P - p from the series below a+1 and q - Q from the continued
-    fraction above.  Either way the residual keeps its tail's relative
-    accuracy.
+    At integer shapes up to 170, where `_gamma_tail` resolves both tails
+    anywhere, it is q - Q for p > 1/2 and P - p otherwise; other shapes take
+    P - p below a+1 and q - Q above.  Either way the residual keeps its
+    tail's relative accuracy.
     """
-    if a.is_integer() and a <= _ERLANG_A_MAX:
-        # Q(a, x) stays below 1e-128 from x = 700 on, below any q = 1 - p > 0
-        xs = np.minimum(x, _ERLANG_X_MAX)
-        s = _erlang_sum(int(a), xs)
-        one_minus_e = -np.expm1(-xs)
-        r = np.where(p > 0.5, q - (np.exp(-xs) + s), one_minus_e - s - p)
-        # P = (1 - e^-x) - s loses its digits where it is far below 1 - e^-x
-        cancels = (p <= 0.5) & (r + p < 1e-3 * one_minus_e)
-        if cancels.any():
-            r[cancels] = _series_p(a, x[cancels]) - p[cancels]
-        return r
-    r = np.empty_like(x)
-    low = x < a + 1.0
-    r[low] = _series_p(a, x[low]) - p[low]
-    r[~low] = q[~low] - _contfrac_q(a, x[~low])
-    return r
+    upper = p > 0.5 if _is_erlang(a) else x >= a + 1.0
+    t = _gamma_tail(a, x, upper)
+    return np.where(upper, q - t, t - p)
 
 
 def _dm_start(a: float, low: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -437,25 +452,15 @@ def regularized_gamma_p_inv(a, p):
 
 @dataclass(frozen=True)
 class AnalyticCurve:
-    """A closed-form CDF / probability curve tabulated on an ascending SNR grid.
-
-    `exact`, where given, is the CDF itself: evaluate() then computes the curve
-    at s instead of interpolating the table.
-    """
+    """A closed-form CDF / probability curve tabulated on an ascending SNR grid."""
 
     grid: np.ndarray
     values: np.ndarray
     provenance: dict = field(default_factory=dict)
-    exact: Callable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.grid) != len(self.values):
             raise ValueError("grid/value length mismatch")
-
-    def evaluate(self, s) -> np.ndarray:
-        if self.exact is not None:
-            return np.clip(self.exact(np.asarray(s, dtype=float)), 0.0, 1.0)
-        return np.interp(s, self.grid, self.values, left=0.0, right=1.0)
 
 
 _S_LOW = 1e-30                     # the lower bracket of every quantile search
@@ -676,8 +681,9 @@ def _distance_average(A: float, eta: float, k: float, lo: float, hi: float, dens
     return cdf
 
 
-def dfs_unconditional_cdfs(config, K: int, n_grid: int = 2048) -> tuple[AnalyticCurve, AnalyticCurve]:
-    """Unconditional downlink selected-SNR curves for cellular users and pairs, K >= 2.
+def dfs_unconditional_mixtures(config, K: int) -> tuple[Callable, Callable]:
+    """The unconditional downlink selected-SNR CDFs of cellular users and pairs,
+    K >= 2, as callables s -> F(s), vectorized over s.
 
     E_d[F(s|d)^k] by fixed quadrature over the distance density: 2d/R^2 on
     [1e-8 R, R] with k = K for cellular users (the mass left out is 1e-16),
@@ -696,13 +702,20 @@ def dfs_unconditional_cdfs(config, K: int, n_grid: int = 2048) -> tuple[Analytic
                                lambda d: 2.0 * d / R ** 2)
     f_d2d = _distance_average(A_d, config.pathloss_exp_d2d, K / 2.0, d_min, d_max,
                               lambda d: 1.0 / (d_max - d_min))
-    grid_c = make_log_grid(functools.partial(_quantile, f_cell), n_grid)
-    grid_d = make_log_grid(functools.partial(_quantile, f_d2d), n_grid)
-    cell_curve = AnalyticCurve(grid_c, _cdf_guard(f_cell(grid_c)),
-                               {"kind": "dfs-unconditional-cellular", "K": K, "A_c": A_c}, f_cell)
-    d2d_curve = AnalyticCurve(grid_d, _cdf_guard(f_d2d(grid_d)),
-                              {"kind": "dfs-unconditional-d2d", "K": K, "A_d": A_d}, f_d2d)
-    return cell_curve, d2d_curve
+    return f_cell, f_d2d
+
+
+def dfs_unconditional_cdfs(config, K: int,
+                           n_grid: int = 2048) -> tuple[AnalyticCurve, AnalyticCurve]:
+    """The cellular and pair curves of `dfs_unconditional_mixtures`, each
+    tabulated on an n_grid-point log grid between the 1e-4 and 1 - 1e-4
+    quantiles that `_quantile` searches its mixture for."""
+    f_cell, f_d2d = dfs_unconditional_mixtures(config, K)
+    curves = []
+    for cdf, kind in ((f_cell, "dfs-unconditional-cellular"), (f_d2d, "dfs-unconditional-d2d")):
+        grid = make_log_grid(functools.partial(_quantile, cdf), n_grid)
+        curves.append(AnalyticCurve(grid, _cdf_guard(cdf(grid)), {"kind": kind, "K": K}))
+    return curves[0], curves[1]
 
 
 # ---------------------------------------------------------------------------

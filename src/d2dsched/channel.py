@@ -35,11 +35,6 @@ class GammaSnrCdf:
         return self.mean_snr / self.shape_m * regularized_gamma_p_inv(self.shape_m, p)
 
 
-def snr_of(tx_power_mw: float, path_gain: float, config: SystemConfig) -> float:
-    """Mean SNR P_tx * g / noise of a transmit power over a path gain."""
-    return tx_power_mw * path_gain / config.noise_power_mw
-
-
 def mean_snr(link: LinkGeometry, config: SystemConfig) -> float:
     """Mean SNR of the link (fading averaged out): P_tx * g / noise."""
-    return snr_of(link.tx_power_mw, link.path_gain, config)
+    return link.tx_power_mw * link.path_gain / config.noise_power_mw

@@ -90,7 +90,7 @@ def _report_rows(report: simcore.ExperimentReport):
 
 
 def _write_report(report: simcore.ExperimentReport, out_dir: str, emit_cdfs: bool = False,
-                  theory_curves=None) -> None:
+                  theory_cdfs=None) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "report.csv"),
                ["user_id", "class", "group_id", "access_prob", "upi", "selected_rate",
@@ -114,8 +114,8 @@ def _write_report(report: simcore.ExperimentReport, out_dir: str, emit_cdfs: boo
             grid = np.quantile(samples, np.linspace(0.001, 0.999, 512))
             emp = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
             theory = np.full_like(grid, np.nan)
-            if theory_curves is not None and j in theory_curves:
-                theory = theory_curves[j].evaluate(grid)
+            if theory_cdfs is not None and j in theory_cdfs:
+                theory = np.clip(theory_cdfs[j](grid), 0.0, 1.0)
             _write_csv(os.path.join(out_dir, f"cdf_{j}.csv"),
                        ["s_db", "f_emp", "f_theory", "abs_diff"],
                        zip(10.0 * np.log10(grid), emp, theory, np.abs(emp - theory)))
@@ -142,9 +142,9 @@ def cmd_run(args) -> int:
     # the unconditional curves exist for two users or more, at unit shape
     if (args.emit_cdfs and config.policy == "dfs" and config.n_users >= 2
             and np.all(config.shapes_per_contender() == 1.0)):
-        cell, d2d = analytics.dfs_unconditional_cdfs(config, config.n_users)
+        cell, d2d = analytics.dfs_unconditional_mixtures(config, config.n_users)
         theory = {j: (cell if j < config.K1 else d2d) for j in range(config.n_contenders)}
-    _write_report(report, args.out, emit_cdfs=args.emit_cdfs, theory_curves=theory)
+    _write_report(report, args.out, emit_cdfs=args.emit_cdfs, theory_cdfs=theory)
     return 0
 
 

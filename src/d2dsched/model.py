@@ -14,9 +14,6 @@ import numpy as np
 
 POLICIES = ("bcs", "cfs", "dfs", "gfs", "ecs", "pfs", "grr")
 
-_INT_KEYS = {"K1", "K2", "slots_per_realization", "spatial_realizations", "rng_seed"}
-_STR_KEYS = {"policy"}
-
 
 class ConfigError(ValueError):
     """Invalid or inconsistent scenario configuration."""
@@ -226,12 +223,14 @@ def d2d_direct(config: SystemConfig, distance_m: float) -> LinkGeometry:
 # flat key = value config files
 
 def parse_setting(key: str, raw: str):
-    """The value of one `key = raw` setting; a ConfigError names a bad key or value."""
-    if key not in {f.name for f in fields(SystemConfig)}:
+    """The value of one `key = raw` setting, of the type `SystemConfig` annotates
+    the key with; a ConfigError names a bad key or value."""
+    kind = next((f.type for f in fields(SystemConfig) if f.name == key), None)
+    if kind is None:
         raise ConfigError(f"unknown key {key!r}")
     raw = raw.strip()
     try:
-        if key in _STR_KEYS:
+        if kind == "str":
             return raw
         if key == "group_sizes":
             return None if raw.lower() in ("", "none") else tuple(int(tok) for tok in raw.split(","))
@@ -239,7 +238,7 @@ def parse_setting(key: str, raw: str):
             return tuple(float(tok) for tok in raw.split(",")) if "," in raw else float(raw)
         if key == "rate_log_base" and raw.lower() == "e":
             return math.e
-        return int(raw) if key in _INT_KEYS else float(raw)
+        return int(raw) if kind == "int" else float(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: cannot parse {raw!r}") from exc
 

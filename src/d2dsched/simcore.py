@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -11,8 +12,8 @@ from d2dsched import channel, policies
 from d2dsched.analytics import regularized_gamma_p_inv
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
-from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, power_law_gain, \
-    sample_spatial
+from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
+    d2d_direct, sample_spatial
 from d2dsched.weights import PolicyWeights, ecs_weights, solve_group_weights
 
 GROUP_POLICIES = ("gfs", "ecs", "pfs", "grr")
@@ -52,14 +53,13 @@ class ContenderSet:
 def contenders_from_spatial(config: SystemConfig, spatial: SpatialRealization) -> ContenderSet:
     """Downlink contender set: per-user mean SNR from the sampled geometry.
 
-    Each mean is `channel.mean_snr` of the contender's downlink or D2D link,
-    computed from the same helpers without building the link objects.
+    Each mean is `channel.mean_snr` of the contender's link, built by
+    `model.cellular_downlink` for a cellular user and `model.d2d_direct` for
+    a pair.
     """
-    const_c, eta_c = config.pathloss_const_cellular, config.pathloss_exp_cellular
-    const_d, eta_d = config.pathloss_const_d2d, config.pathloss_exp_d2d
-    means = [channel.snr_of(config.tx_power_dl_mw, power_law_gain(const_c, eta_c, d), config)
+    means = [channel.mean_snr(cellular_downlink(config, d), config)
              for d in spatial.cellular_distances.tolist()]
-    means += [channel.snr_of(config.tx_power_d2d_mw, power_law_gain(const_d, eta_d, d), config)
+    means += [channel.mean_snr(d2d_direct(config, d), config)
               for d in spatial.pair_direct_distances.tolist()]
     members = [(k,) for k in range(config.K1)]
     members += [(config.K1 + 2 * p, config.K1 + 2 * p + 1) for p in range(config.K2)]
@@ -83,27 +83,18 @@ def standalone_contenders(mean_snrs, shapes) -> ContenderSet:
     return ContenderSet(np.zeros(means.size, bool), m, means, members)
 
 
-def fixed_structure(config: SystemConfig) -> GroupStructure | None:
-    """The mixed-system structure when no layout changes it (no pairs, or fixed
-    group sizes): cellular singletons plus the configured D2D groups; else None."""
-    if config.K2 == 0:
-        return with_cellular_singletons(GroupStructure(()), config.K1)
-    if config.group_sizes is not None:
-        d2d = fixed_grouping(config.group_sizes, config.K2, nu=0.5, id_offset=config.K1)
-        return with_cellular_singletons(d2d, config.K1)
-    return None
-
-
 def build_structure(config: SystemConfig, spatial: SpatialRealization) -> GroupStructure:
     """Mixed-system structure: cellular singletons plus D2D groups from the
-    configured fixed sizes or greedy conflict-graph coloring."""
-    structure = fixed_structure(config)
-    if structure is None:
+    configured fixed sizes or greedy conflict-graph coloring (none without pairs)."""
+    if config.K2 == 0:
+        d2d = GroupStructure(())
+    elif config.group_sizes is not None:
+        d2d = fixed_grouping(config.group_sizes, config.K2, nu=0.5, id_offset=config.K1)
+    else:
         colored = greedy_coloring(build_conflict_graph(spatial, config.interference_radius_m))
         d2d = GroupStructure(tuple(
             Group(tuple(config.K1 + v for v in g.members), 0.5) for g in colored.groups))
-        structure = with_cellular_singletons(d2d, config.K1)
-    return structure
+    return with_cellular_singletons(d2d, config.K1)
 
 
 def policy_weights(policy: str, structure: GroupStructure) -> PolicyWeights | None:
@@ -261,8 +252,7 @@ def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int,
 
 
 def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
-                   rate_log_base: float = 2.0, pf_time_const: float = 1000.0,
-                   weights: PolicyWeights | None = None) -> list[SimResult]:
+                   rate_log_base: float = 2.0, pf_time_const: float = 1000.0) -> list[SimResult]:
     """Run `slots` fading slots of each realization of a block, one SimResult each.
 
     `block` lists each realization's (ContenderSet, rng, GroupStructure), all
@@ -274,14 +264,15 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
     Each chunk draws every realization's u ~ U(0, 1), the CDF-mapped channel,
     from its own rng; a cell's SNR is mean_snr/m * P^-1(m, u).  The six score
     policies select on u one realization at a time, CHUNK_SLOTS slots a chunk,
-    each with its own cfs cursor and `policy_weights` (or the shared
-    `weights`), and map only their granted cells to SNR.  pfs decides on
-    rates: it maps every cell, and `policies.pfs_select` steps the whole block
-    in lockstep with the rate averages carried across chunks.  Its chunk is
-    max(1, CHUNK_SLOTS // `realizations`) slots, `realizations` counting the
-    whole experiment's, so a chunk holds no more cells than a score-policy
-    chunk.  The chunks fix the last bits of each user's sums, so any split of
-    an experiment into blocks reports the same bits.
+    each with its own cfs cursor and `policy_weights`, which are solved once
+    per distinct structure of the block, and map only their granted cells to
+    SNR.  pfs decides on rates: it maps every cell, and `policies.pfs_select`
+    steps the whole block in lockstep with the rate averages carried across
+    chunks.  Its chunk is max(1, CHUNK_SLOTS // `realizations`) slots,
+    `realizations` counting the whole experiment's, so a chunk holds no more
+    cells than a score-policy chunk.  The chunks fix the last bits of each
+    user's sums, so any split of an experiment into blocks reports the same
+    bits.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -293,8 +284,8 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
         state = policies.PfState(t_c=pf_time_const)
     else:
         chunk = CHUNK_SLOTS
-        rules = [(weights if weights is not None else policy_weights(policy, structure),
-                  policies.CfsState()) for _, _, structure in block]
+        solve = functools.cache(functools.partial(policy_weights, policy))
+        rules = [(solve(structure), policies.CfsState()) for _, _, structure in block]
     done = 0
     while done < slots:
         n = min(chunk, slots - done)
@@ -396,7 +387,7 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
 def _realization_task(args):
     """Run a contiguous block of realizations through one `simulate_block` call,
     after sampling each one's layout: (SimResult, ContenderSet) each, in order."""
-    config, block, weights = args
+    config, block = args
     runs = []
     for real in block:
         rng = realization_rng(config.rng_seed, real)
@@ -406,7 +397,7 @@ def _realization_task(args):
         runs.append((cs, rng, structure))
     results = simulate_block(runs, config.policy, config.slots_per_realization,
                              config.spatial_realizations, config.rate_log_base,
-                             config.pf_time_const, weights)
+                             config.pf_time_const)
     return [(result, cs) for result, (cs, _, _) in zip(results, runs)]
 
 
@@ -429,18 +420,15 @@ def run_experiment(config: SystemConfig, n_workers: int | None = None) -> Experi
     The realizations run as min(workers, R) contiguous blocks of sizes that
     differ by at most one, a block per process; each realization draws from
     its own substream, so the blocks change no result.  Each block is one
-    `simulate_block` call.
-
-    When no layout changes the group structure, its `gfs` or `ecs` weights
-    are solved once for the run; greedy grouping solves them per realization.
+    `simulate_block` call, which solves the `gfs` or `ecs` weights once per
+    distinct group structure of its block: once for fixed groups, and for
+    greedy grouping once per partition its layouts color.
     """
-    structure = fixed_structure(config)
-    weights = None if structure is None else policy_weights(config.policy, structure)
     R = config.spatial_realizations
     k = min(_n_workers(n_workers), R)
     size, extra = divmod(R, k)
     starts = [i * size + min(i, extra) for i in range(k + 1)]
-    tasks = [(config, range(starts[i], starts[i + 1]), weights) for i in range(k)]
+    tasks = [(config, range(starts[i], starts[i + 1])) for i in range(k)]
     if k > 1:
         from concurrent.futures import ProcessPoolExecutor    # imported only when it runs
         with ProcessPoolExecutor(max_workers=k) as pool:

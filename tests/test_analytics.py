@@ -306,14 +306,16 @@ ERLANG_CANCEL_RTOL = 1e-12
 @pytest.mark.parametrize("a", [2.0, 9.0, 40.0, 170.0])
 def test_tail_residual_where_erlang_p_cancels_matches_scipy(a):
     # where P < 1e-4 (1 - e^-x) the Erlang P = (1 - e^-x) - e^-x sum_j x^j/j! has lost
-    # four or more digits, so the residual takes P from the series instead
+    # four or more digits, so both P and the residual take P from the series instead
     x = a * np.geomspace(1e-12, 1.0, 600)
     want = special.gammainc(a, x)
     cancels = (want > 1e-300) & (want < 1e-4 * -np.expm1(-x))
     x, want = x[cancels], want[cancels]
     assert x.size >= 50
-    erlang = analytics._erlang_p(int(a), x)
+    erlang = -np.expm1(-x) - analytics._erlang_sum(int(a), x)
     assert np.max(np.abs(erlang - want) / want) > 1e-6
+    got = analytics.regularized_gamma_p(a, x)
+    assert np.max(np.abs(got - want) / want) < ERLANG_CANCEL_RTOL
     p = 0.5 * want
     got = analytics._tail_residual(a, x, p, 1.0 - p) + p
     assert np.max(np.abs(got - want) / want) < ERLANG_CANCEL_RTOL
@@ -422,19 +424,17 @@ def test_unconditional_curves_basics():
 def test_unconditional_curves_large_K_match_quadrature(K):
     cfg = SystemConfig(K1=20, K2=15)
     cell, d2d = analytics.dfs_unconditional_cdfs(cfg, K, n_grid=64)
+    cdfs = analytics.dfs_unconditional_mixtures(cfg, K)
     cell_ref, d2d_ref = unconditional_quad(cfg, K)
-    for curve, ref in ((cell, cell_ref), (d2d, d2d_ref)):
+    for curve, cdf, ref in ((cell, cdfs[0], cell_ref), (d2d, cdfs[1], d2d_ref)):
         err = max(abs(v - ref(s)) for s, v in zip(curve.grid, curve.values))
         assert err < 1e-8
-        # off the grid, evaluate() computes the curve rather than interpolating it
+        # off the grid, the mixture itself is the curve
         mid = np.sqrt(curve.grid[:-1] * curve.grid[1:])[::8]
-        assert max(abs(v - ref(s)) for s, v in zip(mid, curve.evaluate(mid))) < 1e-8
+        assert max(abs(v - ref(s)) for s, v in zip(mid, cdf(mid))) < 1e-8
 
 
 def test_curve_evaluate_interpolates():
-    curve = analytics.AnalyticCurve(np.array([1.0, 2.0]), np.array([0.2, 0.6]))
-    assert curve.evaluate(1.5) == pytest.approx(0.4)
-    assert curve.evaluate(0.0) == 0.0 and curve.evaluate(5.0) == 1.0
     with pytest.raises(ValueError):
         analytics.AnalyticCurve(np.array([1.0, 2.0]), np.array([0.5]))
 
@@ -457,8 +457,7 @@ def test_conditional_grid_ends_match_scipy(monkeypatch, shape_m, mean_snr):
 
 def test_log_grid_spans_quantiles():
     # the unconditional curves have no closed-form inverse: their grids search the CDF
-    cell, d2d = analytics.dfs_unconditional_cdfs(SystemConfig(), 8, n_grid=64)
-    for cdf in (cell.exact, d2d.exact):
+    for cdf in analytics.dfs_unconditional_mixtures(SystemConfig(), 8):
         grid = analytics.make_log_grid(functools.partial(analytics._quantile, cdf), n=100)
         assert cdf(grid[0]) == pytest.approx(1e-4, rel=0.05)
         assert cdf(grid[-1]) == pytest.approx(1.0 - 1e-4, rel=0.05)
@@ -479,9 +478,8 @@ def _table2(scale):
 @pytest.mark.parametrize("scale", ["desk", "full"])
 @pytest.mark.parametrize("K", [2, 3, 9, 20, 50, 100])
 def test_quantile_matches_full_bisection(scale, K):
-    cell, d2d = analytics.dfs_unconditional_cdfs(_table2(scale), K, n_grid=4)
     total = 0
-    for cdf in (cell.exact, d2d.exact):
+    for cdf in analytics.dfs_unconditional_mixtures(_table2(scale), K):
         grid = analytics.make_log_grid(functools.partial(analytics._quantile, cdf), n=100)
         assert np.array_equal(grid, log_grid_200(cdf, 100))
         for p in (1e-4, 1.0 - 1e-4):

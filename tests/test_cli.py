@@ -201,6 +201,23 @@ def test_run_emits_theory_curves_for_two_users_or_more(tmp_path):
         assert np.all(np.isfinite(theory)) if has_theory else np.all(np.isnan(theory))
 
 
+def test_run_theory_curves_tabulate_nothing(monkeypatch, tmp_path):
+    # f_theory is the distance mixture itself at the empirical grid: no log grid and
+    # no quantile search runs
+    def unread(*args):
+        raise AssertionError("run tabulates a curve that nothing reads")
+
+    monkeypatch.setattr(analytics, "make_log_grid", unread)
+    monkeypatch.setattr(analytics, "_quantile", unread)
+    out = str(tmp_path / "run")
+    assert cli.main(["run", "--set", "K1=2", "--set", "K2=1", "--set", "policy=dfs",
+                     "--set", "slots_per_realization=8000", "--set", "spatial_realizations=1",
+                     "--emit-cdfs", "--out", out]) == 0
+    for j in (0, 2):                            # a cellular user and the pair
+        _, rows = _read_csv(os.path.join(out, f"cdf_{j}.csv"))
+        assert np.all(np.isfinite([float(r[2]) for r in rows]))
+
+
 def test_sweep_emits_one_report_per_value(small_config, tmp_path):
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", small_config, "--out", out,

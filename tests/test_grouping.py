@@ -57,7 +57,7 @@ def _cycle(n):
 
 
 GRAPHS = {
-    "empty": np.zeros((0, 0), bool),     # no groups, as fixed_structure gives for K2 = 0
+    "empty": np.zeros((0, 0), bool),     # no groups, as build_structure gives for K2 = 0
     "single": np.zeros((1, 1), bool),
     "edgeless": np.zeros((9, 9), bool),
     "complete": ~np.eye(8, dtype=bool),

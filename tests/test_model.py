@@ -153,6 +153,12 @@ def test_parse_config_text():
     assert cfg.group_sizes == (1, 1)
     assert cfg.rate_log_base == pytest.approx(math.e)
     assert cfg.shapes_per_contender()[-1] == 2.0
+    # each value takes the type its SystemConfig field is annotated with
+    cfg = parse_config_text("slots_per_realization = 7\nspatial_realizations = 3\nrng_seed = 9\n"
+                            "pf_time_const = 50")
+    assert [cfg.slots_per_realization, cfg.spatial_realizations, cfg.rng_seed] == [7, 3, 9]
+    assert [type(cfg.slots_per_realization), type(cfg.spatial_realizations),
+            type(cfg.rng_seed), type(cfg.pf_time_const)] == [int, int, int, float]
 
 
 def test_parse_errors():
