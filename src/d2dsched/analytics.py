@@ -12,6 +12,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 _MAX_ITER = 600
+# the largest Nakagami shape the simulator accepts: within it P and P^-1 converge and
+# match scipy.  Near x = a the series needs about 8.6 sqrt(a) terms, so its 600 reach
+# a = 4980 (4990 raises); the bound keeps a fifth of that in hand
+MAX_SHAPE = 4000.0
 _ERLANG_A_MAX = 170       # 1/j! stays a normal double for j <= 170
 _ERLANG_X_MAX = 700.0     # e^-x stays normal and the Erlang sum below e^x stays finite
 _HALLEY_MAX_ITER = 40

@@ -12,6 +12,8 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
+from d2dsched.analytics import MAX_SHAPE
+
 POLICIES = ("bcs", "cfs", "dfs", "gfs", "ecs", "pfs", "grr")
 
 
@@ -73,8 +75,9 @@ class SystemConfig:
         if self.pathloss_exp_cellular <= 0 or self.pathloss_exp_d2d <= 0:
             raise ConfigError("pathloss_exp_cellular and pathloss_exp_d2d must be positive")
         for m in self.shapes_per_contender():
-            if m < 0.5:
-                raise ConfigError("fading_shape_m must be >= 0.5")
+            if not 0.5 <= m <= MAX_SHAPE:
+                raise ConfigError(f"fading_shape_m must lie in [0.5, {MAX_SHAPE:g}], "
+                                  f"where the incomplete gamma converges, got {m:g}")
         if self.policy not in POLICIES:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.slots_per_realization < 1 or self.spatial_realizations < 1:

@@ -1,16 +1,20 @@
 """Per-slot winner selection for the seven scheduling policies.
 
-Selection functions are vectorized over slots: they take an (n_slots, n)
+Selection functions are vectorized over slots: they take an (n_slots, C)
 matrix of CDF-mapped channel values in [0, 1] and return one winner per slot.
 pfs, whose rate averages make it sequential in slots, instead steps a block
 of realizations in lockstep, one numpy step per slot over all of them.
 Every score policy selects through one kernel, `_weighted_argmax`: the
-contender with the largest log(u)/w wins.  A group competes through its best
-member, so gfs and ecs give each contender its group's weight and map the
-winning contender to its group; pfs picks the contender with the largest rate
-ratio the same way.  Ties break toward the lowest contender id (argmax picks
-the first maximum), and so between groups toward the group of the lowest
-contender id, a probability-zero event for continuous channels.
+contender with the largest log(u)/w wins.  The kernel reduces over
+contenders along contiguous rows when the matrix is the transposed view of a
+contender-major (C, n_slots) array, the layout the simulator draws; any
+other layout gives the same winners, more slowly.  A group competes through
+its best member, so gfs and ecs give each contender its group's weight and
+map the winning contender to its group; cfs's cellular stage takes the best
+cellular u from the same kernel; pfs picks the contender with the largest
+rate ratio by argmax.  Ties break toward the lowest contender id (the first
+maximum, as argmax picks it), and so between groups toward the group of the
+lowest contender id, a probability-zero event for continuous channels.
 """
 
 from __future__ import annotations
@@ -24,31 +28,51 @@ from d2dsched.weights import PolicyWeights
 from d2dsched.analytics import cfs_threshold
 
 
-_BLOCK = 2048                    # slots per block of the unequal-weight kernel
+_BLOCK = 8192                    # slots per block of the selection kernel
 
 
-def _weighted_argmax(u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Per row of u, the first column maximizing u^(1/w), i.e. log(u)/w.
+def _weighted_argmax(u: np.ndarray, w: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
+    """Per row of the (n, C) scores u, the first column maximizing u^(1/w), i.e.
+    log(u)/w; `top`, if given, receives each row's largest score.
 
+    The kernel reduces over contenders, along the rows of the (C, n) array u.T:
+    it is fast when u is the transposed view of a contender-major (C, n) array,
+    whose rows are contiguous.  It works on blocks of slots in reused buffers.
     With equal weights log and the positive division are monotone, so the
-    argmax of u itself is the answer.  Otherwise the scores are formed block by
-    block in one reused buffer, dividing by the weights tiled over the block so
-    the division runs over the whole block at once; log(0) -> -inf is harmless.
+    scores are u itself; otherwise log(u)/w is formed in a buffer, and
+    log(0) -> -inf is harmless.  Each slot's winner is the first contender
+    holding the slot's largest score: the largest of (score == max) times a
+    rank that falls from C at contender 0 to 1 at contender C - 1.  Ties thus
+    go to the lowest contender id, as argmax breaks them, and a slot whose
+    scores are all -inf goes to contender 0.
     """
     n, C = u.shape
-    if np.all(w == w[:1]):
-        return np.argmax(u, axis=1)
+    scores_cm = u.T
     out = np.empty(n, dtype=np.intp)
     rows = min(n, _BLOCK)
-    scores = np.empty((rows, C))
-    flat = scores.reshape(-1)
-    w_tiled = np.tile(w, rows)
+    equal = np.all(w == w[:1])
+    scores = None if equal else np.empty((C, rows))
+    w_col = w[:, None]
+    best = np.empty(rows) if top is None else None
+    hit = np.empty((C, rows), dtype=bool)
+    rank_type = np.min_scalar_type(C)
+    rank = np.arange(C, 0, -1, dtype=rank_type)[:, None]
+    ranked = np.empty((C, rows), dtype=rank_type)
+    first = np.empty(rows, dtype=rank_type)
     with np.errstate(divide="ignore"):
         for start in range(0, n, _BLOCK):
-            k = min(_BLOCK, n - start)
-            np.log(u[start:start + k], out=scores[:k])
-            np.divide(flat[:k * C], w_tiled[:k * C], out=flat[:k * C])
-            np.argmax(scores[:k], axis=1, out=out[start:start + k])
+            stop = min(start + _BLOCK, n)
+            k = stop - start
+            if equal:
+                s = scores_cm[:, start:stop]
+            else:
+                s = np.log(scores_cm[:, start:stop], out=scores[:, :k])
+                np.divide(s, w_col, out=s)
+            m = np.max(s, axis=0, out=best[:k] if top is None else top[start:stop])
+            np.equal(s, m, out=hit[:, :k])
+            np.multiply(hit[:, :k], rank, out=ranked[:, :k])
+            np.max(ranked[:, :k], axis=0, out=first[:k])
+            np.subtract(C, first[:k], out=out[start:stop])
     return out
 
 
@@ -113,9 +137,9 @@ def cfs_select(u_cell: np.ndarray, K1: int, K2: int,
         grant_cell = np.zeros(n, dtype=bool)
         best = np.full(n, -1)
     else:
-        u_th = cfs_threshold(K1, K2)
-        best = np.argmax(u_cell, axis=1)
-        grant_cell = u_cell[np.arange(n), best] >= u_th
+        top = np.empty(n)
+        best = _weighted_argmax(u_cell, np.full(K1, 1.0 / K1), top)
+        grant_cell = top >= cfs_threshold(K1, K2)
     cell_winner = np.where(grant_cell, best, -1)
     d2d_user = np.full(n, -1)
     idle = np.flatnonzero(~grant_cell)

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dsched import channel, policies
-from d2dsched.analytics import regularized_gamma_p_inv
+from d2dsched.analytics import MAX_SHAPE, regularized_gamma_p_inv
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
 from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
@@ -18,7 +18,7 @@ from d2dsched.weights import PolicyWeights, ecs_weights, solve_group_weights
 
 GROUP_POLICIES = ("gfs", "ecs", "pfs", "grr")
 RESERVOIR_CAPACITY = 100_000    # selected-SNR samples kept per contender
-CHUNK_SLOTS = 200_000           # slots drawn at once: bounds the (slots, contenders) arrays
+CHUNK_SLOTS = 200_000           # slots drawn at once: bounds the (contenders, slots) arrays
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,8 @@ def contenders_from_spatial(config: SystemConfig, spatial: SpatialRealization) -
 
 def standalone_contenders(mean_snrs, shapes) -> ContenderSet:
     """Contender set for table-driven scenarios: one user per contender.  The
-    means and shapes must pass the checks of `channel.GammaSnrCdf`."""
+    means and shapes must pass the checks of `channel.GammaSnrCdf`, and the
+    shapes must not exceed `analytics.MAX_SHAPE`, as `SystemConfig` requires."""
     means = np.asarray(mean_snrs, dtype=float)
     m = np.asarray(shapes, dtype=float)
     if means.ndim != 1 or m.shape != means.shape:
@@ -77,8 +78,8 @@ def standalone_contenders(mean_snrs, shapes) -> ContenderSet:
                          f"got {means.shape} and {m.shape}")
     if not np.all((0.0 < means) & (means < np.inf)):
         raise ValueError(f"mean_snrs must be positive and finite, got {mean_snrs!r}")
-    if not np.all((0.5 <= m) & (m < np.inf)):
-        raise ValueError(f"shapes must be finite and >= 0.5, got {shapes!r}")
+    if not np.all((0.5 <= m) & (m <= MAX_SHAPE)):
+        raise ValueError(f"shapes must lie in [0.5, {MAX_SHAPE:g}], got {shapes!r}")
     members = tuple((i,) for i in range(means.size))
     return ContenderSet(np.zeros(means.size, bool), m, means, members)
 
@@ -157,18 +158,19 @@ class _Accounts:
         self.turn = [0] * C           # member of each contender due for its next grant
 
     def snr_map(self, u: np.ndarray) -> np.ndarray:
-        """Every cell of the (n, C) scores u mapped to SNR, contender by contender
-        so that the inverse meets runs of equal shape."""
+        """Every cell of the (n, C) scores u mapped to SNR, contender-major (C, n):
+        the inverse meets each contender's row of u.T, a run of equal shape."""
         x = regularized_gamma_p_inv(self.cs.shape_m[:, None] if self.shape is None else self.shape,
                                     u.T)
         x *= self.snr_per_x[:, None]
-        return np.ascontiguousarray(x.T)
+        return x
 
     def add(self, win: np.ndarray, u: np.ndarray, snr_all: np.ndarray | None = None) -> None:
         """Grant a chunk: `win` names each slot's winner and u holds the chunk's
-        (n, C) scores.  The granted cells are mapped to SNR, or taken from
-        `snr_all` when the policy mapped every cell."""
-        C = u.shape[1]
+        (n, C) scores, a view of its contender-major (C, n) draw.  The granted
+        cells are mapped to SNR, or taken from the (C, n) `snr_all` when the
+        policy mapped every cell."""
+        n, C = u.shape
         cs = self.cs
         # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
         order = np.argsort(win.astype(np.min_scalar_type(self.n_winners)), kind="stable")
@@ -182,13 +184,11 @@ class _Accounts:
         # the kept SNR arrays come before the chunk's temporaries, so freeing those
         # leaves no holes below long-lived arrays in the heap
         kept = [np.empty(size) for size in sizes]
-        cols = np.repeat(np.arange(C), sizes)
-        flat = np.concatenate(granted)          # row-major cell index: slot * C + contender
-        flat *= C
-        flat += cols
+        flat = np.concatenate(granted)          # contender-major cell index: contender * n + slot
+        flat += np.repeat(np.arange(0, C * n, n), sizes)
         # row 0 the granted cells' u, row 1 their rates: one sum gives a member both
         ur = np.empty((2, flat.size))
-        u.take(flat, out=ur[0])
+        u.T.take(flat, out=ur[0])
         if snr_all is not None:
             snr = snr_all.take(flat)
         else:
@@ -230,9 +230,9 @@ def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Ge
 
 def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int,
                   weights: PolicyWeights | None, cfs_state: policies.CfsState) -> None:
-    """Select and grant one realization's (n, C) chunk of scores u, whose first
-    slot is `done`.  u and its winners die with the call, before the next
-    realization draws."""
+    """Select and grant one realization's chunk of scores u, the (n, C) view of
+    its contender-major draw, whose first slot is `done`.  u and its winners
+    die with the call, before the next realization draws."""
     C = u.shape[1]
     K1 = int(np.sum(~acc.cs.is_pair))
     K2 = C - K1
@@ -262,17 +262,18 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
     two members in strict alternation.
 
     Each chunk draws every realization's u ~ U(0, 1), the CDF-mapped channel,
-    from its own rng; a cell's SNR is mean_snr/m * P^-1(m, u).  The six score
-    policies select on u one realization at a time, CHUNK_SLOTS slots a chunk,
-    each with its own cfs cursor and `policy_weights`, which are solved once
-    per distinct structure of the block, and map only their granted cells to
-    SNR.  pfs decides on rates: it maps every cell, and `policies.pfs_select`
-    steps the whole block in lockstep with the rate averages carried across
-    chunks.  Its chunk is max(1, CHUNK_SLOTS // `realizations`) slots,
-    `realizations` counting the whole experiment's, so a chunk holds no more
-    cells than a score-policy chunk.  The chunks fix the last bits of each
-    user's sums, so any split of an experiment into blocks reports the same
-    bits.
+    from its own rng, contender-major as a (C, n) array; the policies select
+    on its (n, C) transposed view, and a cell's SNR is
+    mean_snr/m * P^-1(m, u).  The six score policies select on u one
+    realization at a time, CHUNK_SLOTS slots a chunk, each with its own cfs
+    cursor and `policy_weights`, which are solved once per distinct structure
+    of the block, and map only their granted cells to SNR.  pfs decides on
+    rates: it maps every cell, and `policies.pfs_select` steps the whole block
+    in lockstep with the rate averages carried across chunks.  Its chunk is
+    max(1, CHUNK_SLOTS // `realizations`) slots, `realizations` counting the
+    whole experiment's, so a chunk holds no more cells than a score-policy
+    chunk.  The chunks fix the last bits of each user's sums, so any split of
+    an experiment into blocks reports the same bits.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -293,9 +294,9 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
             X = np.empty((n, len(block), C))
             drawn = []
             for r, (acc, (_, rng, _)) in enumerate(zip(accounts, block)):
-                u = rng.random((n, C))
+                u = rng.random((C, n)).T
                 snr_all = acc.snr_map(u)
-                np.log1p(snr_all, out=X[:, r])
+                np.log1p(snr_all.T, out=X[:, r])
                 drawn.append((u, snr_all))
             X /= accounts[0].log_base
             win = policies.pfs_select(X, group, state)
@@ -303,7 +304,7 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
                 acc.add(win[:, r], u, snr_all)
         else:
             for acc, (_, rng, _), (w, cfs_state) in zip(accounts, block, rules):
-                _grant_scores(acc, policy, rng.random((n, C)), done, w, cfs_state)
+                _grant_scores(acc, policy, rng.random((C, n)).T, done, w, cfs_state)
         done += n
     return [acc.result(slots) for acc in accounts]
 

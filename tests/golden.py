@@ -80,9 +80,26 @@ def load() -> dict:
         return json.load(f)
 
 
+def changes(old: dict, new: dict) -> list[str]:
+    """One line per case whose `new` report differs from its `old` one: the
+    mismatched fields, or that the case is added or dropped."""
+    lines = []
+    for name in list(new) + [name for name in old if name not in new]:
+        if name not in old:
+            lines.append(f"{name}: added")
+        elif name not in new:
+            lines.append(f"{name}: dropped")
+        elif bad := mismatches(new[name], old[name]):
+            lines.append(f"{name}: {', '.join(bad)}")
+    return lines
+
+
 def write() -> None:
+    """Rewrite the file from this tree, after printing the cases that change."""
     reports = {name: summary(simcore.run_experiment(config, n_workers=1))
                for name, config in cases().items()}
+    lines = changes(load()["reports"] if os.path.exists(PATH) else {}, reports)
+    print("\n".join(lines + [f"{len(lines)} of {len(reports)} cases change"]))
     with open(PATH, "w") as f:
         json.dump({"numpy": np.__version__, "writer": WRITER, "rtol": RTOL,
                    "quantiles": QUANTILES, "reports": reports}, f, indent=1)

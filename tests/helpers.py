@@ -138,7 +138,8 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     selection and reuse of its map and the two-row sums of simcore, which must give
     the same bits.  `chunk` slots are drawn and summed at once, by default
     simcore.CHUNK_SLOTS; a block of R realizations steps pfs in
-    simcore.CHUNK_SLOTS // R.
+    simcore.CHUNK_SLOTS // R.  Each chunk is drawn contender-major, (C, n), and
+    read through its (n, C) view, as simcore draws it.
     Returns (user_grants, user_u_sum, user_rate_sum, group_grants, selected_snr)
     with selected_snr one concatenated array per contender."""
     C, nU = cs.n_contenders, cs.n_users
@@ -164,7 +165,7 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     done = 0
     while done < slots:
         n = min(chunk or simcore.CHUNK_SLOTS, slots - done)
-        u = rng.random((n, C))
+        u = rng.random((C, n)).T
         if policy == "pfs":
             snr_all = regularized_gamma_p_inv(np.broadcast_to(cs.shape_m, (n, C)), u)
             snr_all *= cs.mean_snr / cs.shape_m

@@ -160,6 +160,20 @@ def test_gamma_inverse_matches_scipy():
         analytics.regularized_gamma_p_inv(2.0, np.nan)
 
 
+@pytest.mark.parametrize("a", [analytics.MAX_SHAPE - 0.5, analytics.MAX_SHAPE])
+def test_gamma_at_the_shape_bound_matches_scipy(a):
+    # the largest shapes SystemConfig accepts, over x = a +- 10 sqrt(a): P within 1e-10 of
+    # its smaller tail, plus a rounding of 1 - Q (the series' prefactor loses about
+    # log10(a) digits: 1.03e-11 measured), and the inverse within INV_RTOL
+    x = np.linspace(a - 10.0 * math.sqrt(a), a + 10.0 * math.sqrt(a), 2001)
+    lower, upper = special.gammainc(a, x), special.gammaincc(a, x)
+    err = np.abs(analytics.regularized_gamma_p(a, x) - lower)
+    assert np.all(err <= 1e-10 * np.minimum(lower, upper) + 2.0 ** -52)
+    p = lower[lower < 1.0]
+    want = special.gammaincinv(a, p)
+    assert np.max(np.abs(analytics.regularized_gamma_p_inv(a, p) - want) / want) < INV_RTOL
+
+
 @pytest.mark.parametrize("a, p", [(0.75, 1e-300), (0.5, 1e-200), (0.9, 1e-320), (2.5, 1e-300)])
 def test_gamma_inverse_far_lower_tail_matches_scipy(a, p):
     # below shape 1 the first three roots underflow to scipy's 0: no Halley step starts

@@ -158,14 +158,24 @@ def test_analytic_gfs_curve_from_solved_weights(tmp_path):
         assert fh.read().splitlines() == expected
 
 
-def test_failed_analytic_leaves_no_output_directory(tmp_path, capsys):
+def test_failed_analytic_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
     # the base CDF's inverse, which places the curve's grid, does not converge at this
-    # shape (its series raises); it raises after the settings are checked
+    # shape (its series raises), so the settings refuse it
     with pytest.raises(analytics.GammaNotConverged):
         GammaSnrCdf(40000.5, 1.0).quantile(1e-4)
     out = str(tmp_path / "bcs")
     assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
                      "--out", out]) == 1
+    assert "fading_shape_m" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+    # a curve that does not converge after the settings are checked writes nothing either
+    def unsettled(*args, **kwargs):
+        raise analytics.GammaNotConverged("regularized_gamma_p: series for a=2.5 did not "
+                                          "converge in 600 iterations at 1 of 1 points")
+
+    monkeypatch.setattr(analytics, "bcs_selected_cdf", unsettled)
+    assert cli.main(["analytic", "--curve", "bcs", "--out", out]) == 1
     assert "did not converge" in capsys.readouterr().err
     assert not os.path.exists(out)
 
@@ -245,10 +255,10 @@ def test_errors_exit_nonzero(small_config, tmp_path, capsys):
         assert cli.main(["weights", "--sizes", "1,2", "--nu", nus]) == 1
         captured = capsys.readouterr()
         assert "nu" in captured.err and "nan" not in captured.out
-    # the incomplete gamma's series does not converge at this shape, inside its inverse
+    # a shape beyond the incomplete gamma's reach is refused and named
     assert cli.main(["analytic", "--curve", "bcs", "--set", "fading_shape_m=40000.5",
                      "--out", out]) == 1
-    assert "did not converge" in capsys.readouterr().err
+    assert "fading_shape_m" in capsys.readouterr().err
 
 
 def test_other_arithmetic_errors_propagate(tmp_path, monkeypatch):

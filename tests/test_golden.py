@@ -24,6 +24,18 @@ def test_golden_file_covers_every_case():
     assert sorted(GOLDEN["reports"]) == sorted(CASES)
 
 
+def test_changes_name_the_cases_and_fields_that_differ():
+    old = GOLDEN["reports"]
+    assert golden.changes(old, old) == []
+    first, second, *_ = CASES
+    new = {name: dict(report) for name, report in old.items() if name != second}
+    new[first]["upi"] = [v + 1.0 for v in new[first]["upi"]]
+    new[first]["snr_quantiles"] = [[v * (1.0 + 1e-9) for v in q] for q in new[first]["snr_quantiles"]]
+    new["extra"] = old[first]
+    assert golden.changes(old, new) == [f"{first}: upi, snr_quantiles", "extra: added",
+                                        f"{second}: dropped"]
+
+
 @pytest.mark.parametrize("name", list(CASES))
 def test_report_matches_golden(name):
     got = golden.summary(simcore.run_experiment(CASES[name], n_workers=1))

@@ -42,6 +42,8 @@ def test_user_counts():
     dict(d2d_min_m=50.0, d2d_max_m=40.0),
     dict(pathloss_exp_cellular=0.0),
     dict(fading_shape_m=0.3),
+    dict(fading_shape_m=4000.5),       # beyond analytics.MAX_SHAPE
+    dict(fading_shape_m=(1.0, 6000.0), K1=1, K2=1),
     dict(policy="nope"),
     dict(slots_per_realization=0),
     dict(group_sizes=(2, 2)),          # does not sum to K2=5

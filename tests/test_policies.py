@@ -22,7 +22,12 @@ PF_MAPS = {"contiguous": fixed_grouping([1, 3, 2, 4], nu=1.0),
            "interleaved": INTERLEAVED,
            "scattered": GroupStructure((Group((0, 9), 0.5), Group((1,), 1.0), Group((2, 5, 6), 0.5),
                                         Group((3,), 1.0), Group((4, 8), 0.5), Group((7,), 1.0)))}
-BLOCK_EDGES = [1, 2047, 2048, 2049, 5000]
+SLOT_COUNTS = [1, 2047, 2048, 2049, 5000]
+# slot counts on either side of the selection kernel's blocks, and contender counts
+# past 255, which a one-byte rank could not number
+KERNEL_SHAPES = [(1, 15), (policies._BLOCK - 1, 15), (policies._BLOCK, 15),
+                 (policies._BLOCK + 1, 15), (2 * policies._BLOCK + 37, 15), (1000, 300),
+                 (policies._BLOCK + 1, 300)]
 
 
 def _scores(n, C, seed, zeros=False):
@@ -231,10 +236,10 @@ def test_proportional_fair_matches_numpy_loop(t_c, lead):
 
 
 @pytest.mark.parametrize("zeros", [False, True])
-@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("n", SLOT_COUNTS)
 def test_contender_selection_matches_log_score_argmax(n, zeros):
     # bcs (equal weights), bcs with unequal weights and dfs against argmax(log(u)/w)
-    # over the whole matrix at once, across the kernel's block edges
+    # over the whole matrix at once
     u = _scores(n, 10, n, zeros)
     uneven = np.random.default_rng(n).random(10) + 0.1
     uneven /= uneven.sum()
@@ -247,7 +252,7 @@ def test_contender_selection_matches_log_score_argmax(n, zeros):
 
 
 @pytest.mark.parametrize("zeros", [False, True])
-@pytest.mark.parametrize("n", BLOCK_EDGES)
+@pytest.mark.parametrize("n", SLOT_COUNTS)
 @pytest.mark.parametrize("structure", [fixed_grouping([1, 1, 1, 3, 2, 2], nu=1.0), INTERLEAVED],
                          ids=["contiguous", "interleaved"])
 def test_group_selection_matches_per_group_maxima(structure, n, zeros):
@@ -255,6 +260,53 @@ def test_group_selection_matches_per_group_maxima(structure, n, zeros):
     for weights in (solve_group_weights(structure), ecs_weights(structure)):
         assert np.array_equal(policies.mws_select(u, structure, weights),
                               mws_select_reps(u, structure, weights))
+
+
+def _kernel_scores(n, C, seed, layout):
+    """(n, C) scores that stress the selection kernel: exact zeros in about a third of
+    the cells, an all-zero row every 11 slots from slot 7, and each fifth row's maximum
+    copied to two more contenders, so that several contenders hold it.  C-ordered
+    ("slot-major"), or the transposed view of a contender-major (C, n) array, as the
+    simulator draws them."""
+    rng = np.random.default_rng(seed)
+    u = rng.random((n, C))
+    u[rng.random((n, C)) < 0.3] = 0.0
+    tied = np.arange(0, n, 5)
+    top = u[tied].max(axis=1)
+    for _ in range(2):
+        u[tied, rng.integers(C, size=tied.size)] = top
+    u[7::11] = 0.0
+    return u if layout == "slot-major" else np.ascontiguousarray(u.T).T
+
+
+@pytest.mark.parametrize("layout", ["slot-major", "contender-major"])
+@pytest.mark.parametrize("n, C", KERNEL_SHAPES)
+def test_selection_kernel_matches_argmax(n, C, layout):
+    # bcs (equal and unequal weights), dfs, mws and cfs's cellular pick against numpy's
+    # argmax, which takes the first maximum: a tie goes to the lowest contender id and
+    # an all-zero row, all scores -inf, to contender 0
+    u = _kernel_scores(n, C, n + C, layout)
+    K1 = C // 3
+    K2 = C - K1
+    uneven = np.random.default_rng(C).random(C) + 0.1
+    uneven /= uneven.sum()
+    with np.errstate(divide="ignore"):
+        log_u = np.log(u)
+    for w, got in ((np.full(C, 1.0 / C), policies.bcs_select(u, np.full(C, 1.0 / C))),
+                   (uneven, policies.bcs_select(u, uneven)),
+                   (policies.dfs_weights(K1, K2), policies.dfs_select(u, K1, K2))):
+        assert np.array_equal(got, np.argmax(log_u / w, axis=1))
+        assert np.all(got[7::11] == 0)
+    structure = fixed_grouping([1, 2, 3] * (C // 6) + [1] * (C % 6), nu=1.0)
+    group = policies.group_index(structure, C)
+    weights = ecs_weights(structure)
+    assert np.array_equal(policies.mws_select(u, structure, weights),
+                          group[np.argmax(log_u / weights.w[group], axis=1)])
+    best = np.argmax(u[:, :K1], axis=1)
+    granted = u[np.arange(n), best] >= cfs_threshold(K1, K2)
+    cell, d2d = policies.cfs_select(u[:, :K1], K1, K2, policies.CfsState())
+    assert np.array_equal(cell, np.where(granted, best, -1))
+    assert np.array_equal(d2d >= 0, ~granted)
 
 
 def test_group_ties_break_toward_lowest_contender():

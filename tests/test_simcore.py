@@ -12,11 +12,11 @@ from scipy import special
 from helpers import first_realization_contenders, reference_accounting
 
 from d2dsched import simcore
-from d2dsched.analytics import AnalyticCurve, bcs_selected_cdf
+from d2dsched.analytics import MAX_SHAPE, AnalyticCurve, bcs_selected_cdf
 from d2dsched.channel import GammaSnrCdf, mean_snr
 from d2dsched.cli import TABLE5_MEANS, TABLE5_SHAPES, TABLE5_SIZES
 from d2dsched.grouping import fixed_grouping
-from d2dsched.model import ConfigError, SystemConfig, cellular_downlink, d2d_direct, \
+from d2dsched.model import POLICIES, ConfigError, SystemConfig, cellular_downlink, d2d_direct, \
     sample_spatial
 
 
@@ -44,12 +44,38 @@ def test_index_estimate_bounds():
     ([1.0, float("nan")], [1.0, 1.0], "mean_snrs"),
     ([1.0, -3.0], [1.0, 1.0], "mean_snrs"),
     ([1.0, 1.0], [1.0, 0.2], "shapes"),
+    ([1.0, 1.0], [1.0, MAX_SHAPE + 0.5], "shapes"),
     ([1.0] * 8, [1.0] * 3, "shapes"),
-], ids=["nan-mean", "negative-mean", "small-shape", "short-shapes"])
+], ids=["nan-mean", "negative-mean", "small-shape", "large-shape", "short-shapes"])
 def test_standalone_refuses_malformed_scenarios(means, shapes, name):
-    # the bounds of GammaSnrCdf, and one shape per mean
+    # the bounds of GammaSnrCdf and the incomplete gamma's, and one shape per mean
     with pytest.raises(ValueError, match=f"{name} must"):
         simcore.run_standalone(means, shapes, None, "bcs", 100, seed=1)
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_shapes_beyond_the_gamma_bound_are_refused_before_any_draw(monkeypatch, policy):
+    # at m = 6000 the incomplete gamma's series stops short of convergence: bcs used to
+    # finish while dfs raised mid-run.  Both entries refuse the shape before drawing
+    def no_draw(*args):
+        raise AssertionError("drew a stream for a refused shape")
+
+    monkeypatch.setattr(simcore, "realization_rng", no_draw)
+    setup = dict(K1=10, K2=5, policy=policy, group_sizes=(5,), slots_per_realization=2000,
+                 rng_seed=3)
+    with pytest.raises(ConfigError, match="fading_shape_m"):
+        SystemConfig(fading_shape_m=6000.0, **setup)
+    with pytest.raises(ValueError, match="shapes must"):
+        simcore.run_standalone([1.0, 2.0], [1.0, 6000.0], fixed_grouping([1, 1], nu=1.0),
+                               policy, 2000, seed=3)
+    monkeypatch.undo()
+    # at the bound itself the run completes, and every kept SNR of a Gamma(4000) channel
+    # lies within 10 % of its contender's mean (6 standard deviations)
+    config = SystemConfig(fading_shape_m=MAX_SHAPE, **setup)
+    rep = simcore.run_experiment(config)
+    cs, _ = first_realization_contenders(config)
+    for snr, mean in zip(rep.selected_snr, cs.mean_snr):
+        assert snr.size and np.all(np.abs(snr / mean - 1.0) < 0.1)
 
 
 def test_plain_competition_small():
@@ -274,7 +300,7 @@ def test_granted_snrs_invert_their_own_u(monkeypatch, policy):
     monkeypatch.setattr(simcore, "regularized_gamma_p_inv", recorded)
     rep = simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, structure, policy, slots, seed)
     (u,) = seen
-    drawn = simcore.realization_rng(seed).random((slots, len(TABLE5_MEANS)))
+    drawn = simcore.realization_rng(seed).random((len(TABLE5_MEANS), slots)).T
     start = 0
     for j, (mean, m) in enumerate(zip(TABLE5_MEANS, TABLE5_SHAPES)):
         snr = rep.selected_snr[j]
