@@ -292,56 +292,63 @@ def _start_row(a: float) -> np.ndarray | None:
 
 
 @functools.lru_cache(maxsize=16)
-def _stacked_rows(shapes: tuple[float, ...]) -> np.ndarray:
-    """The rows of the shapes side by side, (6, 960 * len(shapes)); NaN for a
-    shape without a row."""
-    rows = [_start_row(v) for v in shapes]
-    table = np.concatenate([np.full((6, _T_NODES.size - 1), np.nan) if row is None else row
-                            for row in rows], axis=1)
-    table.flags.writeable = False
-    return table
+def _run_rows(shapes: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...] | None, np.ndarray]:
+    """The coefficient rows c0..c5 of the table of a set of runs, given each run's
+    shape, and each run's offset into them.
 
-
-def _tabulated_start(a, p: np.ndarray) -> np.ndarray:
-    """P^-1(a, p) of each cell from its shape's row: exp of the interpolant at
-    the log-odds t = log(p / (1 - p)), within _ROW_RTOL of the solution for
-    |t| <= 30; NaN for |t| > 30 and for shapes without a row.  `a` is one
-    float for every cell, or one shape per cell, equal shapes in consecutive
-    runs (one row offset per run).
+    A lone run reads its shape's row, at offset 0 (None without a row).  More
+    runs read the rows of their distinct shapes side by side, with a NaN
+    segment last for the shapes without a row (shape 1 among them).  So the
+    runs of a contender set build one table, whichever contenders hold cells.
     """
-    with np.errstate(divide="ignore"):          # t = -inf at p = 0 and inf at p = 1
-        t = 1.0 - p
-        np.divide(p, t, out=t)
-        np.log(t, out=t)
+    width = _T_NODES.size - 1
+    rows = {v: _start_row(v) for v in shapes}
+    if len(shapes) == 1:
+        row = rows[shapes[0]]
+        return None if row is None else tuple(row), np.zeros(1, dtype=np.intp)
+    kept = [v for v, row in rows.items() if row is not None]
+    at = {v: i * width for i, v in enumerate(kept)}
+    table = np.concatenate([rows[v] for v in kept] + [np.full((6, width), np.nan)], axis=1)
+    offsets = np.array([at.get(v, len(kept) * width) for v in shapes], dtype=np.intp)
+    table.flags.writeable = offsets.flags.writeable = False
+    return tuple(table), offsets
+
+
+def _tabulated_start(shapes: tuple[float, ...], counts: np.ndarray, p: np.ndarray,
+                     out: np.ndarray) -> None:
+    """P^-1 of each cell of p, counts[i] cells of shape shapes[i] run after run,
+    from its shape's row into `out`: exp of the interpolant at the log-odds
+    t = log(p / (1 - p)), within _ROW_RTOL of the solution for |t| <= 30;
+    NaN for |t| > 30 and for shapes without a row.  The caller ignores the
+    divide (t = +-inf at p = 0 and 1) and overflow warnings.
+    """
+    t = 1.0 - p
+    np.divide(p, t, out=t)
+    np.log(t, out=t)
     off = np.abs(t) > _T_MAX
-    if off.all():                               # reads, and so builds, no row
-        return np.full_like(t, np.nan)
-    if isinstance(a, float):
-        table, offset = _start_row(a), None
-        if table is None:
-            return np.full_like(t, np.nan)
-    else:
-        vals, counts = _shape_runs(a)
-        shapes = np.unique(vals)
-        table = _stacked_rows(tuple(shapes.tolist()))
-        offset = np.repeat(np.searchsorted(shapes, vals) * (_T_NODES.size - 1), counts)
+    some_off = off.any()
+    # a block wholly off the table reads, and so builds, no row
+    coefs, offset = (None, None) if some_off and off.all() else _run_rows(shapes)
+    if coefs is None:
+        out.fill(np.nan)
+        return
     f = np.clip(t, -_T_MAX, _T_MAX, out=t)
     f *= _T_PER_UNIT
     f += _T_MAX * _T_PER_UNIT
     k = f.astype(np.intp)
     np.minimum(k, _T_NODES.size - 2, out=k)
     f -= k                                      # the position in the interval
-    if offset is not None:
-        k += offset
-    c0, c1, c2, c3, c4, c5 = table
-    y = c5.take(k)
+    if len(shapes) > 1:
+        k += offset.repeat(counts)
+    c0, c1, c2, c3, c4, c5 = coefs
+    y = c5.take(k, out=out)
     coef = np.empty_like(y)
     for c in (c4, c3, c2, c1, c0):
         y *= f
         y += c.take(k, out=coef)
-    y[off] = np.nan
-    with np.errstate(over="ignore"):
-        return np.exp(y, out=y)
+    if some_off:
+        y[off] = np.nan
+    np.exp(y, out=y)
 
 
 def _halley(a: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -375,32 +382,49 @@ def _halley(a: float, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_p_inv_block(a, p: np.ndarray) -> np.ndarray:
-    """P^-1(a, p) for 0 <= p <= 1: `a` one float other than 1 for every cell,
-    or one shape per cell, equal shapes in consecutive runs.
+def _gamma_p_inv_runs(shapes: np.ndarray, counts: np.ndarray, p: np.ndarray,
+                      x: np.ndarray) -> None:
+    """x = P^-1 of the flat p in [0, 1]: counts[i] cells of shape shapes[i], run
+    after run.
 
-    A cell with log-odds |t| <= 30 whose shape has a row is answered from the
-    table, with no residual evaluated, in slices of _INV_BLOCK cells.  Of
-    the others, p = 0 and 1 give 0 and inf and shape 1 the closed form; the
+    Runs all of one shape are one run.  A run of shape 1 takes the closed
+    form -log(1 - p).  Other cells are answered from the table of the runs'
+    shapes in slices of _INV_BLOCK cells, with no residual evaluated.  The
     rest (off the table, of a shape without a row, or whose table value
-    under- or overflows) take Halley steps from the DiDonato & Morris start,
-    one shape at a time, in blocks of _INV_BLOCK cells.  Points whose steps
-    have not settled, of every shape, raise one GammaNotConverged.
+    under- or overflows) give 0 at p = 0 and inf at p = 1, or take Halley
+    steps from the DiDonato & Morris start, one shape at a time, in blocks of
+    _INV_BLOCK cells.  Points whose steps have not settled, of every shape,
+    raise one GammaNotConverged.
     """
-    x = np.empty_like(p)
-    for start in range(0, p.size, _INV_BLOCK):
-        cells = slice(start, start + _INV_BLOCK)
-        x[cells] = _tabulated_start(a if isinstance(a, float) else a[cells], p[cells])
+    if shapes.size > 1 and (shapes == shapes[0]).all():
+        shapes, counts = shapes[:1], np.array([p.size])
+    ends = counts.cumsum()
+    starts = ends - counts
+    unit = shapes == 1.0
+    # t = log(p / (1 - p)) is -inf at p = 0 and inf at p = 1; P^-1(1, 1) = -log(0) = inf
+    with np.errstate(divide="ignore", over="ignore"):
+        if not unit.all():
+            key = tuple(shapes.tolist())
+            for start in range(0, p.size, _INV_BLOCK):
+                stop = min(start + _INV_BLOCK, p.size)
+                in_block = counts if p.size <= _INV_BLOCK else \
+                    np.clip(ends, start, stop) - np.clip(starts, start, stop)
+                _tabulated_start(key, in_block, p[start:stop], x[start:stop])
+        for j in np.flatnonzero(unit).tolist():
+            cells = slice(starts[j], ends[j])
+            np.negative(p[cells], out=x[cells])
+            np.log1p(x[cells], out=x[cells])
+            np.negative(x[cells], out=x[cells])
+    if unit.all():
+        return
     rest = np.flatnonzero(~(x > 0.0) | (x == np.inf))
     if rest.size:
-        shapes, pr = np.full(rest.size, a) if isinstance(a, float) else a[rest], p[rest]
-        inner = (pr > 0.0) & (pr < 1.0)
-        unit = inner & (shapes == 1.0)
+        a, pr = shapes[np.searchsorted(ends, rest, side="right")], p[rest]
+        # a shape-1 cell is here only at p = 0 or 1
+        halley = (pr > 0.0) & (pr < 1.0)
         x[rest] = np.where(pr == 1.0, np.inf, 0.0)
-        x[rest[unit]] = -np.log1p(-pr[unit])
-        halley = inner & ~unit
-        for val in np.unique(shapes[halley]).tolist():
-            cells = rest[halley & (shapes == val)]
+        for val in np.unique(a[halley]).tolist():
+            cells = rest[halley & (a == val)]
             for start in range(0, cells.size, _INV_BLOCK):
                 block = cells[start:start + _INV_BLOCK]
                 x[block] = _halley(val, p[block], 1.0 - p[block])
@@ -409,8 +433,17 @@ def _gamma_p_inv_block(a, p: np.ndarray) -> np.ndarray:
             raise GammaNotConverged(
                 f"regularized_gamma_p_inv: Halley iteration did not converge in "
                 f"{_HALLEY_MAX_ITER} steps at {np.count_nonzero(unsettled)} of {unsettled.size} "
-                f"points (shapes {np.unique(shapes[halley][unsettled]).tolist()})")
-    return x
+                f"points (shapes {np.unique(a[halley][unsettled]).tolist()})")
+
+
+def _check_p(p: np.ndarray) -> None:
+    if not ((p >= 0.0) & (p <= 1.0)).all():           # NaN too
+        raise ValueError("p must lie in [0, 1]")
+
+
+def _check_shapes(a: np.ndarray) -> None:
+    if not ((a > 0.0) & (a < np.inf)).all():
+        raise ValueError("shape parameter a must be positive and finite")
 
 
 def regularized_gamma_p_inv(a, p):
@@ -434,24 +467,60 @@ def regularized_gamma_p_inv(a, p):
     continued fraction of P raise it too.  A root below the smallest normal
     double is that of x^a / Gamma(a+1) = p, 0 where it underflows.
     P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a and p give a Python float.
+    Per-cell shapes are sorted into one run per shape and mapped as
+    `regularized_gamma_p_inv_runs` maps runs.
     """
     a_arr = np.asarray(a, dtype=float)
     p_arr = np.asarray(p, dtype=float)
-    if not np.all((a_arr > 0.0) & (a_arr < np.inf)):
-        raise ValueError("shape parameter a must be positive and finite")
-    if not np.all((p_arr >= 0.0) & (p_arr <= 1.0)):
-        raise ValueError("p must lie in [0, 1]")
+    _check_shapes(a_arr)
+    _check_p(p_arr)
     shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
     p_flat = np.broadcast_to(p_arr, shape).ravel()
-    if not p_flat.size or a_arr.min() == a_arr.max() == 1.0:
-        with np.errstate(divide="ignore"):        # P^-1(1, 1) = -log(0) = inf
-            out = -np.log1p(-p_flat)
-    else:
-        # simcore hands the cells over contender by contender, so equal shapes come in runs
-        a_cells = float(a_arr.flat[0]) if a_arr.size == 1 else np.broadcast_to(a_arr, shape).ravel()
-        out = _gamma_p_inv_block(a_cells, p_flat)
+    out = np.empty_like(p_flat)
+    if a_arr.size == 1:
+        _gamma_p_inv_runs(a_arr.reshape(1), np.array([p_flat.size]), p_flat, out)
+    elif p_flat.size:
+        # the cells of each shape side by side, in one run
+        a_flat = np.broadcast_to(a_arr, shape).ravel()
+        order = np.argsort(a_flat, kind="stable")
+        x = np.empty_like(p_flat)
+        _gamma_p_inv_runs(*_shape_runs(a_flat[order]), p_flat[order], x)
+        out[order] = x
     out = out.reshape(shape)
     return float(out) if out.ndim == 0 else out
+
+
+def regularized_gamma_p_inv_runs(shapes, counts, p, out: np.ndarray | None = None) -> np.ndarray:
+    """`regularized_gamma_p_inv(np.repeat(shapes, counts), p)` to the bit, for
+    cells laid out run by run as the simulator lays them out contender by
+    contender: the cells of p in C order, the first counts[0] of shape
+    shapes[0], the next counts[1] of shape shapes[1], and so on.
+
+    The shapes are checked per run, not per cell.  The cells are read from
+    one table per tuple of run shapes at each run's row offset, so a
+    contender set builds one table however its cells fall, in slices whose
+    float temporaries hold at most 8192 cells.  The result goes into `out`, a
+    C-contiguous float array shaped like p, when one is given.  Shapes must
+    be positive and finite, counts nonnegative and summing to the number of
+    cells, and p within [0, 1], else ValueError.
+    """
+    a = np.asarray(shapes, dtype=float)
+    n = np.asarray(counts, dtype=np.intp)
+    p_arr = np.asarray(p, dtype=float)
+    if a.ndim != 1 or n.shape != a.shape:
+        raise ValueError(f"shapes and counts must be 1-D and of equal length, "
+                         f"got {a.shape} and {n.shape}")
+    _check_shapes(a)
+    if (n < 0).any() or n.sum() != p_arr.size:
+        raise ValueError(f"counts must be nonnegative and sum to the {p_arr.size} cells of p")
+    _check_p(p_arr)
+    if out is None:
+        out = np.empty(p_arr.shape)
+    elif out.shape != p_arr.shape or out.dtype != float or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float array shaped like p")
+    if p_arr.size:
+        _gamma_p_inv_runs(a, n, p_arr.reshape(-1), out.reshape(-1))
+    return out
 
 
 @dataclass(frozen=True)

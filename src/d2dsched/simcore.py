@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dsched import channel, policies
-from d2dsched.analytics import MAX_SHAPE, regularized_gamma_p_inv
+from d2dsched.analytics import MAX_SHAPE, regularized_gamma_p_inv_runs
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
 from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
@@ -148,8 +148,6 @@ class _Accounts:
         self.cs = cs
         self.structure = structure
         self.log_base = np.log(rate_log_base)
-        # one shape for every contender reaches the inverse as a scalar
-        self.shape = float(cs.shape_m[0]) if np.all(cs.shape_m == cs.shape_m[0]) else None
         self.snr_per_x = cs.mean_snr / cs.shape_m       # SNR of a cell per unit of P^-1
         self.grants = [0] * cs.n_users
         self.u_sum = [0.0] * cs.n_users
@@ -159,9 +157,10 @@ class _Accounts:
 
     def snr_map(self, u: np.ndarray) -> np.ndarray:
         """Every cell of the (n, C) scores u mapped to SNR, contender-major (C, n):
-        the inverse meets each contender's row of u.T, a run of equal shape."""
-        x = regularized_gamma_p_inv(self.cs.shape_m[:, None] if self.shape is None else self.shape,
-                                    u.T)
+        the inverse maps C runs of n cells, each contender's row of u.T under
+        its shape."""
+        n, C = u.shape
+        x = regularized_gamma_p_inv_runs(self.cs.shape_m, np.full(C, n), u.T)
         x *= self.snr_per_x[:, None]
         return x
 
@@ -169,7 +168,9 @@ class _Accounts:
         """Grant a chunk: `win` names each slot's winner and u holds the chunk's
         (n, C) scores, a view of its contender-major (C, n) draw.  The granted
         cells are mapped to SNR, or taken from the (C, n) `snr_all` when the
-        policy mapped every cell."""
+        policy mapped every cell.  They lie contender by contender, so the
+        inverse maps one run per contender, given each contender's shape and
+        granted count, into the row that then holds their rates."""
         n, C = u.shape
         cs = self.cs
         # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
@@ -186,24 +187,27 @@ class _Accounts:
         kept = [np.empty(size) for size in sizes]
         flat = np.concatenate(granted)          # contender-major cell index: contender * n + slot
         flat += np.repeat(np.arange(0, C * n, n), sizes)
-        # row 0 the granted cells' u, row 1 their rates: one sum gives a member both
+        # row 0 the granted cells' u, row 1 their SNRs and then their rates: one sum
+        # gives a member both
         ur = np.empty((2, flat.size))
         u.T.take(flat, out=ur[0])
+        snr = ur[1]
         if snr_all is not None:
-            snr = snr_all.take(flat)
+            snr_all.take(flat, out=snr)
         else:
-            snr = regularized_gamma_p_inv(
-                np.repeat(cs.shape_m, sizes) if self.shape is None else self.shape, ur[0])
+            regularized_gamma_p_inv_runs(cs.shape_m, sizes, ur[0], out=snr)
             snr *= np.repeat(self.snr_per_x, sizes)
-        rates = np.log1p(snr, out=ur[1])
+        bounds = np.cumsum([0] + sizes).tolist()
+        for j, keep in enumerate(kept):
+            if keep.size:
+                keep[:] = snr[bounds[j]:bounds[j + 1]]
+                self.selected_snr[j].append(keep)
+        rates = np.log1p(snr, out=snr)
         rates /= self.log_base
-        stop = 0
         for j, size in enumerate(sizes):
             if size == 0:
                 continue
-            start, stop = stop, stop + size
-            kept[j][:] = snr[start:stop]
-            self.selected_snr[j].append(kept[j])
+            start, stop = bounds[j], bounds[j + 1]
             k = len(cs.members[j])
             for t, uid in enumerate(cs.members[j]):
                 cells = ur[:, start + (t - self.turn[j]) % k:stop:k]

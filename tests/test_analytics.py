@@ -12,13 +12,13 @@ from helpers import distance_average_plain, log_grid_200, unconditional_quad
 
 from d2dsched import analytics
 from d2dsched.channel import GammaSnrCdf
-from d2dsched.cli import PRESETS
+from d2dsched.cli import PRESETS, TABLE5_SHAPES
 from d2dsched.model import SystemConfig
 
 
 def _clear_tables():
     analytics._start_row.cache_clear()
-    analytics._stacked_rows.cache_clear()
+    analytics._run_rows.cache_clear()
 
 
 @pytest.fixture(autouse=True)
@@ -250,6 +250,86 @@ def test_gamma_inverse_is_pure():
     _clear_tables()
     single = [analytics.regularized_gamma_p_inv(ai, pi) for ai, pi in zip(a, p)]
     assert np.array_equal(single, cold)
+    # the same runs split across two calls, one of them cut inside a run
+    shapes, counts = np.array([0.75, 2.0, 2.5, 9.0, 40.5, 170.0]), np.full(6, 40)
+    _clear_tables()
+    whole = analytics.regularized_gamma_p_inv_runs(shapes, counts, p)
+    assert np.array_equal(whole, cold)
+    head = analytics.regularized_gamma_p_inv_runs(shapes[:3], [40, 40, 13], p[:93])
+    tail = analytics.regularized_gamma_p_inv_runs(shapes[2:], [27, 40, 40, 40], p[93:])
+    assert np.array_equal(np.concatenate([head, tail]), whole)
+
+
+# runs of the equivalence check: zero-cell runs, shape 2.5 in two runs, shape 1
+# between tabled shapes, and the far shapes 0.5, 171.5 and 4000
+RUN_SHAPES = (2.5, 0.5, 9.0, 1.0, 2.0, 3.0, 2.5, 171.5, analytics.MAX_SHAPE, 0.75)
+RUN_COUNTS = (5000, 0, 2100, 2600, 0, 1800, 4000, 700, 900, 1500)
+
+
+def _run_ps(rng, n):
+    """p at random, with p = 0, 1 - 2^-53 and 1, and cells off the table
+    (|log-odds| > 30) in both tails, spread over the runs."""
+    p = rng.random(n)
+    p[::97], p[1::101], p[2::103] = 0.0, 1.0 - 2.0 ** -53, 1.0
+    p[3::89] = special.expit(-rng.uniform(30.5, 36.0, p[3::89].size))
+    p[4::83] = special.expit(rng.uniform(30.5, 36.0, p[4::83].size))
+    return p
+
+
+def test_gamma_inverse_runs_equal_per_cell_shapes():
+    # the runs entry gives the bits of the per-cell call and of one scalar-shape call
+    # per run, over three _INV_BLOCK blocks; the runs of shapes 1 and 4000 cross
+    # their edges
+    counts = np.array(RUN_COUNTS)
+    ends = np.cumsum(counts)
+    crossing = [a for a, s, e in zip(RUN_SHAPES, ends - counts, ends)
+                if s // analytics._INV_BLOCK != (e - 1) // analytics._INV_BLOCK]
+    assert crossing == [1.0, analytics.MAX_SHAPE] and ends[-1] > 2 * analytics._INV_BLOCK
+    p = _run_ps(np.random.default_rng(21), ends[-1])
+    x = analytics.regularized_gamma_p_inv_runs(RUN_SHAPES, counts, p)
+    assert np.array_equal(x, analytics.regularized_gamma_p_inv(np.repeat(RUN_SHAPES, counts), p))
+    per_run = [analytics.regularized_gamma_p_inv(a, p[e - n:e])
+               for a, n, e in zip(RUN_SHAPES, counts, ends)]
+    assert np.array_equal(x, np.concatenate(per_run))
+    assert np.all(x[p == 0.0] == 0.0) and np.all(x[p == 1.0] == np.inf)
+    # a C-contiguous out shaped like p receives the result; p of any shape is read
+    # in C order
+    out = np.empty((2, p.size // 2))
+    assert analytics.regularized_gamma_p_inv_runs(RUN_SHAPES, counts, p.reshape(out.shape),
+                                                  out=out) is out
+    assert np.array_equal(out.ravel(), x)
+
+
+@pytest.mark.parametrize("shapes, counts, p, out, match", [
+    ([2.0, 0.0], [1, 1], [0.5, 0.5], None, "shape"),
+    ([2.0, math.nan], [1, 1], [0.5, 0.5], None, "shape"),
+    ([2.0, math.inf], [1, 1], [0.5, 0.5], None, "shape"),
+    ([2.0, 3.0], [1, 2], [0.5, 0.5], None, "counts"),
+    ([2.0, 3.0], [3, -1], [0.5, 0.5], None, "counts"),
+    ([2.0, 3.0], [1], [0.5, 0.5], None, "equal length"),
+    ([2.0, 3.0], [1, 1], [0.5, math.nan], None, "p must"),
+    ([2.0, 3.0], [1, 1], [0.5, 1.5], None, "p must"),
+    ([2.0, 3.0], [1, 1], [0.5, 0.5], np.empty(3), "out"),
+    ([2.0, 3.0], [1, 1], [0.5, 0.5], np.empty((2, 2))[:, 0], "out"),
+])
+def test_gamma_inverse_runs_refuse_bad_arguments(shapes, counts, p, out, match):
+    with pytest.raises(ValueError, match=match):
+        analytics.regularized_gamma_p_inv_runs(shapes, counts, np.array(p), out=out)
+
+
+def test_contender_set_builds_one_table():
+    # calls over the table-5 contender shapes build one stacked table, whichever
+    # contenders got cells; a table per subset of shapes that got cells would
+    # build four for these count vectors
+    shapes = np.array(TABLE5_SHAPES, dtype=float)
+    rng = np.random.default_rng(8)
+    _clear_tables()
+    for zeros in ((), (0,), (3, 4, 5), (1, 2, 10, 11, 12), tuple(range(1, 14))):
+        counts = rng.integers(1, 40, shapes.size)
+        counts[list(zeros)] = 0
+        analytics.regularized_gamma_p_inv_runs(shapes, counts, rng.random(counts.sum()))
+    info = analytics._run_rows.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
 
 
 def test_tabulated_cells_take_no_halley_step(monkeypatch):

@@ -283,32 +283,43 @@ def test_non_integer_shapes_selected_snr():
         assert simcore.ks_distance(rep.selected_snr[j], curve) < 0.012
 
 
-@pytest.mark.parametrize("policy", ["gfs", "bcs"])
+@pytest.mark.parametrize("policy", ["gfs", "bcs", "pfs"])
 def test_granted_snrs_invert_their_own_u(monkeypatch, policy):
-    # at the table-5 shapes every granted SNR is mean/m * gammaincinv(m, u) of the cell's
-    # own uniform, within 1e-11 relative, and those uniforms are the granted cells of
-    # the realization's first draw, in slot order, contender by contender
+    # at the table-5 shapes the inverse's one call maps each cell to gammaincinv(m, u)
+    # within 1e-11 relative, m the shape of the cell's contender.  Its cells are the
+    # granted cells of the realization's first draw, in slot order, contender by
+    # contender, and each granted SNR is mean/m times its cell's map; pfs maps every
+    # cell of the draw and takes its granted SNRs from that map
     slots, seed = 6000, 23
     structure = fixed_grouping(TABLE5_SIZES, len(TABLE5_MEANS), nu=1.0)
     seen = []
-    inverse = simcore.regularized_gamma_p_inv
+    inverse = simcore.regularized_gamma_p_inv_runs
 
-    def recorded(m, u):
-        seen.append(u.copy())
-        return inverse(m, u)
+    def recorded(shapes, counts, u, out=None):
+        x = inverse(shapes, counts, u, out=out)
+        seen.append((np.repeat(shapes, counts), u.ravel().copy(), x.ravel().copy()))
+        return x
 
-    monkeypatch.setattr(simcore, "regularized_gamma_p_inv", recorded)
+    monkeypatch.setattr(simcore, "regularized_gamma_p_inv_runs", recorded)
     rep = simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, structure, policy, slots, seed)
-    (u,) = seen
-    drawn = simcore.realization_rng(seed).random((len(TABLE5_MEANS), slots)).T
+    ((m, u, x),) = seen
+    want = special.gammaincinv(m, u)
+    assert np.max(np.abs(x - want) / want) < 1e-11
+    drawn = simcore.realization_rng(seed).random((len(TABLE5_MEANS), slots))
+    if policy == "pfs":
+        assert np.array_equal(u, drawn.ravel())
+        for j, (mean, shape) in enumerate(zip(TABLE5_MEANS, TABLE5_SHAPES)):
+            row = x[j * slots:(j + 1) * slots] * (mean / shape)
+            assert np.all(np.isin(rep.selected_snr[j], row))
+        return
     start = 0
-    for j, (mean, m) in enumerate(zip(TABLE5_MEANS, TABLE5_SHAPES)):
+    for j, (mean, shape) in enumerate(zip(TABLE5_MEANS, TABLE5_SHAPES)):
         snr = rep.selected_snr[j]
-        cells = u[start:start + snr.size]
+        cells = slice(start, start + snr.size)
         start += snr.size
-        assert np.array_equal(drawn[np.isin(drawn[:, j], cells), j], cells)
-        want = mean / m * special.gammaincinv(m, cells)
-        assert np.max(np.abs(snr - want) / want) < 1e-11
+        assert np.all(m[cells] == shape)
+        assert np.array_equal(drawn[j, np.isin(drawn[j], u[cells])], u[cells])
+        assert np.array_equal(snr, x[cells] * (mean / shape))
     assert start == u.size
 
 
