@@ -18,10 +18,12 @@ from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_
     parse_setting, sample_spatial
 from d2dsched.weights import group_access_prob, solve_group_weights, upi_closed_form
 
-# the standalone four-group scenario: per-user mean SNR and Nakagami shape
+# the four-group scenario of fixed channels: per-user linear mean SNR and Nakagami shape
 TABLE5_MEANS = (100, 60, 70, 5, 16, 40, 20, 2, 4, 40, 36, 80, 7, 40)
 TABLE5_SHAPES = (1, 8, 2, 6, 7, 3, 7, 5, 3, 3, 2, 9, 9, 4)
 TABLE5_SIZES = (1, 7, 2, 4)
+_TABLE5 = {"K1": len(TABLE5_MEANS), "K2": 0, "mean_snr": TABLE5_MEANS,
+           "fading_shape_m": TABLE5_SHAPES, "group_sizes": TABLE5_SIZES, "policy": "gfs"}
 
 PRESETS = {
     "table2-orthogonal": {
@@ -36,8 +38,8 @@ PRESETS = {
         "full": {"K1": 50, "K2": 25, "group_sizes": (5, 5, 5, 5, 5), "spatial_realizations": 150,
                  "slots_per_realization": 12000, "policy": "gfs"},
     },
-    "table5-gfs": {"desk": {"policy": "gfs", "slots_per_realization": 200_000},
-                   "full": {"policy": "gfs", "slots_per_realization": 2_000_000}},
+    "table5-gfs": {"desk": {**_TABLE5, "slots_per_realization": 200_000},
+                   "full": {**_TABLE5, "slots_per_realization": 2_000_000}},
 }
 
 
@@ -68,9 +70,11 @@ def _parse_overrides(pairs) -> dict[str, str]:
 
 def _build_config(args) -> SystemConfig:
     overrides = _parse_overrides(getattr(args, "set", None))
+    if getattr(args, "seed", None) is not None:
+        if "rng_seed" in overrides:
+            raise ConfigError("give either --seed or --set rng_seed, not both")
+        overrides["rng_seed"] = str(args.seed)
     preset = getattr(args, "preset", None)
-    if preset == "table5-gfs":
-        raise ConfigError("the table5-gfs preset is a standalone scenario for `run` only")
     if preset:
         if args.config:
             raise ConfigError("give either --preset or --config, not both")
@@ -122,26 +126,13 @@ def _write_report(report: simcore.ExperimentReport, out_dir: str, emit_cdfs: boo
 
 
 def cmd_run(args) -> int:
-    if args.preset == "table5-gfs":
-        if args.config:
-            raise ConfigError("the table5-gfs preset takes no --config")
-        values = dict(PRESETS["table5-gfs"][args.scale])
-        for key, raw in _parse_overrides(args.set).items():
-            if key not in values:
-                raise ConfigError(f"table5-gfs preset accepts only --set policy or "
-                                  f"slots_per_realization, got {key!r}")
-            values[key] = parse_setting(key, raw)
-        structure = fixed_grouping(TABLE5_SIZES, len(TABLE5_MEANS), nu=1.0)
-        report = simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, structure, values["policy"],
-                                        values["slots_per_realization"], seed=args.seed)
-        _write_report(report, args.out, emit_cdfs=args.emit_cdfs)
-        return 0
     config = _build_config(args)
     report = simcore.run_experiment(config)
     theory = None
-    # the unconditional curves exist for two users or more, at unit shape
-    if (args.emit_cdfs and config.policy == "dfs" and config.n_users >= 2
-            and np.all(config.shapes_per_contender() == 1.0)):
+    # the unconditional curves average over the layout, for two users or more at
+    # unit shape; a config that gives the means has no layout
+    if (args.emit_cdfs and config.policy == "dfs" and config.mean_snr is None
+            and config.n_users >= 2 and np.all(config.shapes_per_contender() == 1.0)):
         cell, d2d = analytics.dfs_unconditional_mixtures(config, config.n_users)
         theory = {j: (cell if j < config.K1 else d2d) for j in range(config.n_contenders)}
     _write_report(report, args.out, emit_cdfs=args.emit_cdfs, theory_cdfs=theory)
@@ -262,8 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p_run)
     p_run.add_argument("--emit-cdfs", action="store_true",
                        help="also write per-contender selected-SNR CDF files")
-    p_run.add_argument("--seed", type=int, default=12345,
-                       help="seed for the table5-gfs standalone preset")
+    p_run.add_argument("--seed", type=int, help="shorthand for --set rng_seed=SEED")
     p_run.set_defaults(func=cmd_run)
 
     p_w = sub.add_parser("weights", help="solve max-min group weights")
@@ -285,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_s = sub.add_parser("sweep", help="repeat run over a grid of one config key")
     common(p_s)
     p_s.add_argument("--emit-cdfs", action="store_true")
-    p_s.add_argument("--seed", type=int, default=12345)
     p_s.add_argument("--sweep-key", required=True)
     p_s.add_argument("--sweep-values", required=True, help="comma list of values")
     p_s.set_defaults(func=cmd_sweep)

@@ -51,6 +51,7 @@ class SystemConfig:
     interference_radius_m: float = 300.0
     policy: str = "bcs"
     group_sizes: tuple[int, ...] | None = None   # fixed D2D grouping; None = greedy coloring
+    mean_snr: tuple[float, ...] | None = None    # linear mean SNR per user: no geometry, K2 = 0
 
     def __post_init__(self):
         # numpy scalars as their Python values, so that equal configs digest alike
@@ -65,6 +66,14 @@ class SystemConfig:
             self._store_tuple("fading_shape_m", "numbers")
         if self.group_sizes is not None:
             self._store_tuple("group_sizes", "integers")
+        if self.mean_snr is not None:
+            self._store_tuple("mean_snr", "numbers")
+            if self.K2 != 0 or len(self.mean_snr) != self.K1:
+                raise ConfigError(f"mean_snr needs K2 = 0 and one entry per user (K1 = {self.K1}), "
+                                  f"got {len(self.mean_snr)} entries with K2 = {self.K2}")
+            if not all(0.0 < v < math.inf for v in self.mean_snr):
+                raise ConfigError(f"mean_snr entries must be positive and finite, "
+                                  f"got {self.mean_snr!r}")
         if self.K1 < 0 or self.K2 < 0 or self.K1 + 2 * self.K2 < 1:
             raise ConfigError("need K1 >= 0, K2 >= 0 and at least one user")
         for f in fields(self):          # every float setting, each fading_shape_m entry too
@@ -85,8 +94,8 @@ class SystemConfig:
         if self.group_sizes is not None:
             if not self.group_sizes or any(s < 1 for s in self.group_sizes):
                 raise ConfigError("group_sizes entries must be >= 1")
-            if sum(self.group_sizes) != self.K2:
-                raise ConfigError("group_sizes must sum to K2")
+            if sum(self.group_sizes) != (self.K2 if self.mean_snr is None else self.K1):
+                raise ConfigError("group_sizes must sum to K2, or to K1 with mean_snr")
         if self.rate_log_base <= 1.0:
             raise ConfigError("rate_log_base must be > 1")
         if self.pf_time_const < 1.0:
@@ -148,7 +157,10 @@ class SystemConfig:
         return np.full(self.n_contenders, float(m))
 
     def digest(self) -> str:
-        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)]
+        # an unset mean_snr is left out, so geometric configs digest alike with or
+        # without the key
+        parts = [f"{f.name}={getattr(self, f.name)!r}" for f in fields(self)
+                 if f.name != "mean_snr" or self.mean_snr is not None]
         return hashlib.sha256(";".join(parts).encode()).hexdigest()[:16]
 
 
@@ -235,8 +247,9 @@ def parse_setting(key: str, raw: str):
     try:
         if kind == "str":
             return raw
-        if key == "group_sizes":
-            return None if raw.lower() in ("", "none") else tuple(int(tok) for tok in raw.split(","))
+        if key in ("group_sizes", "mean_snr"):
+            entry = int if key == "group_sizes" else float
+            return None if raw.lower() in ("", "none") else tuple(entry(tok) for tok in raw.split(","))
         if key == "fading_shape_m":
             return tuple(float(tok) for tok in raw.split(",")) if "," in raw else float(raw)
         if key == "rate_log_base" and raw.lower() == "e":

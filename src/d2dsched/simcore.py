@@ -9,7 +9,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from d2dsched import channel, policies
-from d2dsched.analytics import MAX_SHAPE, regularized_gamma_p_inv_runs
+from d2dsched.analytics import regularized_gamma_p_inv_runs
 from d2dsched.grouping import Group, GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring, with_cellular_singletons
 from d2dsched.model import ConfigError, SpatialRealization, SystemConfig, cellular_downlink, \
@@ -50,43 +50,37 @@ class ContenderSet:
         return kinds
 
 
-def contenders_from_spatial(config: SystemConfig, spatial: SpatialRealization) -> ContenderSet:
-    """Downlink contender set: per-user mean SNR from the sampled geometry.
+def contenders_from_spatial(config: SystemConfig,
+                            spatial: SpatialRealization | None) -> ContenderSet:
+    """Downlink contender set: per-user mean SNR from the sampled geometry, or
+    the config's `mean_snr`, which gives K1 single-user contenders and needs no
+    geometry.
 
-    Each mean is `channel.mean_snr` of the contender's link, built by
+    Each geometric mean is `channel.mean_snr` of the contender's link, built by
     `model.cellular_downlink` for a cellular user and `model.d2d_direct` for
     a pair.
     """
-    means = [channel.mean_snr(cellular_downlink(config, d), config)
-             for d in spatial.cellular_distances.tolist()]
-    means += [channel.mean_snr(d2d_direct(config, d), config)
-              for d in spatial.pair_direct_distances.tolist()]
+    if config.mean_snr is not None:
+        means = config.mean_snr
+    else:
+        means = [channel.mean_snr(cellular_downlink(config, d), config)
+                 for d in spatial.cellular_distances.tolist()]
+        means += [channel.mean_snr(d2d_direct(config, d), config)
+                  for d in spatial.pair_direct_distances.tolist()]
     members = [(k,) for k in range(config.K1)]
     members += [(config.K1 + 2 * p, config.K1 + 2 * p + 1) for p in range(config.K2)]
     is_pair = np.concatenate((np.zeros(config.K1, bool), np.ones(config.K2, bool)))
-    return ContenderSet(is_pair, config.shapes_per_contender(), np.array(means), tuple(members))
+    return ContenderSet(is_pair, config.shapes_per_contender(), np.array(means, dtype=float),
+                        tuple(members))
 
 
-def standalone_contenders(mean_snrs, shapes) -> ContenderSet:
-    """Contender set for table-driven scenarios: one user per contender.  The
-    means and shapes must pass the checks of `channel.GammaSnrCdf`, and the
-    shapes must not exceed `analytics.MAX_SHAPE`, as `SystemConfig` requires."""
-    means = np.asarray(mean_snrs, dtype=float)
-    m = np.asarray(shapes, dtype=float)
-    if means.ndim != 1 or m.shape != means.shape:
-        raise ValueError(f"mean_snrs and shapes must be 1-D sequences of equal length, "
-                         f"got {means.shape} and {m.shape}")
-    if not np.all((0.0 < means) & (means < np.inf)):
-        raise ValueError(f"mean_snrs must be positive and finite, got {mean_snrs!r}")
-    if not np.all((0.5 <= m) & (m <= MAX_SHAPE)):
-        raise ValueError(f"shapes must lie in [0.5, {MAX_SHAPE:g}], got {shapes!r}")
-    members = tuple((i,) for i in range(means.size))
-    return ContenderSet(np.zeros(means.size, bool), m, means, members)
-
-
-def build_structure(config: SystemConfig, spatial: SpatialRealization) -> GroupStructure:
+def build_structure(config: SystemConfig, spatial: SpatialRealization | None) -> GroupStructure:
     """Mixed-system structure: cellular singletons plus D2D groups from the
-    configured fixed sizes or greedy conflict-graph coloring (none without pairs)."""
+    configured fixed sizes or greedy conflict-graph coloring (none without pairs).
+    With `mean_snr` the fixed sizes group the K1 single-user contenders, with
+    nu = 1 as for any one-user contender."""
+    if config.mean_snr is not None and config.group_sizes is not None:
+        return fixed_grouping(config.group_sizes, config.K1, nu=1.0)
     if config.K2 == 0:
         d2d = GroupStructure(())
     elif config.group_sizes is not None:
@@ -122,7 +116,8 @@ class SimResult:
 
 
 def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
-    """Random stream of one realization: its layout first, then its fading."""
+    """Random stream of one realization: its layout first, then its fading.  A
+    config that sets `mean_snr` draws no layout, only the fading."""
     return np.random.default_rng(
         np.random.SeedSequence(entropy=seed, spawn_key=(0, realization)))
 
@@ -222,14 +217,6 @@ class _Accounts:
                          user_u_sum=np.array(self.u_sum), user_rate_sum=np.array(self.rate_sum),
                          group_grants=self.group_grants, selected_snr=self.selected_snr,
                          structure=self.structure)
-
-
-def simulate_policy(cs: ContenderSet, policy: str, slots: int, rng: np.random.Generator,
-                    structure: GroupStructure | None = None) -> SimResult:
-    """Run one realization of `slots` fading slots under the given policy: a
-    block of one of `simulate_block`."""
-    (result,) = simulate_block([(cs, rng, structure)], policy, slots)
-    return result
 
 
 def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int,
@@ -391,12 +378,13 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
 
 def _realization_task(args):
     """Run a contiguous block of realizations through one `simulate_block` call,
-    after sampling each one's layout: (SimResult, ContenderSet) each, in order."""
+    after sampling each one's layout, unless the config gives the means:
+    (SimResult, ContenderSet) each, in order."""
     config, block = args
     runs = []
     for real in block:
         rng = realization_rng(config.rng_seed, real)
-        spatial = sample_spatial(config, rng)
+        spatial = sample_spatial(config, rng) if config.mean_snr is None else None
         cs = contenders_from_spatial(config, spatial)
         structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
         runs.append((cs, rng, structure))
@@ -442,14 +430,6 @@ def run_experiment(config: SystemConfig, n_workers: int | None = None) -> Experi
         blocks = [_realization_task(t) for t in tasks]
     return _reduce([out for block in blocks for out in block], config.policy, config.rng_seed,
                    config.digest())
-
-
-def run_standalone(mean_snrs, shapes, structure: GroupStructure, policy: str, slots: int,
-                   seed: int) -> ExperimentReport:
-    """Table-driven scenario: per-user SNR distributions, no geometry."""
-    cs = standalone_contenders(mean_snrs, shapes)
-    result = simulate_policy(cs, policy, slots, realization_rng(seed), structure=structure)
-    return _reduce([(result, cs)], policy, seed)
 
 
 def ks_distance(empirical, analytic) -> float:

@@ -9,8 +9,10 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+from helpers import table5_config
+
 from d2dsched import simcore
-from d2dsched.cli import TABLE5_MEANS, TABLE5_SHAPES, TABLE5_SIZES
+from d2dsched.cli import TABLE5_MEANS, TABLE5_SIZES
 from d2dsched.grouping import fixed_grouping
 from d2dsched.model import SystemConfig
 
@@ -18,7 +20,8 @@ from d2dsched.model import SystemConfig
 @pytest.fixture(scope="session")
 def bcs8_report():
     """Eight i.i.d. Rayleigh users under plain CDF competition, 10^6 slots."""
-    return simcore.run_standalone([4.0] * 8, [1.0] * 8, None, "bcs", 1_000_000, seed=101)
+    return simcore.run_experiment(SystemConfig(K1=8, K2=0, mean_snr=(4.0,) * 8, policy="bcs",
+                                               slots_per_realization=1_000_000, rng_seed=101))
 
 
 @pytest.fixture(scope="session")
@@ -53,16 +56,16 @@ def tab5_structure():
 
 
 @pytest.fixture(scope="session")
-def tab5_gfs(tab5_structure):
+def tab5_gfs():
     """Four-group heterogeneous-channel scenario under max-min weights, 10^6 slots."""
-    return simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, tab5_structure,
-                                  "gfs", 1_000_000, seed=505)
+    return simcore.run_experiment(table5_config(policy="gfs", slots_per_realization=1_000_000,
+                                                rng_seed=505))
 
 
 @pytest.fixture(scope="session")
-def tab5_ecs(tab5_structure):
-    return simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, tab5_structure,
-                                  "ecs", 200_000, seed=606)
+def tab5_ecs():
+    return simcore.run_experiment(table5_config(policy="ecs", slots_per_realization=200_000,
+                                                rng_seed=606))
 
 
 @pytest.fixture(scope="session")

@@ -9,9 +9,10 @@ from scipy import integrate
 
 from d2dsched import policies, simcore
 from d2dsched.analytics import regularized_gamma_p_inv
+from d2dsched.cli import PRESETS
 from d2dsched.grouping import Group, GroupStructure
 from d2dsched.weights import ecs_weights, solve_group_weights
-from d2dsched.model import sample_spatial
+from d2dsched.model import SystemConfig, sample_spatial
 
 
 def first_realization_contenders(config):
@@ -19,6 +20,19 @@ def first_realization_contenders(config):
     the experiment driver derives it, so tests can recover per-user base CDFs."""
     spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
     return simcore.contenders_from_spatial(config, spatial), spatial
+
+
+def table5_config(**settings):
+    """The table-5 preset, four groups of fixed channels, with some settings changed."""
+    return SystemConfig(**{**PRESETS["table5-gfs"]["desk"], **settings})
+
+
+def lone_contenders(means, shapes):
+    """One single-user contender per mean SNR and shape, as a config that sets
+    `mean_snr` builds them."""
+    n = len(means)
+    return simcore.ContenderSet(np.zeros(n, bool), np.array(shapes, dtype=float),
+                                np.array(means, dtype=float), tuple((i,) for i in range(n)))
 
 
 def ks_uniform(u):

@@ -319,14 +319,89 @@ def test_bad_set_names_the_setting(tmp_path, capsys, preset, setting, key):
 
 
 @pytest.mark.parametrize("argv,named", [
-    (["group", "--preset", "table5-gfs"], "table5-gfs"),
-    (["analytic", "--preset", "table5-gfs", "--curve", "bcs"], "table5-gfs"),
+    (["group", "--preset", "table5-gfs"], "K2 >= 1"),
     (["run", "--preset", "table5-gfs", "--config", "missing.cfg"], "--config"),
-])
-def test_standalone_preset_outside_run_is_an_error(tmp_path, capsys, argv, named):
-    # table5-gfs has no SystemConfig, so it must not fall back to the default one
+], ids=["group", "config"])
+def test_table5_preset_refusals(tmp_path, capsys, argv, named):
+    # table5-gfs is an ordinary preset of no pairs: it has nothing to color, and a
+    # preset does not mix with a config file
     out = str(tmp_path / "t5")
     assert cli.main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert not os.path.exists(out)
+
+
+def test_analytic_bcs_curve_of_table5(tmp_path):
+    # user 0 of table 5 is a Rayleigh channel of mean SNR 100 among 14 contenders
+    out = str(tmp_path / "t5")
+    assert cli.main(["analytic", "--preset", "table5-gfs", "--curve", "bcs", "--out", out]) == 0
+    _, rows = _read_csv(os.path.join(out, "curve_cellular.csv"))
+    want = analytics.bcs_selected_cdf(GammaSnrCdf(1, 100), 14)
+    assert np.array_equal([float(r[0]) for r in rows], [float(cli._fmt(s)) for s in want.grid])
+    assert np.array_equal([float(r[2]) for r in rows], [float(cli._fmt(f)) for f in want.values])
+
+
+def _files(out):
+    """Every file a run wrote but its timestamped run_meta.txt, by name."""
+    files = {}
+    for name in sorted(set(os.listdir(out)) - {"run_meta.txt"}):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    return files
+
+
+@pytest.mark.parametrize("preset", ["table2-orthogonal", "table5-gfs"])
+def test_seed_is_shorthand_for_rng_seed(tmp_path, capsys, preset):
+    def run(name, *flags):
+        out = str(tmp_path / name)
+        code = cli.main(["run", "--preset", preset, "--set", "slots_per_realization=2000",
+                         "--out", out, *flags])
+        return code, out
+
+    _, seeded = run("seed", "--seed", "7")
+    _, setting = run("set", "--set", "rng_seed=7")
+    _, default = run("default")
+    assert _files(seeded) == _files(setting) != _files(default)
+    with open(os.path.join(seeded, "run_meta.txt"), encoding="utf-8") as fh:
+        assert "seed = 7\n" in fh.read()
+    code, out = run("both", "--seed", "7", "--set", "rng_seed=8")
+    assert code == 1 and "--seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_emit_cdfs_has_no_layout_theory_for_given_means(tmp_path):
+    # dfs at unit shape passes the theory check, but the unconditional curves average
+    # over a layout that a config of given means does not have: f_theory is NaN
+    out = str(tmp_path / "t5")
+    assert cli.main(["run", "--preset", "table5-gfs", "--set", "policy=dfs",
+                     "--set", "fading_shape_m=1", "--set", "slots_per_realization=30000",
+                     "--emit-cdfs", "--out", out]) == 0
+    for j in range(14):
+        _, rows = _read_csv(os.path.join(out, f"cdf_{j}.csv"))
+        assert np.all(np.isnan([float(r[2]) for r in rows]))
+
+
+def test_sweep_of_table5_equals_its_runs(tmp_path):
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--preset", "table5-gfs", "--set", "slots_per_realization=3000",
+                     "--sweep-key", "policy", "--sweep-values", "gfs,ecs", "--out", out]) == 0
+    for policy in ("gfs", "ecs"):
+        run = str(tmp_path / policy)
+        assert cli.main(["run", "--preset", "table5-gfs", "--set", "slots_per_realization=3000",
+                         "--set", f"policy={policy}", "--out", run]) == 0
+        assert _files(os.path.join(out, f"policy_{policy}")) == _files(run)
+
+
+def test_config_file_of_mean_snr_reproduces_the_table5_preset(tmp_path):
+    cfg = tmp_path / "table5.cfg"
+    cfg.write_text("K1 = 14\nK2 = 0\npolicy = gfs\nslots_per_realization = 3000\n"
+                   "mean_snr = 100, 60, 70, 5, 16, 40, 20, 2, 4, 40, 36, 80, 7, 40\n"
+                   "fading_shape_m = 1, 8, 2, 6, 7, 3, 7, 5, 3, 3, 2, 9, 9, 4\n"
+                   "group_sizes = 1, 7, 2, 4\n")
+    preset, config = str(tmp_path / "preset"), str(tmp_path / "config")
+    assert cli.main(["run", "--preset", "table5-gfs", "--set", "slots_per_realization=3000",
+                     "--out", preset]) == 0
+    assert cli.main(["run", "--config", str(cfg), "--out", config]) == 0
+    assert _files(preset) == _files(config)
+    assert set(_files(config)) == {"report.csv", "group_access.csv"}

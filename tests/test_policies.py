@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import ks_uniform, mws_select_reps, pfs_select_numpy
+from helpers import ks_uniform, lone_contenders, mws_select_reps, pfs_select_numpy
 
 from d2dsched import policies, simcore
 from d2dsched.analytics import cfs_threshold
@@ -51,8 +51,9 @@ def test_cdf_map_values():
     lone = GroupStructure((Group((0,), 0.5),))
     for policy, structure in (("bcs", None), ("pfs", lone)):
         for m in (1.0, 2.5):
-            cs = simcore.standalone_contenders([3.0], [m])
-            res = simcore.simulate_policy(cs, policy, 25, np.random.default_rng(4), structure)
+            cs = lone_contenders([3.0], [m])
+            (res,) = simcore.simulate_block([(cs, np.random.default_rng(4), structure)],
+                                            policy, 25)
             u = np.random.default_rng(4).random(25)
             assert res.user_u_sum[0] == pytest.approx(u.sum(), rel=1e-15)
             snr = res.selected_snr[0][0]
@@ -326,9 +327,9 @@ def test_group_structure_must_cover_the_scores():
     u = np.random.default_rng(50).random((20, 4))
     with pytest.raises(ValueError, match="contender 3"):
         policies.mws_select(u, st, pw)
-    cs = simcore.standalone_contenders([1.0] * 4, [1.0] * 4)
+    cs = lone_contenders([1.0] * 4, [1.0] * 4)
     with pytest.raises(ValueError, match="contender 3"):
-        simcore.simulate_policy(cs, "pfs", 20, np.random.default_rng(50), structure=st)
+        simcore.simulate_block([(cs, np.random.default_rng(50), st)], "pfs", 20)
     gap = GroupStructure((Group((0,), 1.0), Group((1, 2, 4), 0.5)))
     with pytest.raises(ValueError, match="contender 3"):
         policies.mws_select(u, gap, solve_group_weights(gap))
@@ -336,7 +337,7 @@ def test_group_structure_must_cover_the_scores():
     with pytest.raises(ValueError, match="covers 5 contenders"):
         policies.mws_select(u, wide, solve_group_weights(wide))
     with pytest.raises(ValueError, match="covers 5 contenders"):
-        simcore.simulate_policy(cs, "pfs", 20, np.random.default_rng(50), structure=wide)
+        simcore.simulate_block([(cs, np.random.default_rng(50), wide)], "pfs", 20)
 
 
 def test_one_weight_per_group_required():

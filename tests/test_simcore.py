@@ -9,48 +9,64 @@ import numpy as np
 import pytest
 from scipy import special
 
-from helpers import first_realization_contenders, reference_accounting
+from helpers import first_realization_contenders, lone_contenders, reference_accounting, \
+    table5_config
 
 from d2dsched import simcore
 from d2dsched.analytics import MAX_SHAPE, AnalyticCurve, bcs_selected_cdf
 from d2dsched.channel import GammaSnrCdf, mean_snr
-from d2dsched.cli import TABLE5_MEANS, TABLE5_SHAPES, TABLE5_SIZES
+from d2dsched.cli import TABLE5_MEANS, TABLE5_SHAPES
 from d2dsched.grouping import fixed_grouping
 from d2dsched.model import POLICIES, ConfigError, SystemConfig, cellular_downlink, d2d_direct, \
     sample_spatial
 
 
+def given_means(means, shapes=1.0, **settings):
+    """A config of one user per contender with the given linear mean SNRs."""
+    return SystemConfig(K1=len(means), K2=0, mean_snr=tuple(means), fading_shape_m=shapes,
+                        **settings)
+
+
 def test_round_robin_exact_shares():
-    st = fixed_grouping([1, 1, 1, 1], nu=1.0)
-    rep = simcore.run_standalone([1.0] * 4, [1.0] * 4, st, "grr", 4000, seed=1)
+    cfg = given_means([1.0] * 4, group_sizes=(1, 1, 1, 1), policy="grr",
+                      slots_per_realization=4000, rng_seed=1)
+    rep = simcore.run_experiment(cfg)
+    assert rep.structure == fixed_grouping([1, 1, 1, 1], nu=1.0)
     assert np.allclose(rep.group_access_prob, 0.25)
     assert np.allclose(rep.access_prob, 0.25)
 
 
 def test_index_estimate_bounds():
     # user 0 is granted every slot with u = 1, user 1 never
-    cs = simcore.standalone_contenders([1.0, 1.0], [1.0, 1.0])
+    cs = lone_contenders([1.0, 1.0], [1.0, 1.0])
     res = simcore.SimResult(100, np.array([100, 0]), np.array([100.0, 0.0]),
                             np.array([50.0, 0.0]), None, [[], []], None)
     rep = simcore._reduce([(res, cs)], "bcs", 0)
     assert rep.upi[0] == pytest.approx(2.0) and rep.upi[1] == 0.0
     assert list(rep.access_prob) == [1.0, 0.0]
     assert list(rep.selected_rate) == [0.5, 0.0]
-    with pytest.raises(ValueError):
-        simcore.run_standalone([1.0], [1.0], None, "bcs", 0, seed=1)
+    with pytest.raises(ValueError, match="slots"):
+        simcore.simulate_block([(cs, np.random.default_rng(1), None)], "bcs", 0)
 
 
-@pytest.mark.parametrize("means,shapes,name", [
-    ([1.0, float("nan")], [1.0, 1.0], "mean_snrs"),
-    ([1.0, -3.0], [1.0, 1.0], "mean_snrs"),
-    ([1.0, 1.0], [1.0, 0.2], "shapes"),
-    ([1.0, 1.0], [1.0, MAX_SHAPE + 0.5], "shapes"),
-    ([1.0] * 8, [1.0] * 3, "shapes"),
-], ids=["nan-mean", "negative-mean", "small-shape", "large-shape", "short-shapes"])
-def test_standalone_refuses_malformed_scenarios(means, shapes, name):
-    # the bounds of GammaSnrCdf and the incomplete gamma's, and one shape per mean
-    with pytest.raises(ValueError, match=f"{name} must"):
-        simcore.run_standalone(means, shapes, None, "bcs", 100, seed=1)
+@pytest.mark.parametrize("settings,name", [
+    (dict(K1=2, mean_snr=(1.0, float("nan"))), "mean_snr"),
+    (dict(K1=2, mean_snr=(1.0, -3.0)), "mean_snr"),
+    (dict(K1=2, mean_snr=(1.0, float("inf"))), "mean_snr"),
+    (dict(K1=3, mean_snr=(1.0, 2.0)), "mean_snr"),
+    (dict(K1=1, mean_snr=(1.0, 2.0)), "mean_snr"),
+    (dict(K1=2, K2=1, mean_snr=(1.0, 2.0)), "mean_snr"),
+    (dict(K1=3, mean_snr=(1.0, 2.0, 3.0), group_sizes=(1, 1)), "group_sizes"),
+    (dict(K1=2, mean_snr=(1.0, 1.0), fading_shape_m=(1.0, 0.2)), "fading_shape_m"),
+    (dict(K1=2, mean_snr=(1.0, 1.0), fading_shape_m=(1.0, MAX_SHAPE + 0.5)), "fading_shape_m"),
+    (dict(K1=8, mean_snr=(1.0,) * 8, fading_shape_m=(1.0,) * 3), "fading_shape_m"),
+], ids=["nan-mean", "negative-mean", "infinite-mean", "too-few-means", "too-many-means",
+        "with-pairs", "group-sum", "small-shape", "large-shape", "short-shapes"])
+def test_standalone_refuses_malformed_scenarios(settings, name):
+    # a config that gives the means: positive finite means, one per user and no pairs,
+    # fixed groups over its K1 users, and the incomplete gamma's shapes, one per mean
+    with pytest.raises(ConfigError, match=name):
+        SystemConfig(**{"K2": 0, **settings})
 
 
 @pytest.mark.parametrize("policy", POLICIES)
@@ -65,9 +81,9 @@ def test_shapes_beyond_the_gamma_bound_are_refused_before_any_draw(monkeypatch, 
                  rng_seed=3)
     with pytest.raises(ConfigError, match="fading_shape_m"):
         SystemConfig(fading_shape_m=6000.0, **setup)
-    with pytest.raises(ValueError, match="shapes must"):
-        simcore.run_standalone([1.0, 2.0], [1.0, 6000.0], fixed_grouping([1, 1], nu=1.0),
-                               policy, 2000, seed=3)
+    with pytest.raises(ConfigError, match="fading_shape_m"):
+        simcore.run_experiment(given_means([1.0, 2.0], (1.0, 6000.0), group_sizes=(1, 1),
+                                           policy=policy, slots_per_realization=2000, rng_seed=3))
     monkeypatch.undo()
     # at the bound itself the run completes, and every kept SNR of a Gamma(4000) channel
     # lies within 10 % of its contender's mean (6 standard deviations)
@@ -79,7 +95,8 @@ def test_shapes_beyond_the_gamma_bound_are_refused_before_any_draw(monkeypatch, 
 
 
 def test_plain_competition_small():
-    rep = simcore.run_standalone([2.0] * 4, [1.0] * 4, None, "bcs", 1_000_000, seed=2)
+    rep = simcore.run_experiment(given_means([2.0] * 4, policy="bcs",
+                                             slots_per_realization=1_000_000, rng_seed=2))
     assert np.all(np.abs(rep.upi - 0.4) < 0.005)
     assert np.all(np.abs(rep.access_prob - 0.25) < 0.002)
     assert rep.access_prob.sum() == pytest.approx(1.0)
@@ -92,7 +109,7 @@ def test_pair_members_alternate(monkeypatch, policy, chunk):
     monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
     cs = simcore.ContenderSet(np.array([True]), np.array([1.0]), np.array([5.0]), ((0, 1),))
     rng = np.random.default_rng(3)
-    res = simcore.simulate_policy(cs, policy, 1001, rng)
+    (res,) = simcore.simulate_block([(cs, rng, None)], policy, 1001)
     assert res.user_grants[0] == 501 and res.user_grants[1] == 500
 
 
@@ -136,10 +153,10 @@ def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, s
 @pytest.mark.parametrize("policy", ["bcs", "pfs"])
 def test_long_member_sums_match_reference(policy):
     # two contenders of 20k grants each: every member's sums span many summation blocks
-    cs = simcore.standalone_contenders([3.0, 8.0], [1.0, 1.0])
+    cs = lone_contenders([3.0, 8.0], [1.0, 1.0])
     structure = fixed_grouping([1, 1], nu=1.0)
     slots = 40_000 if policy == "bcs" else 4000
-    res = simcore.simulate_policy(cs, policy, slots, np.random.default_rng(23), structure=structure)
+    (res,) = simcore.simulate_block([(cs, np.random.default_rng(23), structure)], policy, slots)
     grants, u_sum, rate_sum, _, _ = reference_accounting(cs, policy, slots, np.random.default_rng(23),
                                                          structure=structure)
     assert np.array_equal(res.user_grants, grants)
@@ -276,7 +293,8 @@ def test_non_integer_shapes_selected_snr():
     # KS distance of 5e4 exact draws exceeds 0.012 with probability about 1e-6;
     # 0.005 is five binomial standard errors of the access probability
     means, shapes = [2.0, 5.0, 1.0, 3.0], [2.5, 0.75, 2.5, 0.75]
-    rep = simcore.run_standalone(means, shapes, None, "bcs", 200_000, seed=61)
+    rep = simcore.run_experiment(given_means(means, tuple(shapes), policy="bcs",
+                                             slots_per_realization=200_000, rng_seed=61))
     assert np.all(np.abs(rep.access_prob - 0.25) < 0.005)
     for j in range(4):
         curve = bcs_selected_cdf(GammaSnrCdf(shapes[j], means[j]), 4)
@@ -291,7 +309,6 @@ def test_granted_snrs_invert_their_own_u(monkeypatch, policy):
     # contender, and each granted SNR is mean/m times its cell's map; pfs maps every
     # cell of the draw and takes its granted SNRs from that map
     slots, seed = 6000, 23
-    structure = fixed_grouping(TABLE5_SIZES, len(TABLE5_MEANS), nu=1.0)
     seen = []
     inverse = simcore.regularized_gamma_p_inv_runs
 
@@ -301,7 +318,8 @@ def test_granted_snrs_invert_their_own_u(monkeypatch, policy):
         return x
 
     monkeypatch.setattr(simcore, "regularized_gamma_p_inv_runs", recorded)
-    rep = simcore.run_standalone(TABLE5_MEANS, TABLE5_SHAPES, structure, policy, slots, seed)
+    rep = simcore.run_experiment(table5_config(policy=policy, slots_per_realization=slots,
+                                               rng_seed=seed))
     ((m, u, x),) = seen
     want = special.gammaincinv(m, u)
     assert np.max(np.abs(x - want) / want) < 1e-11
@@ -357,9 +375,9 @@ def test_same_seed_reports_identical():
 
 
 def test_unknown_policy_and_missing_structure():
-    cs = simcore.standalone_contenders([1.0, 2.0], [1.0, 1.0])
+    cs = lone_contenders([1.0, 2.0], [1.0, 1.0])
     rng = np.random.default_rng(0)
-    with pytest.raises(ValueError):
-        simcore.simulate_policy(cs, "fifo", 10, rng)
-    with pytest.raises(ValueError):
-        simcore.simulate_policy(cs, "gfs", 10, rng)
+    with pytest.raises(ValueError, match="fifo"):
+        simcore.simulate_block([(cs, rng, None)], "fifo", 10)
+    with pytest.raises(ValueError, match="group structure"):
+        simcore.simulate_block([(cs, rng, None)], "gfs", 10)
