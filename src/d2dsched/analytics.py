@@ -140,24 +140,15 @@ def _gamma_tail(a: float, x: np.ndarray, upper: np.ndarray | None = None) -> np.
     return out
 
 
-def _gamma_p_one_shape(a: float, x: np.ndarray) -> np.ndarray:
-    if not math.isfinite(a):
-        raise ValueError(f"shape parameter a must be positive and finite, got {a!r}")
-    if _is_erlang(a):
-        p = _gamma_tail(a, x)                   # P in both tails, x = inf too
-        return np.clip(p, 0.0, 1.0, out=p)
-    out = np.ones_like(x)                       # P(a, inf) = 1
-    finite = x < np.inf
-    if finite.any():
-        xf = x[finite]
-        upper = xf >= a + 1.0
-        t = _gamma_tail(a, xf, upper)
-        out[finite] = np.where(upper, 1.0 - t, t)
-    return np.clip(out, 0.0, 1.0)
+def _one_shape(a) -> float:
+    if np.ndim(a):
+        raise ValueError(f"shape parameter a must be one shape, got an array of shape "
+                         f"{np.shape(a)}: regularized_gamma_p_inv_runs maps cells of several")
+    return float(a)
 
 
 def regularized_gamma_p(a, x):
-    """Regularized lower incomplete gamma P(a, x), elementwise over broadcast a and x.
+    """Regularized lower incomplete gamma P(a, x) at one shape a, elementwise over x.
 
     Integer shapes up to 170 use the closed-form Erlang sum
     P(m, x) = 1 - e^-x sum_{j<m} x^j / j!, and the series where that
@@ -169,26 +160,28 @@ def regularized_gamma_p(a, x):
     small P keeps its relative accuracy at every shape: within 1e-12 of
     scipy's gammainc where the Erlang difference cancels, as at
     P(9, 0.03) = 5.3e-20.
-    A shape that is not positive and finite, or an x that is negative or NaN,
-    raises ValueError; P(a, inf) = 1.  Scalar a and x give a Python float.
+    An array of shapes, a shape that is not positive and finite, or an x
+    that is negative or NaN raises ValueError; P(a, inf) = 1.  A scalar x
+    gives a Python float.
     """
-    a_arr = np.asarray(a, dtype=float)
+    a = _one_shape(a)
+    if not 0.0 < a < math.inf:              # NaN too
+        raise ValueError(f"shape parameter a must be positive and finite, got {a!r}")
     x_arr = np.asarray(x, dtype=float)
-    if not np.all(a_arr > 0.0):           # NaN too
-        raise ValueError("shape parameter a must be positive and finite")
     if not np.all(x_arr >= 0.0):
         raise ValueError("x must be nonnegative, not NaN")
-    shape = np.broadcast_shapes(a_arr.shape, x_arr.shape)
-    x_flat = np.broadcast_to(x_arr, shape).ravel()
-    if a_arr.size == 1:
-        out = _gamma_p_one_shape(float(a_arr.flat[0]), x_flat)
+    x_flat = x_arr.ravel()
+    if _is_erlang(a):
+        out = _gamma_tail(a, x_flat)            # P in both tails, x = inf too
     else:
-        a_flat = np.broadcast_to(a_arr, shape).ravel()
-        out = np.empty_like(x_flat)
-        for val in np.unique(a_flat).tolist():
-            cells = a_flat == val
-            out[cells] = _gamma_p_one_shape(val, x_flat[cells])
-    out = out.reshape(shape)
+        out = np.ones_like(x_flat)              # P(a, inf) = 1
+        finite = x_flat < np.inf
+        if finite.any():
+            xf = x_flat[finite]
+            upper = xf >= a + 1.0
+            t = _gamma_tail(a, xf, upper)
+            out[finite] = np.where(upper, 1.0 - t, t)
+    out = np.clip(out, 0.0, 1.0, out=out).reshape(x_arr.shape)
     return float(out) if out.ndim == 0 else out
 
 
@@ -217,12 +210,6 @@ def _dm_start(a: float, low: np.ndarray, p: np.ndarray, q: np.ndarray) -> np.nda
     wilson_hilferty = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
     # P(a, x) < x^a / Gamma(a+1) for every x, so `low` lies below the solution
     return np.maximum(wilson_hilferty, low)
-
-
-def _shape_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The value of each run of equal entries of a nonempty array, and its length."""
-    bounds = np.flatnonzero(np.concatenate(([True], a[1:] != a[:-1], [True])))
-    return a[bounds[:-1]], np.diff(bounds)
 
 
 def _tails(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -436,19 +423,9 @@ def _gamma_p_inv_runs(shapes: np.ndarray, counts: np.ndarray, p: np.ndarray,
                 f"points (shapes {np.unique(a[halley][unsettled]).tolist()})")
 
 
-def _check_p(p: np.ndarray) -> None:
-    if not ((p >= 0.0) & (p <= 1.0)).all():           # NaN too
-        raise ValueError("p must lie in [0, 1]")
-
-
-def _check_shapes(a: np.ndarray) -> None:
-    if not ((a > 0.0) & (a < np.inf)).all():
-        raise ValueError("shape parameter a must be positive and finite")
-
-
 def regularized_gamma_p_inv(a, p):
-    """Inverse of P(a, x) in x: the x >= 0 with P(a, x) = p, elementwise over
-    broadcast a and p in [0, 1].
+    """Inverse of P(a, x) in x at one shape a: the x >= 0 with P(a, x) = p,
+    elementwise over p in [0, 1].
 
     At a = 1 it is the closed form -log(1 - p).  At other shapes a point
     whose log-odds t = log(p / (1 - p)) lies in [-30, 30] is answered from
@@ -458,51 +435,36 @@ def regularized_gamma_p_inv(a, p):
     1e-12 of the solution, relative to it, at every interval midpoint, by
     the true residual of P there.  Other points, and every point of a shape
     whose table misses that bound or cannot be built, take Halley steps on P
-    from the DiDonato & Morris (1986) values, one shape at a time, with the
-    residual evaluated in the tail (P or 1 - P) that is small, so the result
-    keeps its relative accuracy in both tails: within 1e-11 of scipy's
-    gammaincinv for p and 1 - p down to 1e-12.  The result depends on a and
-    p alone.  Points whose steps have not settled after 40 raise one
-    GammaNotConverged that counts them over every shape; the series and
-    continued fraction of P raise it too.  A root below the smallest normal
-    double is that of x^a / Gamma(a+1) = p, 0 where it underflows.
-    P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  Scalar a and p give a Python float.
-    Per-cell shapes are sorted into one run per shape and mapped as
-    `regularized_gamma_p_inv_runs` maps runs.
+    from the DiDonato & Morris (1986) values, with the residual evaluated in
+    the tail (P or 1 - P) that is small, so the result keeps its relative
+    accuracy in both tails: within 1e-11 of scipy's gammaincinv for p and
+    1 - p down to 1e-12.  The result depends on a and p alone.  Points whose
+    steps have not settled after 40 raise one GammaNotConverged that counts
+    them; the series and continued fraction of P raise it too.  A root below
+    the smallest normal double is that of x^a / Gamma(a+1) = p, 0 where it
+    underflows.  P^-1(a, 0) = 0 and P^-1(a, 1) = inf.  A scalar p gives a
+    Python float.  It maps p as one run of `regularized_gamma_p_inv_runs`,
+    which takes cells of several shapes; an array of shapes raises ValueError.
     """
-    a_arr = np.asarray(a, dtype=float)
-    p_arr = np.asarray(p, dtype=float)
-    _check_shapes(a_arr)
-    _check_p(p_arr)
-    shape = np.broadcast_shapes(a_arr.shape, p_arr.shape)
-    p_flat = np.broadcast_to(p_arr, shape).ravel()
-    out = np.empty_like(p_flat)
-    if a_arr.size == 1:
-        _gamma_p_inv_runs(a_arr.reshape(1), np.array([p_flat.size]), p_flat, out)
-    elif p_flat.size:
-        # the cells of each shape side by side, in one run
-        a_flat = np.broadcast_to(a_arr, shape).ravel()
-        order = np.argsort(a_flat, kind="stable")
-        x = np.empty_like(p_flat)
-        _gamma_p_inv_runs(*_shape_runs(a_flat[order]), p_flat[order], x)
-        out[order] = x
-    out = out.reshape(shape)
+    out = regularized_gamma_p_inv_runs([_one_shape(a)], [np.size(p)], p)
     return float(out) if out.ndim == 0 else out
 
 
 def regularized_gamma_p_inv_runs(shapes, counts, p, out: np.ndarray | None = None) -> np.ndarray:
-    """`regularized_gamma_p_inv(np.repeat(shapes, counts), p)` to the bit, for
-    cells laid out run by run as the simulator lays them out contender by
-    contender: the cells of p in C order, the first counts[0] of shape
-    shapes[0], the next counts[1] of shape shapes[1], and so on.
+    """P^-1 of cells laid out run by run, as the simulator lays them out contender
+    by contender: the cells of p in C order, the first counts[0] of shape
+    shapes[0], the next counts[1] of shape shapes[1], and so on.  Each run
+    gets the bits `regularized_gamma_p_inv` gives at its shape.
 
     The shapes are checked per run, not per cell.  The cells are read from
     one table per tuple of run shapes at each run's row offset, so a
     contender set builds one table however its cells fall, in slices whose
-    float temporaries hold at most 8192 cells.  The result goes into `out`, a
-    C-contiguous float array shaped like p, when one is given.  Shapes must
-    be positive and finite, counts nonnegative and summing to the number of
-    cells, and p within [0, 1], else ValueError.
+    float temporaries hold at most 8192 cells.  Shapes without a table take
+    Halley steps one shape at a time, and points unsettled after them raise
+    one GammaNotConverged that counts them over every shape.  The result
+    goes into `out`, a C-contiguous float array shaped like p, when one is
+    given.  Shapes must be positive and finite, counts nonnegative and
+    summing to the number of cells, and p within [0, 1], else ValueError.
     """
     a = np.asarray(shapes, dtype=float)
     n = np.asarray(counts, dtype=np.intp)
@@ -510,10 +472,12 @@ def regularized_gamma_p_inv_runs(shapes, counts, p, out: np.ndarray | None = Non
     if a.ndim != 1 or n.shape != a.shape:
         raise ValueError(f"shapes and counts must be 1-D and of equal length, "
                          f"got {a.shape} and {n.shape}")
-    _check_shapes(a)
+    if not ((a > 0.0) & (a < np.inf)).all():
+        raise ValueError("shape parameter a must be positive and finite")
     if (n < 0).any() or n.sum() != p_arr.size:
         raise ValueError(f"counts must be nonnegative and sum to the {p_arr.size} cells of p")
-    _check_p(p_arr)
+    if not ((p_arr >= 0.0) & (p_arr <= 1.0)).all():       # NaN too
+        raise ValueError("p must lie in [0, 1]")
     if out is None:
         out = np.empty(p_arr.shape)
     elif out.shape != p_arr.shape or out.dtype != float or not out.flags.c_contiguous:

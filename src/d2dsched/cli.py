@@ -201,8 +201,10 @@ def cmd_analytic(args) -> int:
         emit(cellular=cell if config.K1 > 0 else None, d2d=d2d)
         return 0
     # the system of the experiment's first realization, as `run` simulates it:
-    # contender 0 is the first cellular user, contender K1 the first pair
-    spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
+    # contender 0 is the first cellular user, contender K1 the first pair.  A config
+    # that gives the means has no layout
+    spatial = (sample_spatial(config, simcore.realization_rng(config.rng_seed))
+               if config.mean_snr is None else None)
     cs = simcore.contenders_from_spatial(config, spatial)
     base_c = GammaSnrCdf(cs.shape_m[0], cs.mean_snr[0]) if config.K1 > 0 else None
     base_d = GammaSnrCdf(cs.shape_m[config.K1], cs.mean_snr[config.K1]) if config.K2 > 0 else None
@@ -216,7 +218,7 @@ def cmd_analytic(args) -> int:
         emit(cellular=cell, d2d=d2d)
     elif args.curve == "gfs":
         structure = simcore.build_structure(config, spatial)
-        pw = solve_group_weights(structure)
+        pw = simcore.policy_weights("gfs", structure)
         g = structure.group_of()[config.K1]
         emit(d2d=analytics.gfs_selected_cdf(base_d, structure.groups[g].size, float(pw.mu[g])))
     else:

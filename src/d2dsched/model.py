@@ -54,15 +54,18 @@ class SystemConfig:
     mean_snr: tuple[float, ...] | None = None    # linear mean SNR per user: no geometry, K2 = 0
 
     def __post_init__(self):
-        # numpy scalars as their Python values, so that equal configs digest alike
+        # numpy scalars as their Python values and float settings spelled as ints as
+        # floats, so that equal configs digest alike
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.generic):
-                object.__setattr__(self, f.name, value.item())
+                value = value.item()
             elif isinstance(value, tuple):
-                object.__setattr__(self, f.name, tuple(
-                    v.item() if isinstance(v, np.generic) else v for v in value))
-        if not isinstance(self.fading_shape_m, (int, float)):
+                value = tuple(v.item() if isinstance(v, np.generic) else v for v in value)
+            if f.type.startswith("float") and isinstance(value, int):
+                value = float(value)
+            object.__setattr__(self, f.name, value)
+        if not isinstance(self.fading_shape_m, float):
             self._store_tuple("fading_shape_m", "numbers")
         if self.group_sizes is not None:
             self._store_tuple("group_sizes", "integers")
@@ -104,7 +107,8 @@ class SystemConfig:
             raise ConfigError("interference_radius_m must be positive")
 
     def _store_tuple(self, key: str, entries: str) -> None:
-        """Store a list or 1-D array of `entries` as its tuple; else a ConfigError names key."""
+        """Store a sequence of `entries` as its tuple, numbers as floats; else a
+        ConfigError names key."""
         value, kinds = getattr(self, key), "iu" if entries == "integers" else "iuf"
         try:
             arr = np.asarray(value)
@@ -112,7 +116,9 @@ class SystemConfig:
             arr = np.empty((0, 0))
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in kinds):
             raise ConfigError(f"{key} must be a 1-D sequence of {entries}, got {value!r}")
-        object.__setattr__(self, key, value if isinstance(value, tuple) else tuple(arr.tolist()))
+        if entries == "numbers":
+            arr = arr.astype(float)
+        object.__setattr__(self, key, tuple(arr.tolist()))
 
     # linear-scale views, converted once from dB/dBm
     @property

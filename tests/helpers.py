@@ -145,12 +145,12 @@ def pfs_select_numpy(X, structure, state):
 def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2.0,
                          pf_time_const=1000.0, chunk=None):
     """One realization of simcore.simulate_block with the plain accounting: the
-    granted cells gathered as u[rows, cols], a per-cell shape array for the inverse,
-    pfs's every cell mapped in one row-major call, its winners picked by
-    pfs_select_numpy and its granted cells mapped again, and two 1-D sums per pair
-    member.  The oracle for the flat gathers, the scalar shape, pfs's lockstep
-    selection and reuse of its map and the two-row sums of simcore, which must give
-    the same bits.  `chunk` slots are drawn and summed at once, by default
+    granted cells gathered as u[rows, cols] and each contender's mapped by one
+    scalar-shape call of the inverse, pfs's every cell mapped by one call per
+    column, its winners picked by pfs_select_numpy and its granted cells mapped
+    again, and two 1-D sums per pair member.  The oracle for the flat gathers, the
+    run-by-run inverse, pfs's lockstep selection and reuse of its map and the
+    two-row sums of simcore, which must give the same bits.  `chunk` slots are drawn and summed at once, by default
     simcore.CHUNK_SLOTS; a block of R realizations steps pfs in
     simcore.CHUNK_SLOTS // R.  Each chunk is drawn contender-major, (C, n), and
     read through its (n, C) view, as simcore draws it.
@@ -181,7 +181,8 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
         n = min(chunk or simcore.CHUNK_SLOTS, slots - done)
         u = rng.random((C, n)).T
         if policy == "pfs":
-            snr_all = regularized_gamma_p_inv(np.broadcast_to(cs.shape_m, (n, C)), u)
+            snr_all = np.column_stack([regularized_gamma_p_inv(m, u[:, j])
+                                       for j, m in enumerate(cs.shape_m.tolist())])
             snr_all *= cs.mean_snr / cs.shape_m
             win = pfs_select_numpy(np.log1p(snr_all) / log_base, structure, pf_state)
         elif policy == "bcs":
@@ -201,7 +202,8 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
         rows = np.concatenate(granted)
         cols = np.repeat(np.arange(C), sizes)
         u_g = u[rows, cols]
-        snr = regularized_gamma_p_inv(cs.shape_m[cols], u_g)
+        snr = np.concatenate([regularized_gamma_p_inv(m, cells) for m, cells in
+                              zip(cs.shape_m.tolist(), np.split(u_g, np.cumsum(sizes)[:-1]))])
         snr *= (cs.mean_snr / cs.shape_m)[cols]
         rates = np.log1p(snr) / log_base
         stop = 0

@@ -75,14 +75,22 @@ def test_gamma_at_infinity_is_one(a):
 
 
 def test_gamma_vectorized_shapes():
-    a = np.array([0.7, 2.0, 6.0])
     x = np.linspace(0.0, 12.0, 7)[:, None]
-    out = analytics.regularized_gamma_p(a, x)
-    assert out.shape == (7, 3)
-    for i in range(7):
-        for j in range(3):
-            assert out[i, j] == pytest.approx(
-                analytics.regularized_gamma_p(a[j], float(x[i, 0])), abs=1e-13)
+    for a in (0.7, 2.0, 6.0):
+        out = analytics.regularized_gamma_p(a, x)
+        assert out.shape == (7, 1)
+        for i in range(7):
+            assert out[i, 0] == pytest.approx(
+                analytics.regularized_gamma_p(a, float(x[i, 0])), abs=1e-13)
+
+
+@pytest.mark.parametrize("fn", [analytics.regularized_gamma_p, analytics.regularized_gamma_p_inv])
+def test_gamma_takes_one_shape_per_call(fn):
+    # cells of several shapes go through regularized_gamma_p_inv_runs, which the error names
+    for a in ([2.0], np.array([2.0, 2.5]), np.full((2, 1), 3.0)):
+        with pytest.raises(ValueError, match="regularized_gamma_p_inv_runs"):
+            fn(a, 0.5)
+    assert fn(np.float64(2.5), 0.5) == fn(np.array(2.5), 0.5) == fn(2.5, 0.5)
 
 
 def _gamma_x_points(a):
@@ -114,12 +122,10 @@ def test_gamma_large_arguments():
 def test_gamma_broadcast_mixed_shapes_match_scipy():
     a = np.array([1.0, 8.0, 2.5, 6.0, 0.7, 3.0, 8.0, 2.5, 9.0, 1.0])
     x = a * np.random.default_rng(3).gamma(a, 1.0 / a, size=(500, a.size))
-    out = analytics.regularized_gamma_p(a, x)
-    assert out.shape == x.shape
-    assert np.max(np.abs(out - special.gammainc(a, x))) < 1e-13
-    # a down the rows instead of along the trailing axis
-    rows = analytics.regularized_gamma_p(a[:, None], x[0])
-    assert np.max(np.abs(rows - special.gammainc(a[:, None], x[0]))) < 1e-13
+    for j, aj in enumerate(a.tolist()):
+        col = analytics.regularized_gamma_p(aj, x[:, j])
+        assert np.max(np.abs(col - special.gammainc(aj, x[:, j]))) < 1e-13
+    assert analytics.regularized_gamma_p(2.5, x).shape == x.shape
     assert isinstance(analytics.regularized_gamma_p(3.0, 2.0), float)
     assert isinstance(analytics.regularized_gamma_p(2.5, 2.0), float)
 
@@ -143,15 +149,16 @@ def test_gamma_inverse_matches_scipy():
             want = special.gammaincinv(a, p)
             rel = np.max(np.abs(analytics.regularized_gamma_p_inv(a, p) - want) / want)
             assert rel < INV_RTOL, a
-    # one shape per cell in one call, as the simulator calls it
-    a = np.repeat(INV_SHAPES, u.size)
+    # every shape in one call, a run of cells each, as the simulator calls it
+    counts = np.full(len(INV_SHAPES), u.size)
     p = np.tile(1.0 - u, len(INV_SHAPES))
-    want = special.gammaincinv(a, p)
-    assert np.max(np.abs(analytics.regularized_gamma_p_inv(a, p) - want) / want) < INV_RTOL
-    grid = analytics.regularized_gamma_p_inv(np.array([1.0, 2.5, 8.0]), np.array([[0.0], [1.0]]))
-    assert np.array_equal(grid, [[0.0] * 3, [np.inf] * 3])
+    want = special.gammaincinv(np.repeat(INV_SHAPES, counts), p)
+    x = analytics.regularized_gamma_p_inv_runs(INV_SHAPES, counts, p)
+    assert np.max(np.abs(x - want) / want) < INV_RTOL
+    grid = analytics.regularized_gamma_p_inv_runs([1.0, 2.5, 8.0], [2, 2, 2], np.tile([0.0, 1.0], 3))
+    assert np.array_equal(grid, [0.0, np.inf] * 3)
     assert isinstance(analytics.regularized_gamma_p_inv(2.5, 0.3), float)
-    assert analytics.regularized_gamma_p_inv(np.ones(0), np.ones(0)).shape == (0,)
+    assert analytics.regularized_gamma_p_inv(2.5, np.ones(0)).shape == (0,)
     with pytest.raises(ValueError):
         analytics.regularized_gamma_p_inv(0.0, 0.5)
     with pytest.raises(ValueError):
@@ -192,14 +199,14 @@ def test_gamma_inverse_non_convergence_raises(monkeypatch):
     # every point still unsettled after the last Halley step is counted, whatever its shape.
     # At log-odds 32.2, off the tabulated start, every point starts from DiDonato & Morris,
     # which one step does not settle; no row is read or built, so neither does a built one
-    shapes, p = np.array([2.0, 2.5, 0.75]), 1.0 - 1e-14
+    shapes, counts = np.array([2.0, 2.5, 0.75]), [1, 1, 1]
     _clear_tables()
     for table in ("cold", "warm"):
         with monkeypatch.context() as patched:
             patched.setattr(analytics, "_HALLEY_MAX_ITER", 1)
             with pytest.raises(analytics.GammaNotConverged, match=r"Halley .* 3 of 3 points"):
-                analytics.regularized_gamma_p_inv(shapes, p)
-        analytics.regularized_gamma_p_inv(shapes, 0.5)      # builds the three rows
+                analytics.regularized_gamma_p_inv_runs(shapes, counts, np.full(3, 1.0 - 1e-14))
+        analytics.regularized_gamma_p_inv_runs(shapes, counts, np.full(3, 0.5))  # builds the rows
     assert analytics._start_row.cache_info().currsize == 3
 
 
@@ -223,10 +230,11 @@ def _table_ps(rng):
 
 def test_gamma_inverse_tabulated_start_matches_scipy():
     p = _table_ps(np.random.default_rng(9))
-    a = np.repeat(TABLE_SHAPES, p.size)
+    counts = np.full(len(TABLE_SHAPES), p.size)
     p = np.tile(p, len(TABLE_SHAPES))
-    want = special.gammaincinv(a, p)
-    assert np.max(np.abs(analytics.regularized_gamma_p_inv(a, p) - want) / want) < INV_RTOL
+    want = special.gammaincinv(np.repeat(TABLE_SHAPES, counts), p)
+    x = analytics.regularized_gamma_p_inv_runs(TABLE_SHAPES, counts, p)
+    assert np.max(np.abs(x - want) / want) < INV_RTOL
     # a shape whose row cannot be built (its lower tail underflows) starts its cells
     # from DiDonato & Morris instead
     assert analytics._start_row(0.02) is None
@@ -239,25 +247,24 @@ def test_gamma_inverse_is_pure():
     # cells of the call or their order.  Both tails, off the table too, and the
     # lower tails where the Erlang sum cancels at different term counts
     rng = np.random.default_rng(4)
-    a = np.repeat([0.75, 2.0, 2.5, 9.0, 40.5, 170.0], 40)
-    p = rng.random(a.size)
+    shapes, counts = np.array([0.75, 2.0, 2.5, 9.0, 40.5, 170.0]), np.full(6, 40)
+    p = rng.random(counts.sum())
     p[::5], p[1::7], p[2::11] = 1e-10, 1.0 - 1e-14, 1e-15
     _clear_tables()
-    cold = analytics.regularized_gamma_p_inv(a, p)
-    assert np.array_equal(analytics.regularized_gamma_p_inv(a, p), cold)
-    order = rng.permutation(a.size)
-    assert np.array_equal(analytics.regularized_gamma_p_inv(a[order], p[order]), cold[order])
+    cold = analytics.regularized_gamma_p_inv_runs(shapes, counts, p)
+    assert np.array_equal(analytics.regularized_gamma_p_inv_runs(shapes, counts, p), cold)
+    # the runs in another order, each with its cells in another order
+    order = rng.permutation(shapes.size)
+    cells = np.concatenate([40 * j + rng.permutation(40) for j in order])
+    moved = analytics.regularized_gamma_p_inv_runs(shapes[order], counts, p[cells])
+    assert np.array_equal(moved, cold[cells])
     _clear_tables()
-    single = [analytics.regularized_gamma_p_inv(ai, pi) for ai, pi in zip(a, p)]
+    single = [analytics.regularized_gamma_p_inv(a, pi) for a, pi in zip(shapes.repeat(counts), p)]
     assert np.array_equal(single, cold)
     # the same runs split across two calls, one of them cut inside a run
-    shapes, counts = np.array([0.75, 2.0, 2.5, 9.0, 40.5, 170.0]), np.full(6, 40)
-    _clear_tables()
-    whole = analytics.regularized_gamma_p_inv_runs(shapes, counts, p)
-    assert np.array_equal(whole, cold)
     head = analytics.regularized_gamma_p_inv_runs(shapes[:3], [40, 40, 13], p[:93])
     tail = analytics.regularized_gamma_p_inv_runs(shapes[2:], [27, 40, 40, 40], p[93:])
-    assert np.array_equal(np.concatenate([head, tail]), whole)
+    assert np.array_equal(np.concatenate([head, tail]), cold)
 
 
 # runs of the equivalence check: zero-cell runs, shape 2.5 in two runs, shape 1
@@ -277,9 +284,8 @@ def _run_ps(rng, n):
 
 
 def test_gamma_inverse_runs_equal_per_cell_shapes():
-    # the runs entry gives the bits of the per-cell call and of one scalar-shape call
-    # per run, over three _INV_BLOCK blocks; the runs of shapes 1 and 4000 cross
-    # their edges
+    # the runs entry gives the bits of one scalar-shape call per run, over three
+    # _INV_BLOCK blocks; the runs of shapes 1 and 4000 cross their edges
     counts = np.array(RUN_COUNTS)
     ends = np.cumsum(counts)
     crossing = [a for a, s, e in zip(RUN_SHAPES, ends - counts, ends)
@@ -287,7 +293,6 @@ def test_gamma_inverse_runs_equal_per_cell_shapes():
     assert crossing == [1.0, analytics.MAX_SHAPE] and ends[-1] > 2 * analytics._INV_BLOCK
     p = _run_ps(np.random.default_rng(21), ends[-1])
     x = analytics.regularized_gamma_p_inv_runs(RUN_SHAPES, counts, p)
-    assert np.array_equal(x, analytics.regularized_gamma_p_inv(np.repeat(RUN_SHAPES, counts), p))
     per_run = [analytics.regularized_gamma_p_inv(a, p[e - n:e])
                for a, n, e in zip(RUN_SHAPES, counts, ends)]
     assert np.array_equal(x, np.concatenate(per_run))
@@ -336,13 +341,13 @@ def test_tabulated_cells_take_no_halley_step(monkeypatch):
     # a cell on the table is answered from its shape's row with no residual evaluated;
     # the doubles just outside |t| = 30 still take Halley steps
     rng = np.random.default_rng(6)
-    a = np.repeat(TABLE_SHAPES, 20)
-    p = special.expit(rng.uniform(-30.0, 30.0, a.size))
+    counts = np.full(len(TABLE_SHAPES), 20)
+    p = special.expit(rng.uniform(-30.0, 30.0, counts.sum()))
     lo, hi = special.expit(-30.0), special.expit(30.0)
     outside = np.concatenate([lo * (1.0 - 1e-9 * np.arange(1, 4)),
                               hi + np.arange(1, 4) * np.spacing(hi)])
     assert np.all(np.abs(np.log(outside / (1.0 - outside))) > 30.0)
-    analytics.regularized_gamma_p_inv(a, p)          # builds the rows
+    analytics.regularized_gamma_p_inv_runs(TABLE_SHAPES, counts, p)     # builds the rows
     evaluated = []
     residual = analytics._tail_residual
 
@@ -351,13 +356,13 @@ def test_tabulated_cells_take_no_halley_step(monkeypatch):
         return residual(a, x, p, q)
 
     monkeypatch.setattr(analytics, "_tail_residual", counted)
-    analytics.regularized_gamma_p_inv(a, p)
+    analytics.regularized_gamma_p_inv_runs(TABLE_SHAPES, counts, p)
     assert evaluated == []
     cells = np.concatenate([p, outside])
-    shapes = np.concatenate([a, np.full(outside.size, 2.5)])
-    x = analytics.regularized_gamma_p_inv(shapes, cells)
+    shapes, counts = TABLE_SHAPES + (2.5,), np.append(counts, outside.size)
+    x = analytics.regularized_gamma_p_inv_runs(shapes, counts, cells)
     assert evaluated and evaluated[0] == outside.size
-    want = special.gammaincinv(shapes, cells)
+    want = special.gammaincinv(np.repeat(shapes, counts), cells)
     assert np.max(np.abs(x - want) / want) < INV_RTOL
 
 
@@ -370,10 +375,11 @@ def test_row_missing_its_bound_is_refused(monkeypatch):
     with monkeypatch.context() as patched:
         patched.setattr(analytics, "_ROW_RTOL", 1e-300)
         assert analytics._start_row(2.5) is None
-        for a in (2.5, np.full(p.size, 2.5), np.repeat([2.5, 2.0], p.size)):
-            cells = np.resize(p, np.size(a))
-            want = special.gammaincinv(a, cells)
-            x = analytics.regularized_gamma_p_inv(a, cells)
+        for shapes in ([2.5], [2.5, 2.0]):
+            counts = np.full(len(shapes), p.size)
+            cells = np.tile(p, len(shapes))
+            want = special.gammaincinv(np.repeat(shapes, counts), cells)
+            x = analytics.regularized_gamma_p_inv_runs(shapes, counts, cells)
             assert np.max(np.abs(x - want) / want) < INV_RTOL
     # at the real bound shape 0.3 is refused too, though its nodes solve
     assert analytics._start_row(0.3) is None

@@ -342,6 +342,38 @@ def test_analytic_bcs_curve_of_table5(tmp_path):
     assert np.array_equal([float(r[2]) for r in rows], [float(cli._fmt(f)) for f in want.values])
 
 
+def test_analytic_of_given_means_draws_no_layout(tmp_path, monkeypatch):
+    # like run, analytic builds a config of mean_snr without sampling a layout
+    plain = str(tmp_path / "plain")
+    assert cli.main(["analytic", "--preset", "table5-gfs", "--curve", "bcs", "--out", plain]) == 0
+
+    def no_layout(*args):
+        raise AssertionError("a config of mean_snr has no layout to sample")
+
+    monkeypatch.setattr(cli, "sample_spatial", no_layout)
+    out = str(tmp_path / "patched")
+    assert cli.main(["analytic", "--preset", "table5-gfs", "--curve", "bcs", "--out", out]) == 0
+    assert _files(out) == _files(plain)
+
+
+def test_analytic_gfs_weights_come_from_simcore(tmp_path, monkeypatch):
+    # analytic takes the gfs weights where run takes them, and writes the same curve
+    plain = str(tmp_path / "plain")
+    args = ["analytic", "--curve", "gfs", "--set", "group_sizes=5"]
+    assert cli.main([*args, "--out", plain]) == 0
+    asked = []
+    weights = simcore.policy_weights
+
+    def recorded(policy, structure):
+        asked.append(policy)
+        return weights(policy, structure)
+
+    monkeypatch.setattr(simcore, "policy_weights", recorded)
+    out = str(tmp_path / "patched")
+    assert cli.main([*args, "--out", out]) == 0
+    assert asked == ["gfs"] and _files(out) == _files(plain)
+
+
 def _files(out):
     """Every file a run wrote but its timestamped run_meta.txt, by name."""
     files = {}
@@ -349,6 +381,12 @@ def _files(out):
         with open(os.path.join(out, name), "rb") as fh:
             files[name] = fh.read()
     return files
+
+
+def _meta(out):
+    """A run's run_meta.txt, as a dict of its `key = value` lines."""
+    with open(os.path.join(out, "run_meta.txt"), encoding="utf-8") as fh:
+        return dict(line.rstrip("\n").split(" = ", 1) for line in fh)
 
 
 @pytest.mark.parametrize("preset", ["table2-orthogonal", "table5-gfs"])
@@ -405,3 +443,5 @@ def test_config_file_of_mean_snr_reproduces_the_table5_preset(tmp_path):
     assert cli.main(["run", "--config", str(cfg), "--out", config]) == 0
     assert _files(preset) == _files(config)
     assert set(_files(config)) == {"report.csv", "group_access.csv"}
+    # the preset's int-spelled means and shapes digest as the file's floats
+    assert _meta(preset)["config_digest"] == _meta(config)["config_digest"]

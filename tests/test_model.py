@@ -185,9 +185,14 @@ def test_numpy_scalars_digest_as_python_values():
     assert SystemConfig(K1=np.int64(10)).digest() == SystemConfig().digest()
     shapes = (np.float64(1.0), 2.0, np.int64(3), 1.0, 2.5)
     cfg = SystemConfig(K1=2, K2=3, fading_shape_m=shapes, group_sizes=(np.int64(3),))
-    assert [type(m) for m in cfg.fading_shape_m] == [float, float, int, float, float]
+    assert [type(m) for m in cfg.fading_shape_m] == [float] * 5
     assert cfg.digest() == SystemConfig(K1=2, K2=3, fading_shape_m=(1.0, 2.0, 3, 1.0, 2.5),
                                         group_sizes=(3,)).digest()
+    # float settings spelled as ints are stored, and so digested, as floats
+    assert SystemConfig(fading_shape_m=2).digest() == SystemConfig(fading_shape_m=2.0).digest()
+    cfg = SystemConfig(cell_radius_m=900, K1=2, K2=0, mean_snr=[5, 7.5], fading_shape_m=[1, 2])
+    assert (cfg.cell_radius_m, cfg.mean_snr, cfg.fading_shape_m) == (900.0, (5.0, 7.5), (1.0, 2.0))
+    assert all(type(v) is float for v in (cfg.cell_radius_m, *cfg.mean_snr, *cfg.fading_shape_m))
     # configs of Python values keep the digests they had before
     assert SystemConfig().digest() == "b7dd5742f29c00d6"
     assert SystemConfig(**PRESETS["sec4c-comparison"]["desk"]).digest() == "ad3925f8adcde078"
