@@ -55,7 +55,7 @@ class SystemConfig:
 
     def __post_init__(self):
         # numpy scalars as their Python values and float settings spelled as ints as
-        # floats, so that equal configs digest alike
+        # floats, so that equal configs digest alike; int settings must be ints
         for f in fields(self):
             value = getattr(self, f.name)
             if isinstance(value, np.generic):
@@ -64,6 +64,8 @@ class SystemConfig:
                 value = tuple(v.item() if isinstance(v, np.generic) else v for v in value)
             if f.type.startswith("float") and isinstance(value, int):
                 value = float(value)
+            if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
+                raise ConfigError(f"{f.name} must be an integer, got {value!r}")
             object.__setattr__(self, f.name, value)
         if not isinstance(self.fading_shape_m, float):
             self._store_tuple("fading_shape_m", "numbers")

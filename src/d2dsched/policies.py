@@ -5,10 +5,12 @@ matrix of CDF-mapped channel values in [0, 1] and return one winner per slot.
 pfs, whose rate averages make it sequential in slots, instead steps a block
 of realizations in lockstep, one numpy step per slot over all of them.
 Every score policy selects through one kernel, `_weighted_argmax`: the
-contender with the largest log(u)/w wins.  The kernel reduces over
-contenders along contiguous rows when the matrix is the transposed view of a
-contender-major (C, n_slots) array, the layout the simulator draws; any
-other layout gives the same winners, more slowly.  A group competes through
+contender with the largest log(u)/w wins.  The contenders sharing a weight
+compete through their largest u, so the kernel takes log only of each weight
+class's best u.  It reduces over contenders along contiguous rows when the
+matrix is the transposed view of a contender-major (C, n_slots) array, the
+layout the simulator draws; any other layout gives the same winners, more
+slowly.  Weights must be positive and finite.  A group competes through
 its best member, so gfs and ecs give each contender its group's weight and
 map the winning contender to its group; cfs's cellular stage takes the best
 cellular u from the same kernel; pfs picks the contender with the largest
@@ -19,6 +21,8 @@ lowest contender id, a probability-zero event for continuous channels.
 
 from __future__ import annotations
 
+import collections
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,46 +35,102 @@ from d2dsched.analytics import cfs_threshold
 _BLOCK = 8192                    # slots per block of the selection kernel
 
 
-def _weighted_argmax(u: np.ndarray, w: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
-    """Per row of the (n, C) scores u, the first column maximizing u^(1/w), i.e.
-    log(u)/w; `top`, if given, receives each row's largest score.
+@functools.lru_cache(maxsize=256)
+def _weight_classes(w_bytes: bytes) -> tuple:
+    """The weight classes of a float64 weight vector, given as its bytes: the sets
+    of contenders sharing one weight, those of several contenders first, then
+    those of one, each kind numbered by first contender.  Returns the (W, 1)
+    class weights; per class of several contenders, its contiguous (start, stop)
+    contender runs; per stretch of contenders j0..j1-1 alone in their classes,
+    (j0, j1, c0, c1), their classes c0..c1-1 being consecutive; and the (C, 1)
+    ranks, C at contender 0 down to 1 at contender C - 1.  Plain Python, as the
+    first np.unique call in a process grows its resident set by about 0.7 MB."""
+    w = np.frombuffer(w_bytes).tolist()
+    C = len(w)
+    count = collections.Counter(w)              # weights in order of first contender
+    runs = {x: [] for x in count if count[x] > 1}
+    number = {x: c for c, x in enumerate([*runs, *(x for x in count if count[x] == 1)])}
+    lone = []
+    start = 0
+    for j in range(1, C + 1):
+        if j < C and w[j] == w[start]:
+            continue
+        x = w[start]
+        if x in runs:
+            runs[x].append((start, j))
+        elif lone and lone[-1][1] == start:      # extends the stretch before it
+            lone[-1][1], lone[-1][3] = j, number[x] + 1
+        else:
+            lone.append([start, j, number[x], number[x] + 1])
+        start = j
+    weights = np.array(list(number), dtype=float)[:, None]
+    rank = np.arange(C, 0, -1, dtype=np.min_scalar_type(C))[:, None]
+    weights.flags.writeable = rank.flags.writeable = False
+    return weights, tuple(map(tuple, runs.values())), tuple(map(tuple, lone)), rank
 
-    The kernel reduces over contenders, along the rows of the (C, n) array u.T:
-    it is fast when u is the transposed view of a contender-major (C, n) array,
-    whose rows are contiguous.  It works on blocks of slots in reused buffers.
-    With equal weights log and the positive division are monotone, so the
-    scores are u itself; otherwise log(u)/w is formed in a buffer, and
-    log(0) -> -inf is harmless.  Each slot's winner is the first contender
-    holding the slot's largest score: the largest of (score == max) times a
-    rank that falls from C at contender 0 to 1 at contender C - 1.  Ties thus
-    go to the lowest contender id, as argmax breaks them, and a slot whose
-    scores are all -inf goes to contender 0.
+
+def _weighted_argmax(u: np.ndarray, w: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
+    """Per row of the (n, C) scores u, the first column maximizing log(u)/w, i.e.
+    u^(1/w), for positive weights w; `top`, if given, receives each row's best
+    score (its largest u when every weight is equal).
+
+    log(u)/w rises with u among the contenders of one weight, a weight class,
+    so each class competes through its largest u.  Per block of slots the
+    kernel reduces each class's contiguous contender runs, rows of the (C, n)
+    array u.T (fast when u is the transposed view of a contender-major array),
+    to the class maxima, and takes log and the division over those W rows
+    only, none when W = 1; log(0) = -inf is harmless.  The winner is the first
+    contender that hits, by the largest of hit times a rank falling from C at
+    contender 0 to 1 at C - 1: a contender alone in its class hits where its
+    score is the best, any other where its u equals its class maximum divided
+    by the class's not-losing mask, which is inf or NaN where the class loses.
+    Ties thus go to the lowest contender id, as argmax breaks them, and a row
+    of -inf scores to contender 0; inside a class the larger u wins even where
+    rounding gives two u the same log(u)/w.
     """
     n, C = u.shape
-    scores_cm = u.T
+    u_cm = u.T
+    weights, shared, lone, rank = _weight_classes(w.tobytes())
+    W, S = weights.shape[0], len(shared)
     out = np.empty(n, dtype=np.intp)
     rows = min(n, _BLOCK)
-    equal = np.all(w == w[:1])
-    scores = None if equal else np.empty((C, rows))
-    w_col = w[:, None]
     best = np.empty(rows) if top is None else None
+    if W > 1:
+        scores = np.empty((W, rows))
+        maxima = np.empty((S, rows))
+        alive = np.empty((S, rows), dtype=bool)
     hit = np.empty((C, rows), dtype=bool)
-    rank_type = np.min_scalar_type(C)
-    rank = np.arange(C, 0, -1, dtype=rank_type)[:, None]
-    ranked = np.empty((C, rows), dtype=rank_type)
-    first = np.empty(rows, dtype=rank_type)
-    with np.errstate(divide="ignore"):
+    ranked = np.empty((C, rows), dtype=rank.dtype)
+    first = np.empty(rows, dtype=rank.dtype)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for start in range(0, n, _BLOCK):
             stop = min(start + _BLOCK, n)
             k = stop - start
-            if equal:
-                s = scores_cm[:, start:stop]
+            ub = u_cm[:, start:stop]
+            b = best[:k] if top is None else top[start:stop]
+            h = hit[:, :k]
+            if W == 1:
+                np.max(ub, axis=0, out=b)
+                np.equal(ub, b, out=h)
             else:
-                s = np.log(scores_cm[:, start:stop], out=scores[:, :k])
-                np.divide(s, w_col, out=s)
-            m = np.max(s, axis=0, out=best[:k] if top is None else top[start:stop])
-            np.equal(s, m, out=hit[:, :k])
-            np.multiply(hit[:, :k], rank, out=ranked[:, :k])
+                s, m = scores[:, :k], maxima[:, :k]
+                for row, runs in zip(m, shared):
+                    (j0, j1), *rest = runs
+                    np.max(ub[j0:j1], axis=0, out=row)
+                    for j0, j1 in rest:
+                        np.maximum(row, np.max(ub[j0:j1], axis=0), out=row)
+                np.log(m, out=s[:S])
+                for j0, j1, c0, c1 in lone:
+                    np.log(ub[j0:j1], out=s[c0:c1])
+                np.divide(s, weights, out=s)
+                np.max(s, axis=0, out=b)
+                for j0, j1, c0, c1 in lone:
+                    np.equal(s[c0:c1], b, out=h[j0:j1])
+                np.divide(m, np.equal(s[:S], b, out=alive[:, :k]), out=m)
+                for row, runs in zip(m, shared):
+                    for j0, j1 in runs:
+                        np.equal(ub[j0:j1], row, out=h[j0:j1])
+            np.multiply(h, rank, out=ranked[:, :k])
             np.max(ranked[:, :k], axis=0, out=first[:k])
             np.subtract(C, first[:k], out=out[start:stop])
     return out
@@ -90,12 +150,16 @@ def group_index(structure: GroupStructure, n_columns: int) -> np.ndarray:
 
 
 def _contender_weights(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """u as a 2-D score matrix and w as one selection weight per column, summing to 1."""
+    """u as a 2-D score matrix and w as one positive, finite selection weight per
+    column, summing to 1."""
     u = np.atleast_2d(u)
     w = np.asarray(w, dtype=float)
     if w.shape != (u.shape[1],):
         raise ValueError(f"{w.size} weights for {u.shape[1]} contenders")
-    if not np.isclose(w.sum(), 1.0, atol=1e-9):
+    total = float(w.sum())
+    if not (w.min(initial=np.inf) > 0 and total < np.inf):     # a NaN fails both
+        raise ValueError(f"selection weights must be positive and finite, got {w!r}")
+    if not abs(total - 1.0) <= 1e-9 + 1e-5:        # np.isclose(total, 1.0, atol=1e-9)
         raise ValueError("selection weights must sum to 1")
     return u, w
 

@@ -24,8 +24,8 @@ class PolicyWeights:
     common_upi: float         # achieved max-min level c (nan for non-solver weights)
 
     def __post_init__(self):
-        if np.any(self.w <= 0):
-            raise ValueError("weights must be positive")
+        if not np.all((self.w > 0) & (self.w < np.inf)):
+            raise ValueError(f"weights must be positive and finite, got {self.w!r}")
 
     @property
     def mu(self) -> np.ndarray:

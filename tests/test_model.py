@@ -1,7 +1,7 @@
 """Configuration, geometry sampling, and config-file parsing."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -75,6 +75,16 @@ def test_invalid_configs_rejected(kwargs):
     # the error names the setting at fault, the first one given
     with pytest.raises(ConfigError, match=next(iter(kwargs))):
         SystemConfig(**kwargs)
+
+
+@pytest.mark.parametrize("name", [f.name for f in fields(SystemConfig) if f.type == "int"])
+@pytest.mark.parametrize("value", [10.0, 100.0, True, np.float64(2.0), np.bool_(True), "7"],
+                         ids=["float", "float-100", "bool", "numpy-float", "numpy-bool", "str"])
+def test_int_settings_refuse_other_types(name, value):
+    # a float or a bool spelled for an int setting is refused up front, by name,
+    # not by a TypeError (or a wrong run) downstream
+    with pytest.raises(ConfigError, match=f"{name} must be an integer"):
+        SystemConfig(**{name: value})
 
 
 def test_cellular_distance_mean():

@@ -9,6 +9,7 @@ from d2dsched import policies, simcore
 from d2dsched.analytics import cfs_threshold
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import Group, GroupStructure, fixed_grouping
+from d2dsched.model import SystemConfig, sample_spatial
 from d2dsched.weights import PolicyWeights, ecs_weights, normalized_weights, \
     solve_group_weights, upi_closed_form
 
@@ -283,14 +284,15 @@ def _kernel_scores(n, C, seed, layout):
 @pytest.mark.parametrize("layout", ["slot-major", "contender-major"])
 @pytest.mark.parametrize("n, C", KERNEL_SHAPES)
 def test_selection_kernel_matches_argmax(n, C, layout):
-    # bcs (equal and unequal weights), dfs, mws and cfs's cellular pick against numpy's
-    # argmax, which takes the first maximum: a tie goes to the lowest contender id and
-    # an all-zero row, all scores -inf, to contender 0
+    # bcs (equal and all-distinct weights), dfs, mws and cfs's cellular pick against
+    # numpy's argmax, which takes the first maximum: a tie goes to the lowest contender
+    # id and an all-zero row, all scores -inf, to contender 0
     u = _kernel_scores(n, C, n + C, layout)
     K1 = C // 3
     K2 = C - K1
     uneven = np.random.default_rng(C).random(C) + 0.1
     uneven /= uneven.sum()
+    assert policies._weight_classes(uneven.tobytes())[2] == ((0, C, 0, C),)   # all distinct
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
     for w, got in ((np.full(C, 1.0 / C), policies.bcs_select(u, np.full(C, 1.0 / C))),
@@ -350,3 +352,84 @@ def test_one_weight_per_group_required():
         policies.bcs_select(u, np.array([0.5, 0.5]))
     with pytest.raises(ValueError, match="2 weights for 3 contenders"):
         policies.dfs_select(u, 1, 1)
+
+
+@pytest.mark.parametrize("w", [[1.5, -0.5, 0.0], [0.5, 0.5, 0.0], [0.5, 0.5, -0.0],
+                               [0.5, 0.5, float("nan")], [float("inf"), 0.5, 0.5]])
+def test_selection_weights_must_be_positive_and_finite(w):
+    # [1.5, -0.5, 0.0] sums to 1, and log(u)/w with a negative or zero weight would
+    # hand the slot to the wrong contender
+    u = np.random.default_rng(52).random((20, 3))
+    with pytest.raises(ValueError, match="positive and finite"):
+        policies.bcs_select(u, w)
+
+
+def test_weight_classes_partition():
+    # classes of several contenders first, then lone ones, each kind by first
+    # contender; consecutive lone contenders form one slice
+    a, b, c, d, e = 0.05, 0.1, 0.15, 0.2, 0.25
+    w = np.array([c, a, d, a, a, b, e, d, c])
+    weights, shared, lone, rank = policies._weight_classes(w.tobytes())
+    assert weights[:, 0].tolist() == [c, a, d, b, e]
+    assert shared == (((0, 1), (8, 9)), ((1, 2), (3, 5)), ((2, 3), (7, 8)))
+    assert lone == ((5, 7, 3, 5),)
+    assert rank[:, 0].tolist() == list(range(9, 0, -1))
+    weights, shared, lone, _ = policies._weight_classes(np.full(4, 0.25).tobytes())
+    assert weights.shape == (1, 1) and shared == (((0, 4),),) and lone == ()
+
+
+def _log_argmax(u, w):
+    with np.errstate(divide="ignore"):
+        return np.argmax(np.log(u) / w, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, policies._BLOCK + 3])
+def test_ties_across_weight_classes_go_to_the_lowest_contender(n):
+    # log(0.5)/(1/3) == log(0.25)/(2/3) exactly, for lone contenders in both column
+    # orders and for classes of two contenders each, whatever column holds the maxima
+    for w, u in (((1 / 3, 2 / 3), (0.5, 0.25)), ((2 / 3, 1 / 3), (0.25, 0.5))):
+        w, u = np.array(w), np.tile(u, (n, 1))
+        assert np.array_equal(_log_argmax(u, w), np.zeros(n, dtype=int))
+        assert np.array_equal(policies.bcs_select(u, w), np.zeros(n, dtype=int))
+    w = np.array([1 / 6, 1 / 3, 1 / 6, 1 / 3])
+    rows = np.array([[0.5, 0.25, 0.1, 0.2], [0.1, 0.25, 0.5, 0.2], [0.1, 0.2, 0.5, 0.25],
+                     [0.5, 0.1, 0.5, 0.25], [0.1, 0.25, 0.1, 0.25], [0.3, 0.25, 0.1, 0.2]])
+    u = np.tile(rows, (n // rows.shape[0] + 1, 1))[:n]
+    want = _log_argmax(u, w)
+    assert list(want[:6]) == [0, 1, 2, 0, 1, 1][:n]
+    assert np.array_equal(policies.bcs_select(u, w), want)
+
+
+@pytest.mark.parametrize("layout", ["slot-major", "contender-major"])
+@pytest.mark.parametrize("n", [5000, 2 * policies._BLOCK + 37])
+def test_group_selection_with_scattered_weight_classes(n, layout):
+    # greedy coloring of a sampled layout: two groups of five pairs share a weight
+    # class whose members are not contiguous, as do two lone pairs
+    config = SystemConfig(K1=4, K2=12, policy="gfs", rng_seed=4)
+    structure = simcore.build_structure(config, sample_spatial(config, np.random.default_rng(4)))
+    group = policies.group_index(structure, 16)
+    u = _kernel_scores(n, 16, n, layout)
+    for policy in ("gfs", "ecs"):
+        weights = simcore.policy_weights(policy, structure)
+        shared = policies._weight_classes(weights.w[group].tobytes())[1]
+        assert sum(len(runs) > 1 for runs in shared) >= 2
+        assert np.array_equal(policies.mws_select(u, structure, weights),
+                              group[_log_argmax(u, weights.w[group])])
+
+
+def test_class_of_zero_scores_loses_to_any_positive_class():
+    # a class whose every u is 0 scores -inf: the other class wins, and a slot of
+    # zeros goes to contender 0
+    K1, K2, n = 3, 2, 4000
+    u = _scores(n, K1 + K2, 53)
+    u[: n // 2, :K1] = 0.0
+    u[n // 2:, K1:] = 0.0
+    u[::7] = 0.0
+    for w, got in ((policies.dfs_weights(K1, K2), policies.dfs_select(u, K1, K2)),
+                   (np.array([0.25, 0.25, 0.25, 0.125, 0.125]),
+                    policies.bcs_select(u, [0.25, 0.25, 0.25, 0.125, 0.125]))):
+        want = _log_argmax(u, w)
+        assert np.array_equal(got, want)
+        assert np.all(got[1:n // 2][(np.arange(1, n // 2) % 7) != 0] >= K1)
+        assert np.all(got[n // 2:][(np.arange(n // 2, n) % 7) != 0] < K1)
+        assert np.all(got[::7] == 0)

@@ -99,8 +99,10 @@ def test_weight_validation():
     st = fixed_grouping([1, 2], nu=1.0)
     with pytest.raises(ValueError):
         normalized_weights(st, [1.0])
-    with pytest.raises(ValueError):
-        PolicyWeights(np.array([0.5, -0.1]), 0.5)
+    for w in ([0.5, -0.1], [0.5, 0.0], [0.5, np.nan], [np.inf, 0.5]):
+        # a NaN weight made mws_select index past the last group
+        with pytest.raises(ValueError, match="positive and finite"):
+            PolicyWeights(np.array(w), 0.5)
     # a fairness factor nu = 0 or nan used to give nan for every weight
     from d2dsched.grouping import Group, GroupStructure
     for nu in (0.0, -0.5, np.nan, np.inf):
