@@ -1,4 +1,10 @@
-"""Closed-form selected-SNR curves and the incomplete-gamma routines behind them."""
+"""Closed-form selected-SNR curves and the incomplete-gamma routines behind them.
+
+Each policy's selected-SNR law is a map of a contender's base CDF F, written
+once: `selected_maps` gives every contender's map under a policy, and
+`bcs_selected_cdf`, `cfs_selected_cdfs`, `dfs_selected_cdfs` and
+`gfs_selected_cdf` tabulate the same maps for the bases they are given.
+"""
 
 from __future__ import annotations
 
@@ -611,18 +617,83 @@ def _cdf_guard(values: np.ndarray) -> np.ndarray:
     return np.maximum.accumulate(np.clip(values, 0.0, 1.0))
 
 
-def _selected_curve(base, of_F: Callable, provenance: dict) -> AnalyticCurve:
-    """of_F(F) tabulated on the log grid of the base CDF F, a callable with a
-    closed-form `quantile` (channel.GammaSnrCdf), so no search runs."""
-    grid = make_log_grid(base.quantile)
-    return AnalyticCurve(grid, _cdf_guard(of_F(np.asarray(base(grid)))), provenance)
+@dataclass(frozen=True)
+class SelectedMap:
+    """A contender's selected-SNR law, a map of its base CDF F, with its provenance."""
+
+    of_F: Callable[[np.ndarray], np.ndarray]
+    provenance: dict
+
+    def curve(self, base) -> AnalyticCurve:
+        """The law on the log grid of `base`, a CDF with a closed-form `quantile`
+        (channel.GammaSnrCdf), so no search runs."""
+        grid = make_log_grid(base.quantile)
+        return AnalyticCurve(grid, _cdf_guard(self.of_F(np.asarray(base(grid)))), self.provenance)
+
+
+def _class_maps(policy: str, K1: int, K2: int) -> tuple[SelectedMap, SelectedMap]:
+    """The laws of a cellular user and of a pair under bcs, dfs, cfs or grr among
+    K1 cellular users and K2 pairs; bcs sees only C = K1 + K2, dfs K = K1 + 2 K2."""
+    C, K = K1 + K2, K1 + 2 * K2
+    if policy == "bcs":
+        law = SelectedMap(lambda F: F ** C, {"kind": "bcs-selected", "K": C})
+        return law, law
+    if policy == "dfs":
+        return (SelectedMap(lambda F: F ** K, {"kind": "dfs-selected-cellular", "K": K}),
+                SelectedMap(lambda F: F ** (K / 2.0), {"kind": "dfs-selected-d2d", "K": K}))
+    if policy == "cfs":
+        return (SelectedMap(lambda F: (K / K1) * F ** K1 - 2.0 * K2 / K1,
+                            {"kind": "cfs-selected-cellular", "K1": K1, "K2": K2}),
+                SelectedMap(lambda F: F, {"kind": "cfs-selected-d2d"}))
+    if policy == "grr":
+        law = SelectedMap(lambda F: F, {"kind": "grr-selected"})
+        return law, law
+    raise ValueError(f"unknown policy {policy!r}")
+
+
+def _group_map(m_i: int, mu_i: float) -> SelectedMap:
+    if m_i < 1:
+        raise ValueError("m_i must be >= 1")
+    if not (mu_i > 1.0 or (mu_i == 1.0 and m_i == 1)):
+        raise ValueError("mu_i must exceed 1, or equal 1 for a singleton group")
+    provenance = {"kind": "group-selected", "m_i": m_i, "mu_i": mu_i}
+    if m_i == 1:
+        # a = 0 and b = 1: F^mu_i, and the base CDF for a lone group granted every slot
+        return SelectedMap(lambda F: F ** mu_i, provenance)
+    a = (mu_i * (m_i - 1)) / (m_i * (mu_i - 1))
+    b = (mu_i - m_i) / (m_i * (mu_i - 1))
+    return SelectedMap(lambda F: a * F + b * F ** mu_i, provenance)
+
+
+MAPPED_POLICIES = ("bcs", "cfs", "dfs", "gfs", "ecs", "grr")     # pfs has no closed form
+
+
+def selected_maps(policy: str, cs, structure=None, weights=None) -> list[SelectedMap] | None:
+    """Each contender's selected-SNR law under `policy`, a map of its base CDF F, in
+    a contender set `cs` (simcore.ContenderSet) of K1 cellular users and K2 pairs,
+    given a group policy's structure and weights.  bcs: F^C over C = K1 + K2;
+    dfs: F^K for a cellular user and F^(K/2) for a pair, K = K1 + 2 K2; cfs:
+    (K/K1) F^K1 - 2 K2/K1 for a cellular user and F for a pair; gfs and ecs:
+    a F + b F^mu in a group of size m with selection factor mu, where
+    a = mu (m-1) / (m (mu-1)) and b = (mu-m) / (m (mu-1)), and F^mu for a
+    singleton; grr: F, a group being granted in its turn; pfs: None.
+    """
+    if policy == "pfs":
+        return None
+    if policy in ("gfs", "ecs"):
+        group_of = structure.group_of()
+        return [_group_map(structure.groups[g].size, float(weights.mu[g]))
+                for g in map(group_of.get, range(cs.n_contenders))]
+    K2 = int(np.count_nonzero(cs.is_pair))
+    cell, pair = _class_maps(policy, cs.n_contenders - K2, K2)
+    return [pair if is_pair else cell for is_pair in cs.is_pair.tolist()]
 
 
 def bcs_selected_cdf(base, K: int) -> AnalyticCurve:
     """Selected-SNR CDF under single-user CDF competition: F^K."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    return _selected_curve(base, lambda F: F ** K, {"kind": "bcs-selected", "K": K})
+    return _class_maps("bcs", K, 0)[0].curve(base)
 
 
 def cfs_selected_cdfs(base_c, base_d, K1: int, K2: int) -> tuple[AnalyticCurve, AnalyticCurve]:
@@ -632,11 +703,8 @@ def cfs_selected_cdfs(base_c, base_d, K1: int, K2: int) -> tuple[AnalyticCurve, 
     """
     if K1 < 1:
         raise ValueError("K1 must be >= 1")
-    K = K1 + 2 * K2
-    cell = _selected_curve(base_c, lambda F: (K / K1) * F ** K1 - 2.0 * K2 / K1,
-                           {"kind": "cfs-selected-cellular", "K1": K1, "K2": K2})
-    d2d = _selected_curve(base_d, lambda F: F, {"kind": "cfs-selected-d2d"})
-    return cell, d2d
+    cell, d2d = _class_maps("cfs", K1, K2)
+    return cell.curve(base_c), d2d.curve(base_d)
 
 
 def dfs_selected_cdfs(base_c, base_d, K: int) -> tuple[AnalyticCurve | None, AnalyticCurve]:
@@ -644,25 +712,13 @@ def dfs_selected_cdfs(base_c, base_d, K: int) -> tuple[AnalyticCurve | None, Ana
     a base_c, i.e. no cellular users) and F_d^(K/2)."""
     if K < 2:
         raise ValueError("K must be >= 2")
-    cell = None if base_c is None else _selected_curve(
-        base_c, lambda F: F ** K, {"kind": "dfs-selected-cellular", "K": K})
-    d2d = _selected_curve(base_d, lambda F: F ** (K / 2.0), {"kind": "dfs-selected-d2d", "K": K})
-    return cell, d2d
+    cell, d2d = _class_maps("dfs", K, 0)       # dfs sees K alone
+    return None if base_c is None else cell.curve(base_c), d2d.curve(base_d)
 
 
 def gfs_selected_cdf(base, m_i: int, mu_i: float) -> AnalyticCurve:
     """Selected-SNR CDF for a member of a size-m_i sharing group with selection factor mu_i."""
-    if m_i < 1:
-        raise ValueError("m_i must be >= 1")
-    if not (mu_i > 1.0 or (mu_i == 1.0 and m_i == 1)):
-        raise ValueError("mu_i must exceed 1, or equal 1 for a singleton group")
-    provenance = {"kind": "group-selected", "m_i": m_i, "mu_i": mu_i}
-    if m_i == 1:
-        # a = 0 and b = 1: F^mu_i, and the base CDF for a lone group granted every slot
-        return _selected_curve(base, lambda F: F ** mu_i, provenance)
-    a = (mu_i * (m_i - 1)) / (m_i * (mu_i - 1))
-    b = (mu_i - m_i) / (m_i * (mu_i - 1))
-    return _selected_curve(base, lambda F: a * F + b * F ** mu_i, provenance)
+    return _group_map(m_i, mu_i).curve(base)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ import sys
 import numpy as np
 
 from d2dsched import analytics, simcore
-from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring
 from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_text, \
@@ -182,47 +181,23 @@ def cmd_group(args) -> int:
 
 def cmd_analytic(args) -> int:
     config = _build_config(args)
-    if args.curve == "bcs" and config.K1 == 0:
-        raise ConfigError("--curve bcs describes cellular users, but K1 = 0")
-    if args.curve != "bcs" and config.K2 == 0:
-        raise ConfigError(f"--curve {args.curve} describes D2D pairs, but K2 = 0")
-
-    def emit(**curves: analytics.AnalyticCurve | None) -> None:
-        # the directory only once the curves exist, so a failed run leaves nothing behind
-        os.makedirs(args.out, exist_ok=True)
-        for name, curve in curves.items():
-            if curve is not None:
-                _write_csv(os.path.join(args.out, f"curve_{name}.csv"),
-                           ["s_linear", "s_db", "f"],
-                           zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values))
-
     if args.curve == "dfs-unconditional":
-        cell, d2d = analytics.dfs_unconditional_cdfs(config, config.n_users)
-        emit(cellular=cell if config.K1 > 0 else None, d2d=d2d)
-        return 0
-    # the system of the experiment's first realization, as `run` simulates it:
-    # contender 0 is the first cellular user, contender K1 the first pair.  A config
-    # that gives the means has no layout
-    spatial = (sample_spatial(config, simcore.realization_rng(config.rng_seed))
-               if config.mean_snr is None else None)
-    cs = simcore.contenders_from_spatial(config, spatial)
-    base_c = GammaSnrCdf(cs.shape_m[0], cs.mean_snr[0]) if config.K1 > 0 else None
-    base_d = GammaSnrCdf(cs.shape_m[config.K1], cs.mean_snr[config.K1]) if config.K2 > 0 else None
-    if args.curve == "bcs":
-        emit(cellular=analytics.bcs_selected_cdf(base_c, config.n_contenders))
-    elif args.curve == "cfs":
-        cell, d2d = analytics.cfs_selected_cdfs(base_c, base_d, config.K1, config.K2)
-        emit(cellular=cell, d2d=d2d)
-    elif args.curve == "dfs":
-        cell, d2d = analytics.dfs_selected_cdfs(base_c, base_d, config.n_users)
-        emit(cellular=cell, d2d=d2d)
-    elif args.curve == "gfs":
-        structure = simcore.build_structure(config, spatial)
-        pw = simcore.policy_weights("gfs", structure)
-        g = structure.group_of()[config.K1]
-        emit(d2d=analytics.gfs_selected_cdf(base_d, structure.groups[g].size, float(pw.mu[g])))
+        curves = analytics.dfs_unconditional_cdfs(config, config.n_users)
     else:
-        raise ConfigError(f"unknown curve {args.curve!r}")
+        # the system of the experiment's first realization, as `run` simulates it:
+        # contender 0 is the first cellular user, contender K1 the first pair
+        config = dataclasses.replace(config, policy=args.curve)
+        cs, _, structure = simcore.realization(config, 0)
+        maps = analytics.selected_maps(args.curve, cs, structure,
+                                       simcore.policy_weights(args.curve, structure))
+        curves = [maps[j].curve(cs.base_cdf(j)) if n else None
+                  for j, n in ((0, config.K1), (config.K1, config.K2))]
+    # the directory only once the curves exist, so a failed run leaves nothing behind
+    os.makedirs(args.out, exist_ok=True)
+    for name, curve, n in zip(("cellular", "d2d"), curves, (config.K1, config.K2)):
+        if n:
+            _write_csv(os.path.join(args.out, f"curve_{name}.csv"), ["s_linear", "s_db", "f"],
+                       zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values))
     return 0
 
 
@@ -232,7 +207,6 @@ def cmd_sweep(args) -> int:
         sub = argparse.Namespace(**vars(args))
         sub.set = list(args.set or []) + [f"{args.sweep_key}={val}"]
         sub.out = os.path.join(args.out, f"{args.sweep_key}_{val}")
-        sub.preset = args.preset
         cmd_run(sub)
     return 0
 
@@ -271,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_a = sub.add_parser("analytic", help="emit closed-form selected-SNR curves")
     common(p_a)
     p_a.add_argument("--curve", required=True,
-                     choices=("bcs", "cfs", "dfs", "dfs-unconditional", "gfs"))
+                     choices=("dfs-unconditional", *analytics.MAPPED_POLICIES))
     p_a.set_defaults(func=cmd_analytic)
 
     p_s = sub.add_parser("sweep", help="repeat run over a grid of one config key")

@@ -42,6 +42,10 @@ class ContenderSet:
     def n_users(self) -> int:
         return sum(len(m) for m in self.members)
 
+    def base_cdf(self, j: int) -> channel.GammaSnrCdf:
+        """Contender j's SNR CDF, of its Nakagami shape and mean SNR."""
+        return channel.GammaSnrCdf(self.shape_m[j], self.mean_snr[j])
+
     def user_kinds(self) -> list[str]:
         kinds = [""] * self.n_users
         for j, mem in enumerate(self.members):
@@ -376,18 +380,20 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
     )
 
 
+def realization(config: SystemConfig, r: int):
+    """Realization r: its ContenderSet, its rng after the layout draw (no draw with
+    `mean_snr`) and, for a group policy, its GroupStructure (else None)."""
+    rng = realization_rng(config.rng_seed, r)
+    spatial = sample_spatial(config, rng) if config.mean_snr is None else None
+    structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
+    return contenders_from_spatial(config, spatial), rng, structure
+
+
 def _realization_task(args):
-    """Run a contiguous block of realizations through one `simulate_block` call,
-    after sampling each one's layout, unless the config gives the means:
+    """Run a contiguous block of realizations through one `simulate_block` call:
     (SimResult, ContenderSet) each, in order."""
     config, block = args
-    runs = []
-    for real in block:
-        rng = realization_rng(config.rng_seed, real)
-        spatial = sample_spatial(config, rng) if config.mean_snr is None else None
-        cs = contenders_from_spatial(config, spatial)
-        structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
-        runs.append((cs, rng, structure))
+    runs = [realization(config, r) for r in block]
     results = simulate_block(runs, config.policy, config.slots_per_realization,
                              config.spatial_realizations, config.rate_log_base,
                              config.pf_time_const)

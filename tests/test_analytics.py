@@ -10,10 +10,12 @@ from scipy import integrate, special
 
 from helpers import distance_average_plain, log_grid_200, unconditional_quad
 
-from d2dsched import analytics
+from d2dsched import analytics, simcore
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.cli import PRESETS, TABLE5_SHAPES
+from d2dsched.grouping import fixed_grouping, with_cellular_singletons
 from d2dsched.model import SystemConfig
+from d2dsched.weights import ecs_weights, solve_group_weights
 
 
 def _clear_tables():
@@ -507,6 +509,52 @@ def test_group_member_curve():
     for mu in (0.5, float("nan")):
         with pytest.raises(ValueError):
             analytics.gfs_selected_cdf(_uniform_base, 1, mu)
+
+
+def test_selected_maps_per_contender():
+    # three cellular users and two pairs, contender-major: each contender's law is
+    # its class's, the same map the public curve functions tabulate
+    cs = simcore.ContenderSet(np.array([False] * 3 + [True] * 2), np.ones(5), np.ones(5),
+                              ((0,), (1,), (2,), (3, 4), (5, 6)))
+
+    def values(policy, structure=None, weights=None):
+        maps = analytics.selected_maps(policy, cs, structure, weights)
+        assert len(maps) == 5
+        return [m.curve(_uniform_base).values for m in maps]
+
+    for v in values("bcs"):
+        assert np.allclose(v, U ** 5)
+    dfs = values("dfs")
+    assert all(np.allclose(v, U ** 7) for v in dfs[:3])
+    assert all(np.allclose(v, U ** 3.5) for v in dfs[3:])
+    cell, d2d = analytics.cfs_selected_cdfs(_uniform_base, _uniform_base, 3, 2)
+    cfs = values("cfs")
+    assert all(np.array_equal(v, cell.values) for v in cfs[:3])
+    assert all(np.array_equal(v, d2d.values) for v in cfs[3:])
+    assert all(np.array_equal(v, U) for v in values("grr"))
+    structure = with_cellular_singletons(fixed_grouping([2], 2, id_offset=3), 3)
+    for policy, weights in (("gfs", solve_group_weights(structure)),
+                            ("ecs", ecs_weights(structure))):
+        mu = weights.mu
+        got = values(policy, structure, weights)
+        for j, g in enumerate([0, 1, 2, 3, 3]):
+            want = analytics.gfs_selected_cdf(_uniform_base, structure.groups[g].size, mu[g])
+            assert np.array_equal(got[j], want.values)
+    assert analytics.selected_maps("pfs", cs) is None
+    with pytest.raises(ValueError):
+        analytics.selected_maps("fifo", cs)
+
+
+def test_selected_maps_keep_the_curve_provenance():
+    # the maps carry the provenance of the public curve functions' curves
+    cs = simcore.ContenderSet(np.array([False, True]), np.ones(2), np.ones(2), ((0,), (1, 2)))
+    cell, d2d = analytics.selected_maps("cfs", cs)
+    assert cell.provenance == {"kind": "cfs-selected-cellular", "K1": 1, "K2": 1}
+    assert d2d.provenance == {"kind": "cfs-selected-d2d"}
+    assert [m.provenance for m in analytics.selected_maps("dfs", cs)] == [
+        {"kind": "dfs-selected-cellular", "K": 3}, {"kind": "dfs-selected-d2d", "K": 3}]
+    assert analytics.bcs_selected_cdf(_uniform_base, 2).provenance == \
+        analytics.selected_maps("bcs", cs)[0].provenance == {"kind": "bcs-selected", "K": 2}
 
 
 def test_unconditional_curves_basics():

@@ -9,6 +9,7 @@ from helpers import first_realization_contenders
 
 from d2dsched import analytics, cli, simcore
 from d2dsched.channel import GammaSnrCdf
+from d2dsched.grouping import fixed_grouping
 from d2dsched.model import SystemConfig
 from d2dsched.weights import solve_group_weights
 
@@ -70,7 +71,7 @@ def test_group_subcommand(tmp_path):
 
 
 @pytest.mark.parametrize("curve,files", [
-    ("bcs", ["curve_cellular.csv"]),
+    ("bcs", ["curve_cellular.csv", "curve_d2d.csv"]),
     ("dfs", ["curve_cellular.csv", "curve_d2d.csv"]),
     ("dfs-unconditional", ["curve_cellular.csv", "curve_d2d.csv"]),
 ])
@@ -86,43 +87,86 @@ def test_analytic_curves_monotone(tmp_path, curve, files):
         assert 0.0 <= f[0] and f[-1] <= 1.0
 
 
+def _curve_lines(curve):
+    """The lines `analytic` writes for a curve."""
+    return [cli._csv_line(["s_linear", "s_db", "f"])] + [
+        cli._csv_line(row) for row in zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values)]
+
+
+def _file_curve(path):
+    _, rows = _read_csv(path)
+    return analytics.AnalyticCurve(np.array([float(r[0]) for r in rows]),
+                                   np.array([float(r[2]) for r in rows]))
+
+
+def _dkw_bound(samples):
+    # the DKW bound at p = 1e-6, fixed before any run
+    return np.sqrt(np.log(2e6) / (2 * samples.size))
+
+
 def test_analytic_curves_use_first_realization_layout(tmp_path):
-    out = str(tmp_path / "dfs")
-    assert cli.main(["analytic", "--curve", "dfs", "--set", "K1=4", "--set", "K2=2",
-                     "--set", "rng_seed=21", "--out", out]) == 0
-    cs, _ = first_realization_contenders(SystemConfig(K1=4, K2=2, rng_seed=21))
-    cell, d2d = analytics.dfs_selected_cdfs(GammaSnrCdf(1.0, cs.mean_snr[0]),
-                                            GammaSnrCdf(1.0, cs.mean_snr[4]), 8)
-    for name, curve in (("cellular", cell), ("d2d", d2d)):
-        _, rows = _read_csv(os.path.join(out, f"curve_{name}.csv"))
-        assert [r[0] for r in rows] == [cli._fmt(s) for s in curve.grid]
-        assert [r[2] for r in rows] == [cli._fmt(f) for f in curve.values]
+    # each file is the public curve function's, line for line, of the bases of
+    # contender 0 and contender K1 in the independently replayed first layout
+    for curve in ("bcs", "cfs", "dfs", "gfs"):
+        for m in (1.0, 2.5):
+            out = str(tmp_path / f"{curve}-{m}")
+            assert cli.main(["analytic", "--curve", curve, "--set", "K1=4", "--set", "K2=2",
+                             "--set", "group_sizes=2", "--set", f"fading_shape_m={m}",
+                             "--set", "rng_seed=21", "--out", out]) == 0
+            config = SystemConfig(K1=4, K2=2, group_sizes=(2,), fading_shape_m=m, rng_seed=21)
+            cs, spatial = first_realization_contenders(config)
+            base_c, base_d = GammaSnrCdf(m, cs.mean_snr[0]), GammaSnrCdf(m, cs.mean_snr[4])
+            if curve == "bcs":
+                want = (analytics.bcs_selected_cdf(base_c, 6),
+                        analytics.bcs_selected_cdf(base_d, 6))
+            elif curve == "cfs":
+                want = analytics.cfs_selected_cdfs(base_c, base_d, 4, 2)
+            elif curve == "dfs":
+                want = analytics.dfs_selected_cdfs(base_c, base_d, 8)
+            else:
+                mu = solve_group_weights(simcore.build_structure(config, spatial)).mu
+                want = (analytics.gfs_selected_cdf(base_c, 1, float(mu[0])),
+                        analytics.gfs_selected_cdf(base_d, 2, float(mu[4])))
+            assert sorted(os.listdir(out)) == ["curve_cellular.csv", "curve_d2d.csv"]
+            for name, expected in zip(("cellular", "d2d"), want):
+                with open(os.path.join(out, f"curve_{name}.csv"), encoding="utf-8") as fh:
+                    assert fh.read().splitlines() == _curve_lines(expected), (curve, m, name)
 
 
 @pytest.mark.parametrize("curve,files", [
-    ("bcs", ["curve_cellular.csv"]),
+    ("bcs", ["curve_cellular.csv", "curve_d2d.csv"]),
     ("cfs", ["curve_cellular.csv", "curve_d2d.csv"]),
     ("dfs", ["curve_cellular.csv", "curve_d2d.csv"]),
-    ("gfs", ["curve_d2d.csv"]),
+    ("gfs", ["curve_cellular.csv", "curve_d2d.csv"]),
+    ("ecs", ["curve_cellular.csv", "curve_d2d.csv"]),
+    ("grr", ["curve_cellular.csv", "curve_d2d.csv"]),
 ])
 def test_analytic_curves_match_run(tmp_path, curve, files):
     # `analytic` describes the system that `run` simulates in its first realization:
-    # each curve file against the selected SNRs of the same contender in a 40k-slot run
-    # of that policy.  The bound, fixed before the run, is the DKW bound at p = 1e-6.
-    out = str(tmp_path / curve)
-    assert cli.main(["analytic", "--curve", curve, "--set", "K1=4", "--set", "K2=2",
-                     "--set", "group_sizes=2", "--set", "rng_seed=21", "--out", out]) == 0
-    config = SystemConfig(K1=4, K2=2, group_sizes=(2,), rng_seed=21, policy=curve,
-                          slots_per_realization=40_000)
-    report = simcore.run_experiment(config)
-    assert sorted(os.listdir(out)) == files
-    for name in files:
-        _, rows = _read_csv(os.path.join(out, name))
-        analytic = analytics.AnalyticCurve(np.array([float(r[0]) for r in rows]),
-                                           np.array([float(r[2]) for r in rows]))
-        samples = report.selected_snr[0 if name == "curve_cellular.csv" else config.K1]
-        bound = np.sqrt(np.log(2e6) / (2 * samples.size))
-        assert simcore.ks_distance(samples, analytic) < bound
+    # at shapes 1 and 2.5, each curve file against the selected SNRs of the same
+    # contender in a 40k-slot run of that policy, and so every contender's law from
+    # `selected_maps`.  The groups are one of three pairs and a lone pair beside the
+    # cellular singletons
+    for m in (1.0, 2.5):
+        out = str(tmp_path / f"{curve}-{m}")
+        assert cli.main(["analytic", "--curve", curve, "--set", "K1=4", "--set", "K2=4",
+                         "--set", "group_sizes=3,1", "--set", f"fading_shape_m={m}",
+                         "--set", "rng_seed=21", "--out", out]) == 0
+        config = SystemConfig(K1=4, K2=4, group_sizes=(3, 1), fading_shape_m=m, rng_seed=21,
+                              policy=curve, slots_per_realization=40_000)
+        report = simcore.run_experiment(config)
+        assert sorted(os.listdir(out)) == files
+        for name in files:
+            samples = report.selected_snr[0 if name == "curve_cellular.csv" else config.K1]
+            assert simcore.ks_distance(samples, _file_curve(os.path.join(out, name))) \
+                < _dkw_bound(samples), (m, name)
+        cs, _, structure = simcore.realization(config, 0)
+        maps = analytics.selected_maps(curve, cs, structure,
+                                       simcore.policy_weights(curve, structure))
+        for j, law in enumerate(maps):
+            samples = report.selected_snr[j]
+            assert simcore.ks_distance(samples, law.curve(cs.base_cdf(j))) \
+                < _dkw_bound(samples), (m, j)
 
 
 def test_analytic_lone_singleton_group_sees_its_base_curve(tmp_path):
@@ -132,13 +176,11 @@ def test_analytic_lone_singleton_group_sees_its_base_curve(tmp_path):
     assert cli.main(["analytic", "--curve", "gfs", "--set", "K1=0", "--set", "K2=1",
                      "--set", "rng_seed=21", "--out", out]) == 0
     assert os.listdir(out) == ["curve_d2d.csv"]
-    _, rows = _read_csv(os.path.join(out, "curve_d2d.csv"))
-    analytic = analytics.AnalyticCurve(np.array([float(r[0]) for r in rows]),
-                                       np.array([float(r[2]) for r in rows]))
     config = SystemConfig(K1=0, K2=1, rng_seed=21, policy="gfs", slots_per_realization=40_000)
     samples = simcore.run_experiment(config).selected_snr[0]
     assert samples.size == 40_000
-    assert simcore.ks_distance(samples, analytic) < np.sqrt(np.log(2e6) / (2 * samples.size))
+    assert simcore.ks_distance(samples, _file_curve(os.path.join(out, "curve_d2d.csv"))) \
+        < _dkw_bound(samples)
 
 
 def test_analytic_gfs_curve_from_solved_weights(tmp_path):
@@ -152,10 +194,8 @@ def test_analytic_gfs_curve_from_solved_weights(tmp_path):
     mu = float(solve_group_weights(structure).mu[g])
     curve = analytics.gfs_selected_cdf(GammaSnrCdf(cs.shape_m[config.K1], cs.mean_snr[config.K1]),
                                        structure.groups[g].size, mu)
-    expected = [cli._csv_line(["s_linear", "s_db", "f"])] + [
-        cli._csv_line(row) for row in zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values)]
     with open(os.path.join(out, "curve_d2d.csv"), encoding="utf-8") as fh:
-        assert fh.read().splitlines() == expected
+        assert fh.read().splitlines() == _curve_lines(curve)
 
 
 def test_failed_analytic_leaves_no_output_directory(tmp_path, capsys, monkeypatch):
@@ -174,14 +214,15 @@ def test_failed_analytic_leaves_no_output_directory(tmp_path, capsys, monkeypatc
         raise analytics.GammaNotConverged("regularized_gamma_p: series for a=2.5 did not "
                                           "converge in 600 iterations at 1 of 1 points")
 
-    monkeypatch.setattr(analytics, "bcs_selected_cdf", unsettled)
+    monkeypatch.setattr(analytics.SelectedMap, "curve", unsettled)
     assert cli.main(["analytic", "--curve", "bcs", "--out", out]) == 1
     assert "did not converge" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("curve,files", [("dfs", ["curve_d2d.csv"]),
-                                         ("dfs-unconditional", ["curve_d2d.csv"])])
+                                         ("dfs-unconditional", ["curve_d2d.csv"]),
+                                         ("cfs", ["curve_d2d.csv"])])
 def test_analytic_without_cellular_users_writes_pair_curves_only(tmp_path, curve, files):
     out = str(tmp_path / curve)
     assert cli.main(["analytic", "--curve", curve, "--set", "K1=0", "--set", "K2=3",
@@ -189,13 +230,33 @@ def test_analytic_without_cellular_users_writes_pair_curves_only(tmp_path, curve
     assert sorted(os.listdir(out)) == files
 
 
-def test_analytic_bcs_needs_cellular_users(tmp_path, capsys):
-    out = str(tmp_path / "bcs")
-    assert cli.main(["analytic", "--curve", "bcs", "--set", "K1=0", "--set", "K2=3",
-                     "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "K1 = 0" in err
-    assert not os.path.exists(out)
+@pytest.mark.parametrize("curve,K1,K2,name", [
+    ("bcs", 0, 3, "curve_d2d.csv"),
+    ("cfs", 10, 0, "curve_cellular.csv"),
+    ("dfs", 10, 0, "curve_cellular.csv"),
+    ("gfs", 10, 0, "curve_cellular.csv"),
+], ids=["bcs-no-cellular-users", "cfs-no-pairs", "dfs-no-pairs", "gfs-no-pairs"])
+def test_analytic_writes_the_curve_of_the_class_a_config_has(tmp_path, curve, K1, K2, name):
+    # a system of one class gets that class's curve, which matches a 40k-slot run of
+    # its first contender by the DKW bound at p = 1e-6
+    out = str(tmp_path / curve)
+    assert cli.main(["analytic", "--curve", curve, "--set", f"K1={K1}", "--set", f"K2={K2}",
+                     "--set", "rng_seed=21", "--out", out]) == 0
+    assert os.listdir(out) == [name]
+    config = SystemConfig(K1=K1, K2=K2, rng_seed=21, policy=curve, slots_per_realization=40_000)
+    samples = simcore.run_experiment(config).selected_snr[0]
+    assert simcore.ks_distance(samples, _file_curve(os.path.join(out, name))) < _dkw_bound(samples)
+
+
+def test_analytic_unconditional_curve_without_pairs(tmp_path):
+    # the same rule for the layout-averaged curves: no pairs, no pair curve
+    out = str(tmp_path / "dfs-unconditional")
+    assert cli.main(["analytic", "--curve", "dfs-unconditional", "--set", "K2=0",
+                     "--out", out]) == 0
+    assert os.listdir(out) == ["curve_cellular.csv"]
+    cell, _ = analytics.dfs_unconditional_cdfs(SystemConfig(K2=0), 10)
+    with open(os.path.join(out, "curve_cellular.csv"), encoding="utf-8") as fh:
+        assert fh.read().splitlines() == _curve_lines(cell)
 
 
 def test_run_emits_theory_curves_for_two_users_or_more(tmp_path):
@@ -266,18 +327,9 @@ def test_other_arithmetic_errors_propagate(tmp_path, monkeypatch):
     def broken(*args, **kwargs):
         raise ZeroDivisionError("float division by zero")
 
-    monkeypatch.setattr(analytics, "bcs_selected_cdf", broken)
+    monkeypatch.setattr(analytics.SelectedMap, "curve", broken)
     with pytest.raises(ZeroDivisionError):
         cli.main(["analytic", "--curve", "bcs", "--out", str(tmp_path / "z")])
-
-
-@pytest.mark.parametrize("curve", ["cfs", "dfs", "dfs-unconditional", "gfs"])
-def test_analytic_pair_curves_need_pairs(tmp_path, capsys, curve):
-    out = str(tmp_path / curve)
-    assert cli.main(["analytic", "--curve", curve, "--set", "K2=0", "--out", out]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "K2 = 0" in err
-    assert not os.path.exists(out)
 
 
 def test_preset_standalone_run(tmp_path):
@@ -342,6 +394,18 @@ def test_analytic_bcs_curve_of_table5(tmp_path):
     assert np.array_equal([float(r[2]) for r in rows], [float(cli._fmt(f)) for f in want.values])
 
 
+def test_analytic_gfs_curve_of_table5(tmp_path):
+    # user 0 of table 5 is the lone member of its group: F^mu_0, mu_0 of the
+    # max-min weights of the groups of 1, 7, 2 and 4 users
+    out = str(tmp_path / "t5")
+    assert cli.main(["analytic", "--preset", "table5-gfs", "--curve", "gfs", "--out", out]) == 0
+    assert os.listdir(out) == ["curve_cellular.csv"]
+    mu_0 = float(solve_group_weights(fixed_grouping(cli.TABLE5_SIZES, nu=1.0)).mu[0])
+    want = analytics.gfs_selected_cdf(GammaSnrCdf(1, 100), 1, mu_0)
+    with open(os.path.join(out, "curve_cellular.csv"), encoding="utf-8") as fh:
+        assert fh.read().splitlines() == _curve_lines(want)
+
+
 def test_analytic_of_given_means_draws_no_layout(tmp_path, monkeypatch):
     # like run, analytic builds a config of mean_snr without sampling a layout
     plain = str(tmp_path / "plain")
@@ -350,7 +414,7 @@ def test_analytic_of_given_means_draws_no_layout(tmp_path, monkeypatch):
     def no_layout(*args):
         raise AssertionError("a config of mean_snr has no layout to sample")
 
-    monkeypatch.setattr(cli, "sample_spatial", no_layout)
+    monkeypatch.setattr(simcore, "sample_spatial", no_layout)
     out = str(tmp_path / "patched")
     assert cli.main(["analytic", "--preset", "table5-gfs", "--curve", "bcs", "--out", out]) == 0
     assert _files(out) == _files(plain)

@@ -175,6 +175,23 @@ def test_import_starts_no_process_pool():
     assert out.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("policy", ["dfs", "gfs"])
+def test_realization_replays_the_layout_and_stream(policy):
+    # realization r: the contender set of its layout, its rng just after the layout
+    # draw, and a structure for a group policy only
+    cfg = SystemConfig(K1=3, K2=4, policy=policy, rng_seed=5)
+    for r in (0, 2):
+        cs, rng, structure = simcore.realization(cfg, r)
+        replay = simcore.realization_rng(5, r)
+        spatial = sample_spatial(cfg, replay)
+        assert np.array_equal(cs.mean_snr, simcore.contenders_from_spatial(cfg, spatial).mean_snr)
+        assert np.array_equal(rng.random(8), replay.random(8))
+        assert structure == (simcore.build_structure(cfg, spatial) if policy == "gfs" else None)
+    if policy == "dfs":
+        cs, _ = first_realization_contenders(cfg)
+        assert np.array_equal(simcore.realization(cfg, 0)[0].mean_snr, cs.mean_snr)
+
+
 @pytest.mark.parametrize("policy,rule", [("gfs", "solve_group_weights"), ("ecs", "ecs_weights")])
 @pytest.mark.parametrize("group_sizes,solves", [((2, 3), 1), (None, 2)], ids=["fixed", "greedy"])
 def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, group_sizes, solves):
