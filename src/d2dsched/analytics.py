@@ -781,10 +781,14 @@ def dfs_unconditional_mixtures(config, K: int) -> tuple[Callable, Callable]:
     E_d[F(s|d)^k] by fixed quadrature over the distance density: 2d/R^2 on
     [1e-8 R, R] with k = K for cellular users (the mass left out is 1e-16),
     uniform on [D_min, D_max] with k = K/2 for pairs.  Only valid for unit
-    Nakagami shape (exponential fading power).
+    Nakagami shape (exponential fading power) and a config with a layout: one
+    that sets `mean_snr` has none to average over.
     """
     if K < 2:
         raise ValueError("K must be >= 2")
+    if config.mean_snr is not None:
+        raise ValueError("unconditional curves average over the layout; "
+                         "a config that sets mean_snr has none")
     shapes = config.shapes_per_contender()
     if np.any(shapes != 1.0):
         raise ValueError("unconditional curves require fading_shape_m = 1")
@@ -798,17 +802,19 @@ def dfs_unconditional_mixtures(config, K: int) -> tuple[Callable, Callable]:
     return f_cell, f_d2d
 
 
-def dfs_unconditional_cdfs(config, K: int,
-                           n_grid: int = 2048) -> tuple[AnalyticCurve, AnalyticCurve]:
+def dfs_unconditional_cdfs(config, K: int, n_grid: int = 2048
+                           ) -> tuple[AnalyticCurve | None, AnalyticCurve | None]:
     """The cellular and pair curves of `dfs_unconditional_mixtures`, each
     tabulated on an n_grid-point log grid between the 1e-4 and 1 - 1e-4
-    quantiles that `_quantile` searches its mixture for."""
-    f_cell, f_d2d = dfs_unconditional_mixtures(config, K)
-    curves = []
-    for cdf, kind in ((f_cell, "dfs-unconditional-cellular"), (f_d2d, "dfs-unconditional-d2d")):
+    quantiles that `_quantile` searches its mixture for; None for a class the
+    config has no users of."""
+    def curve(cdf, kind):
         grid = make_log_grid(functools.partial(_quantile, cdf), n_grid)
-        curves.append(AnalyticCurve(grid, _cdf_guard(cdf(grid)), {"kind": kind, "K": K}))
-    return curves[0], curves[1]
+        return AnalyticCurve(grid, _cdf_guard(cdf(grid)), {"kind": kind, "K": K})
+
+    f_cell, f_d2d = dfs_unconditional_mixtures(config, K)
+    return (curve(f_cell, "dfs-unconditional-cellular") if config.K1 else None,
+            curve(f_d2d, "dfs-unconditional-d2d") if config.K2 else None)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from d2dsched import analytics, simcore
 from d2dsched.grouping import GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring
 from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_text, \
-    parse_setting, sample_spatial
+    parse_setting
 from d2dsched.weights import group_access_prob, solve_group_weights, upi_closed_form
 
 # the four-group scenario of fixed channels: per-user linear mean SNR and Nakagami shape
@@ -168,7 +168,7 @@ def cmd_group(args) -> int:
     config = _build_config(args)
     if config.K2 < 1:
         raise ConfigError("grouping requires K2 >= 1")
-    spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
+    spatial, _ = simcore.layout(config, 0)
     colored = greedy_coloring(build_conflict_graph(spatial, config.interference_radius_m))
     group_of = colored.group_of()
     xy = spatial.centroid_xy()
@@ -194,8 +194,8 @@ def cmd_analytic(args) -> int:
                   for j, n in ((0, config.K1), (config.K1, config.K2))]
     # the directory only once the curves exist, so a failed run leaves nothing behind
     os.makedirs(args.out, exist_ok=True)
-    for name, curve, n in zip(("cellular", "d2d"), curves, (config.K1, config.K2)):
-        if n:
+    for name, curve in zip(("cellular", "d2d"), curves):
+        if curve is not None:
             _write_csv(os.path.join(args.out, f"curve_{name}.csv"), ["s_linear", "s_db", "f"],
                        zip(curve.grid, 10.0 * np.log10(curve.grid), curve.values))
     return 0

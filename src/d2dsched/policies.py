@@ -13,10 +13,11 @@ layout the simulator draws; any other layout gives the same winners, more
 slowly.  Weights must be positive and finite.  A group competes through
 its best member, so gfs and ecs give each contender its group's weight and
 map the winning contender to its group; cfs's cellular stage takes the best
-cellular u from the same kernel; pfs picks the contender with the largest
-rate ratio by argmax.  Ties break toward the lowest contender id (the first
-maximum, as argmax picks it), and so between groups toward the group of the
-lowest contender id, a probability-zero event for continuous channels.
+cellular u from the same kernel, and its fallback names a pair; pfs picks
+the contender with the largest rate ratio by argmax.  Ties break toward the
+lowest contender id (the first maximum, as argmax picks it), and so between
+groups toward the group of the lowest contender id, a probability-zero event
+for continuous channels.
 """
 
 from __future__ import annotations
@@ -186,33 +187,29 @@ class CfsState:
     cursor: int = 0
 
 
-def cfs_select(u_cell: np.ndarray, K1: int, K2: int,
-               state: CfsState) -> tuple[np.ndarray, np.ndarray]:
-    """Threshold policy: best cellular u wins if it clears the threshold,
-    otherwise the next D2D user is granted.
-
-    Returns (cell_winner, d2d_user): per slot, cell_winner is the cellular
-    index or -1, and d2d_user the granted D2D user index in 0..2K2-1 (or -1).
+def cfs_select(u_cell: np.ndarray, K1: int, K2: int, state: CfsState) -> np.ndarray:
+    """Threshold policy: per slot, the best cellular user wins if its u clears
+    the threshold, otherwise pair K1 + user // 2 of the next D2D user in the
+    round-robin over the 2*K2 users that `state` carries across calls.  The
+    rotation names a pair for its two members back to back, and the accounts
+    alternate those members, so the users are served in the rotation's order.
     With K1 == 0 the policy degenerates to pure round-robin over D2D users.
     """
     u_cell = np.atleast_2d(u_cell)
     n = u_cell.shape[0]
     if K1 == 0:
-        grant_cell = np.zeros(n, dtype=bool)
-        best = np.full(n, -1)
+        win = np.empty(n, dtype=np.intp)
+        idle = np.arange(n)
     else:
         top = np.empty(n)
-        best = _weighted_argmax(u_cell, np.full(K1, 1.0 / K1), top)
-        grant_cell = top >= cfs_threshold(K1, K2)
-    cell_winner = np.where(grant_cell, best, -1)
-    d2d_user = np.full(n, -1)
-    idle = np.flatnonzero(~grant_cell)
+        win = _weighted_argmax(u_cell, np.full(K1, 1.0 / K1), top)
+        idle = np.flatnonzero(top < cfs_threshold(K1, K2))
     if idle.size:
         if K2 == 0:
             raise ValueError("below-threshold slot with no D2D users to serve")
-        d2d_user[idle] = (state.cursor + np.arange(idle.size)) % (2 * K2)
+        win[idle] = K1 + (state.cursor + np.arange(idle.size)) % (2 * K2) // 2
         state.cursor = (state.cursor + idle.size) % (2 * K2)
-    return cell_winner, d2d_user
+    return win
 
 
 def mws_select(u: np.ndarray, structure: GroupStructure, weights: PolicyWeights) -> np.ndarray:

@@ -1,4 +1,9 @@
-"""Monte Carlo engine: spatial realizations x fading slots driving one policy."""
+"""Monte Carlo engine: spatial realizations x fading slots driving one policy.
+
+Each realization is one `_Accounts` record, from its first chunk of slots to
+`_reduce`, which folds the records into the experiment's report and draws no
+random number: every random number of a run comes from its realization's stream.
+"""
 
 from __future__ import annotations
 
@@ -108,17 +113,6 @@ def policy_weights(policy: str, structure: GroupStructure) -> PolicyWeights | No
 # ---------------------------------------------------------------------------
 # one realization
 
-@dataclass
-class SimResult:
-    slots: int
-    user_grants: np.ndarray
-    user_u_sum: np.ndarray
-    user_rate_sum: np.ndarray
-    group_grants: np.ndarray | None
-    selected_snr: list            # per contender: list of arrays
-    structure: GroupStructure | None
-
-
 def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
     """Random stream of one realization: its layout first, then its fading.  A
     config that sets `mean_snr` draws no layout, only the fading."""
@@ -127,10 +121,14 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
 
 
 class _Accounts:
-    """Grant accounting of one realization, fed one chunk of slots at a time."""
+    """The record of one realization of `slots` slots, from its first chunk to
+    `_reduce`: its ContenderSet `cs`, its `structure`, the `weights` gfs or ecs
+    selects with (`solve`, the block's cached `policy_weights`, gives them), its
+    cfs cursor, and its per-user totals and kept SNRs, which `add` accumulates
+    one chunk of slots at a time."""
 
     def __init__(self, cs: ContenderSet, policy: str, structure: GroupStructure | None,
-                 rate_log_base: float):
+                 rate_log_base: float, slots: int, solve):
         C = cs.n_contenders
         if policy in GROUP_POLICIES:
             if structure is None:
@@ -146,22 +144,16 @@ class _Accounts:
             raise ValueError(f"unknown policy {policy!r}")
         self.cs = cs
         self.structure = structure
+        self.weights = solve(structure)
+        self.cfs = policies.CfsState()
+        self.slots = slots
         self.log_base = np.log(rate_log_base)
         self.snr_per_x = cs.mean_snr / cs.shape_m       # SNR of a cell per unit of P^-1
-        self.grants = [0] * cs.n_users
-        self.u_sum = [0.0] * cs.n_users
-        self.rate_sum = [0.0] * cs.n_users
-        self.selected_snr = [[] for _ in range(C)]
+        self.user_grants = np.zeros(cs.n_users, dtype=np.int64)
+        self.user_u_sum = np.zeros(cs.n_users)
+        self.user_rate_sum = np.zeros(cs.n_users)
+        self.selected_snr = [[] for _ in range(C)]     # per contender: its kept arrays
         self.turn = [0] * C           # member of each contender due for its next grant
-
-    def snr_map(self, u: np.ndarray) -> np.ndarray:
-        """Every cell of the (n, C) scores u mapped to SNR, contender-major (C, n):
-        the inverse maps C runs of n cells, each contender's row of u.T under
-        its shape."""
-        n, C = u.shape
-        x = regularized_gamma_p_inv_runs(self.cs.shape_m, np.full(C, n), u.T)
-        x *= self.snr_per_x[:, None]
-        return x
 
     def add(self, win: np.ndarray, u: np.ndarray, snr_all: np.ndarray | None = None) -> None:
         """Grant a chunk: `win` names each slot's winner and u holds the chunk's
@@ -198,9 +190,8 @@ class _Accounts:
             snr *= np.repeat(self.snr_per_x, sizes)
         bounds = np.cumsum([0] + sizes).tolist()
         for j, keep in enumerate(kept):
-            if keep.size:
-                keep[:] = snr[bounds[j]:bounds[j + 1]]
-                self.selected_snr[j].append(keep)
+            keep[:] = snr[bounds[j]:bounds[j + 1]]
+            self.selected_snr[j].append(keep)
         rates = np.log1p(snr, out=snr)
         rates /= self.log_base
         for j, size in enumerate(sizes):
@@ -211,20 +202,13 @@ class _Accounts:
             for t, uid in enumerate(cs.members[j]):
                 cells = ur[:, start + (t - self.turn[j]) % k:stop:k]
                 su, sr = cells.sum(axis=1).tolist()
-                self.grants[uid] += cells.shape[1]
-                self.u_sum[uid] += su
-                self.rate_sum[uid] += sr
+                self.user_grants[uid] += cells.shape[1]
+                self.user_u_sum[uid] += su
+                self.user_rate_sum[uid] += sr
             self.turn[j] = (self.turn[j] + size) % k
 
-    def result(self, slots: int) -> SimResult:
-        return SimResult(slots=slots, user_grants=np.array(self.grants, dtype=np.int64),
-                         user_u_sum=np.array(self.u_sum), user_rate_sum=np.array(self.rate_sum),
-                         group_grants=self.group_grants, selected_snr=self.selected_snr,
-                         structure=self.structure)
 
-
-def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int,
-                  weights: PolicyWeights | None, cfs_state: policies.CfsState) -> None:
+def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int) -> None:
     """Select and grant one realization's chunk of scores u, the (n, C) view of
     its contender-major draw, whose first slot is `done`.  u and its winners
     die with the call, before the next realization draws."""
@@ -236,19 +220,18 @@ def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int,
     elif policy == "dfs":
         win = policies.dfs_select(u, K1, K2)
     elif policy == "cfs":
-        cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
-        # the round-robin over the 2*K2 D2D users alternates each pair's members
-        win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
+        win = policies.cfs_select(u[:, :K1], K1, K2, acc.cfs)
     elif policy in ("gfs", "ecs"):
-        win = policies.mws_select(u, acc.structure, weights)
+        win = policies.mws_select(u, acc.structure, acc.weights)
     else:
         win = policies.grr_select(u.shape[0], acc.structure.n_groups, offset=done)
     acc.add(win, u)
 
 
 def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
-                   rate_log_base: float = 2.0, pf_time_const: float = 1000.0) -> list[SimResult]:
-    """Run `slots` fading slots of each realization of a block, one SimResult each.
+                   rate_log_base: float = 2.0, pf_time_const: float = 1000.0) -> list[_Accounts]:
+    """Run `slots` fading slots of each realization of a block: its `_Accounts`
+    record each.
 
     `block` lists each realization's (ContenderSet, rng, GroupStructure), all
     with the same contender count.  A policy only names each slot's winner: a
@@ -272,7 +255,9 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
-    accounts = [_Accounts(cs, policy, structure, rate_log_base) for cs, _, structure in block]
+    solve = functools.cache(functools.partial(policy_weights, policy))
+    accounts = [_Accounts(cs, policy, structure, rate_log_base, slots, solve)
+                for cs, _, structure in block]
     C = block[0][0].n_contenders
     if policy == "pfs":
         chunk = max(1, CHUNK_SLOTS // realizations)
@@ -280,8 +265,6 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
         state = policies.PfState(t_c=pf_time_const)
     else:
         chunk = CHUNK_SLOTS
-        solve = functools.cache(functools.partial(policy_weights, policy))
-        rules = [(solve(structure), policies.CfsState()) for _, _, structure in block]
     done = 0
     while done < slots:
         n = min(chunk, slots - done)
@@ -289,19 +272,21 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
             X = np.empty((n, len(block), C))
             drawn = []
             for r, (acc, (_, rng, _)) in enumerate(zip(accounts, block)):
-                u = rng.random((C, n)).T
-                snr_all = acc.snr_map(u)
+                u = rng.random((C, n))
+                # every cell to SNR: the inverse maps C runs of n cells, a contender's row each
+                snr_all = regularized_gamma_p_inv_runs(acc.cs.shape_m, np.full(C, n), u)
+                snr_all *= acc.snr_per_x[:, None]
                 np.log1p(snr_all.T, out=X[:, r])
-                drawn.append((u, snr_all))
+                drawn.append((u.T, snr_all))
             X /= accounts[0].log_base
             win = policies.pfs_select(X, group, state)
             for r, (acc, (u, snr_all)) in enumerate(zip(accounts, drawn)):
                 acc.add(win[:, r], u, snr_all)
         else:
-            for acc, (_, rng, _), (w, cfs_state) in zip(accounts, block, rules):
-                _grant_scores(acc, policy, rng.random((C, n)).T, done, w, cfs_state)
+            for acc, (_, rng, _) in zip(accounts, block):
+                _grant_scores(acc, policy, rng.random((C, n)).T, done)
         done += n
-    return [acc.result(slots) for acc in accounts]
+    return accounts
 
 
 # ---------------------------------------------------------------------------
@@ -330,31 +315,27 @@ class ExperimentReport:
         return len(self.user_kinds)
 
 
-def _merge_reservoir(parts: list[np.ndarray], cap: int, rng: np.random.Generator) -> np.ndarray:
-    allsamp = np.concatenate(parts) if parts else np.empty(0)
-    if allsamp.size <= cap:
-        return allsamp
-    idx = np.sort(rng.choice(allsamp.size, cap, replace=False))
-    return allsamp[idx]
+def _reduce(results: list[_Accounts], policy: str, seed: int,
+            config_digest: str = "") -> ExperimentReport:
+    """Fold the records of one experiment's realizations, in order, into its report.
 
-
-def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> ExperimentReport:
-    """Fold (SimResult, ContenderSet) pairs of one experiment into its report.
-
-    Group outputs need a group policy and one partition: they are reported
-    only when every realization counted group grants under the same group
-    structure, else the report carries no group access and group ids of -1.
+    A contender keeps every granted SNR up to RESERVOIR_CAPACITY; above it, the
+    capacity's evenly spaced samples of its grants in realization and slot
+    order.  Group outputs need a group policy and one partition: they are
+    reported only when every realization counted group grants under the same
+    group structure, else the report carries no group access and group ids of -1.
     """
-    results = [r for r, _ in outputs]
-    cs0 = outputs[0][1]
+    cs0 = results[0].cs
     total_slots = sum(r.slots for r in results)
     user_grants = sum(r.user_grants for r in results)
     u_sum = sum(r.user_u_sum for r in results)
     rate_sum = sum(r.user_rate_sum for r in results)
-    res_rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(987654321,)))
-    selected_snr = [_merge_reservoir([a for r in results for a in r.selected_snr[j]],
-                                     RESERVOIR_CAPACITY, res_rng)
-                    for j in range(cs0.n_contenders)]
+    selected_snr = []
+    for j in range(cs0.n_contenders):
+        kept = np.concatenate([a for r in results for a in r.selected_snr[j]])
+        if kept.size > RESERVOIR_CAPACITY:
+            kept = kept[np.arange(RESERVOIR_CAPACITY) * kept.size // RESERVOIR_CAPACITY]
+        selected_snr.append(kept)
 
     structures = {r.structure for r in results if r.group_grants is not None}
     structure = structures.pop() if len(structures) == 1 else None
@@ -380,24 +361,28 @@ def _reduce(outputs: list, policy: str, seed: int, config_digest: str = "") -> E
     )
 
 
-def realization(config: SystemConfig, r: int):
-    """Realization r: its ContenderSet, its rng after the layout draw (no draw with
-    `mean_snr`) and, for a group policy, its GroupStructure (else None)."""
+def layout(config: SystemConfig, r: int):
+    """Realization r's layout, None for a config that sets `mean_snr` and draws
+    none, and its rng after that draw."""
     rng = realization_rng(config.rng_seed, r)
-    spatial = sample_spatial(config, rng) if config.mean_snr is None else None
+    return (sample_spatial(config, rng) if config.mean_snr is None else None), rng
+
+
+def realization(config: SystemConfig, r: int):
+    """Realization r: its ContenderSet, its rng after the `layout` draw and, for a
+    group policy, its GroupStructure (else None)."""
+    spatial, rng = layout(config, r)
     structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
     return contenders_from_spatial(config, spatial), rng, structure
 
 
-def _realization_task(args):
+def _realization_task(args) -> list[_Accounts]:
     """Run a contiguous block of realizations through one `simulate_block` call:
-    (SimResult, ContenderSet) each, in order."""
+    their records, in order."""
     config, block = args
-    runs = [realization(config, r) for r in block]
-    results = simulate_block(runs, config.policy, config.slots_per_realization,
-                             config.spatial_realizations, config.rate_log_base,
-                             config.pf_time_const)
-    return [(result, cs) for result, (cs, _, _) in zip(results, runs)]
+    return simulate_block([realization(config, r) for r in block], config.policy,
+                          config.slots_per_realization, config.spatial_realizations,
+                          config.rate_log_base, config.pf_time_const)
 
 
 def _n_workers(requested: int | None) -> int:

@@ -190,8 +190,7 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
         elif policy == "dfs":
             win = policies.dfs_select(u, K1, K2)
         elif policy == "cfs":
-            cell_winner, d2d_user = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
-            win = np.where(cell_winner >= 0, cell_winner, K1 + d2d_user // 2)
+            win = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
         elif policy in ("gfs", "ecs"):
             win = policies.mws_select(u, structure, weights)
         else:

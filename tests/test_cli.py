@@ -9,7 +9,7 @@ from helpers import first_realization_contenders
 
 from d2dsched import analytics, cli, simcore
 from d2dsched.channel import GammaSnrCdf
-from d2dsched.grouping import fixed_grouping
+from d2dsched.grouping import build_conflict_graph, fixed_grouping, greedy_coloring
 from d2dsched.model import SystemConfig
 from d2dsched.weights import solve_group_weights
 
@@ -68,6 +68,27 @@ def test_group_subcommand(tmp_path):
     header, rows = _read_csv(os.path.join(out, "grouping.csv"))
     assert header == ["pair_id", "group_id", "centroid_x", "centroid_y"]
     assert len(rows) == 12
+
+
+def test_group_colors_the_layout_of_realization_0(tmp_path, monkeypatch):
+    # group draws its layout through simcore, the one route of realization 0's layout:
+    # the coloring of the layout that the experiment's first realization replays
+    config = SystemConfig(K1=3, K2=9, rng_seed=7)
+    draws = []
+    sample = simcore.sample_spatial
+    monkeypatch.setattr(simcore, "sample_spatial",
+                        lambda cfg, rng: draws.append(cfg) or sample(cfg, rng))
+    out = str(tmp_path / "g")
+    assert cli.main(["group", "--set", "K1=3", "--set", "K2=9", "--set", "rng_seed=7",
+                     "--out", out]) == 0
+    assert draws == [config]
+    _, spatial = first_realization_contenders(config)
+    colored = greedy_coloring(build_conflict_graph(spatial, config.interference_radius_m))
+    group_of, xy = colored.group_of(), spatial.centroid_xy()
+    want = [cli._csv_line(["pair_id", "group_id", "centroid_x", "centroid_y"])]
+    want += [cli._csv_line((p, group_of[p], xy[p, 0], xy[p, 1])) for p in range(9)]
+    with open(os.path.join(out, "grouping.csv"), encoding="utf-8") as fh:
+        assert fh.read().splitlines() == want
 
 
 @pytest.mark.parametrize("curve,files", [
@@ -248,15 +269,34 @@ def test_analytic_writes_the_curve_of_the_class_a_config_has(tmp_path, curve, K1
     assert simcore.ks_distance(samples, _file_curve(os.path.join(out, name))) < _dkw_bound(samples)
 
 
-def test_analytic_unconditional_curve_without_pairs(tmp_path):
-    # the same rule for the layout-averaged curves: no pairs, no pair curve
+def _unconditional_curve_of_one_class(tmp_path, monkeypatch, settings, kind):
+    """Run analytic --curve dfs-unconditional on a config of one class of users:
+    one log grid is made, and its one file is the curve a config with both
+    classes writes for that class at the same K."""
+    K = SystemConfig(**settings).n_users
+    want = analytics.dfs_unconditional_cdfs(SystemConfig(K1=1, K2=1), K)[kind]
+    grids = []
+    make_grid = analytics.make_log_grid
+    monkeypatch.setattr(analytics, "make_log_grid", lambda *a: grids.append(a) or make_grid(*a))
     out = str(tmp_path / "dfs-unconditional")
-    assert cli.main(["analytic", "--curve", "dfs-unconditional", "--set", "K2=0",
-                     "--out", out]) == 0
-    assert os.listdir(out) == ["curve_cellular.csv"]
-    cell, _ = analytics.dfs_unconditional_cdfs(SystemConfig(K2=0), 10)
-    with open(os.path.join(out, "curve_cellular.csv"), encoding="utf-8") as fh:
-        assert fh.read().splitlines() == _curve_lines(cell)
+    argv = ["analytic", "--curve", "dfs-unconditional", "--out", out]
+    for key, value in settings.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == 0
+    name = ("curve_cellular.csv", "curve_d2d.csv")[kind]
+    assert len(grids) == 1 and os.listdir(out) == [name]
+    with open(os.path.join(out, name), encoding="utf-8") as fh:
+        assert fh.read().splitlines() == _curve_lines(want)
+
+
+def test_analytic_unconditional_curve_without_pairs(tmp_path, monkeypatch):
+    # the same rule for the layout-averaged curves: no pairs, no pair curve, and
+    # none tabulated
+    _unconditional_curve_of_one_class(tmp_path, monkeypatch, dict(K2=0), 0)
+
+
+def test_analytic_unconditional_curve_without_cellular_users(tmp_path, monkeypatch):
+    _unconditional_curve_of_one_class(tmp_path, monkeypatch, dict(K1=0, K2=3), 1)
 
 
 def test_run_emits_theory_curves_for_two_users_or_more(tmp_path):
@@ -373,10 +413,13 @@ def test_bad_set_names_the_setting(tmp_path, capsys, preset, setting, key):
 @pytest.mark.parametrize("argv,named", [
     (["group", "--preset", "table5-gfs"], "K2 >= 1"),
     (["run", "--preset", "table5-gfs", "--config", "missing.cfg"], "--config"),
-], ids=["group", "config"])
+    (["analytic", "--preset", "table5-gfs", "--set", "fading_shape_m=1",
+      "--curve", "dfs-unconditional"], "mean_snr"),
+], ids=["group", "config", "dfs-unconditional"])
 def test_table5_preset_refusals(tmp_path, capsys, argv, named):
-    # table5-gfs is an ordinary preset of no pairs: it has nothing to color, and a
-    # preset does not mix with a config file
+    # table5-gfs is an ordinary preset of no pairs: it has nothing to color, a
+    # preset does not mix with a config file, and its given means have no layout
+    # for the unconditional curves to average over
     out = str(tmp_path / "t5")
     assert cli.main(argv + ["--out", out]) == 1
     err = capsys.readouterr().err

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import ks_uniform, lone_contenders, mws_select_reps, pfs_select_numpy
+from helpers import first_realization_contenders, ks_uniform, lone_contenders, mws_select_reps, \
+    pfs_select_numpy
 
 from d2dsched import policies, simcore
 from d2dsched.analytics import cfs_threshold
@@ -103,30 +104,61 @@ def test_threshold_value():
 
 
 def test_cellular_threshold_policy_access():
+    # every slot names one contender: each cellular user wins 1/K of the slots and
+    # each pair, served for its two users, 2/K
     K1, K2 = 40, 15
     K = K1 + 2 * K2
     rng = np.random.default_rng(44)
     u = rng.random((1_000_000, K1))
-    state = policies.CfsState()
-    cell, d2d = policies.cfs_select(u, K1, K2, state)
-    assert np.all((cell >= 0) ^ (d2d >= 0))          # exactly one grant per slot
-    cell_freq = np.bincount(cell[cell >= 0], minlength=K1) / u.shape[0]
-    d2d_freq = np.bincount(d2d[d2d >= 0], minlength=2 * K2) / u.shape[0]
-    assert np.all(np.abs(cell_freq - 1.0 / K) < 0.002)
-    assert np.all(np.abs(d2d_freq - 1.0 / K) < 0.002)
+    win = policies.cfs_select(u, K1, K2, policies.CfsState())
+    freq = np.bincount(win, minlength=K1 + K2) / u.shape[0]
+    assert freq.size == K1 + K2
+    assert np.all(np.abs(freq[:K1] - 1.0 / K) < 0.002)
+    assert np.all(np.abs(freq[K1:] - 2.0 / K) < 0.002)
+    # the accounts serve the D2D users round-robin: each user its 1/K of the slots
+    # (five binomial standard errors), and no user more than one grant ahead of another
+    K1, K2, slots = 4, 3, 100_000
+    K = K1 + 2 * K2
+    cs, _ = first_realization_contenders(SystemConfig(K1=K1, K2=K2))
+    (record,) = simcore.simulate_block([(cs, np.random.default_rng(44), None)], "cfs", slots)
+    access = record.user_grants / slots
+    assert np.all(np.abs(access - 1.0 / K) < 5 * np.sqrt((1.0 / K) * (1 - 1.0 / K) / slots))
+    d2d = record.user_grants[K1:]
+    assert d2d.max() - d2d.min() <= 1
 
 
 def test_threshold_policy_round_robin_order():
+    # below the threshold the rotation names pairs 0, 0, 1, 1, 0, 0 (users 0..3, 0, 1),
+    # and the accounts grant the users in that order, one slot at a time
     u = np.zeros((6, 2))                             # never clears the threshold
     state = policies.CfsState()
-    _, d2d = policies.cfs_select(u, 2, 2, state)
-    assert list(d2d) == [0, 1, 2, 3, 0, 1]
+    win = policies.cfs_select(u, 2, 2, state)
+    assert list(win) == [2, 2, 3, 3, 2, 2]
     assert state.cursor == 2
+    cs = simcore.ContenderSet(np.array([False, False, True, True]), np.ones(4), np.ones(4),
+                              ((0,), (1,), (2, 3), (4, 5)))
+    record = simcore._Accounts(cs, "cfs", None, 2.0, 6, lambda structure: None)
+    order = []
+    scores = np.full((6, 4), 0.5)
+    for t in range(6):
+        before = record.user_grants.copy()
+        record.add(win[t:t + 1], scores[t:t + 1])
+        (uid,) = np.flatnonzero(record.user_grants != before)
+        order.append(uid - 2)
+    assert order == [0, 1, 2, 3, 0, 1]
 
 
 def test_threshold_policy_degenerate_cases():
-    _, d2d = policies.cfs_select(np.zeros((8, 0)), 0, 2, policies.CfsState())
-    assert list(d2d) == [0, 1, 2, 3, 0, 1, 2, 3]     # pure rotation without cellular users
+    # without cellular users every slot goes to the rotation; without pairs the
+    # threshold is 0, so the best cellular user wins every slot and the cursor rests
+    state = policies.CfsState(cursor=1)
+    win = policies.cfs_select(np.zeros((8, 0)), 0, 2, state)
+    assert list(win) == [0, 1, 1, 0, 0, 1, 1, 0]     # users 1, 2, 3, 0, ... of the pairs
+    assert state.cursor == 1
+    u = np.random.default_rng(9).random((50, 3))
+    state = policies.CfsState()
+    assert np.array_equal(policies.cfs_select(u, 3, 0, state), np.argmax(u, axis=1))
+    assert state.cursor == 0
     with pytest.raises(ValueError):
         policies.cfs_select(np.zeros((2, 0)), 0, 0, policies.CfsState())
 
@@ -307,9 +339,9 @@ def test_selection_kernel_matches_argmax(n, C, layout):
                           group[np.argmax(log_u / weights.w[group], axis=1)])
     best = np.argmax(u[:, :K1], axis=1)
     granted = u[np.arange(n), best] >= cfs_threshold(K1, K2)
-    cell, d2d = policies.cfs_select(u[:, :K1], K1, K2, policies.CfsState())
-    assert np.array_equal(cell, np.where(granted, best, -1))
-    assert np.array_equal(d2d >= 0, ~granted)
+    win = policies.cfs_select(u[:, :K1], K1, K2, policies.CfsState())
+    assert np.array_equal(win[granted], best[granted])
+    assert np.array_equal(win[~granted], K1 + np.arange(np.sum(~granted)) % (2 * K2) // 2)
 
 
 def test_group_ties_break_toward_lowest_contender():

@@ -39,9 +39,11 @@ def test_round_robin_exact_shares():
 def test_index_estimate_bounds():
     # user 0 is granted every slot with u = 1, user 1 never
     cs = lone_contenders([1.0, 1.0], [1.0, 1.0])
-    res = simcore.SimResult(100, np.array([100, 0]), np.array([100.0, 0.0]),
-                            np.array([50.0, 0.0]), None, [[], []], None)
-    rep = simcore._reduce([(res, cs)], "bcs", 0)
+    record = simcore._Accounts(cs, "bcs", None, 2.0, 100, lambda structure: None)
+    record.user_grants[0], record.user_u_sum[0], record.user_rate_sum[0] = 100, 100.0, 50.0
+    record.selected_snr = [[np.full(100, 3.0)], [np.empty(0)]]
+    rep = simcore._reduce([record], "bcs", 0)
+    assert [a.size for a in rep.selected_snr] == [100, 0]
     assert rep.upi[0] == pytest.approx(2.0) and rep.upi[1] == 0.0
     assert list(rep.access_prob) == [1.0, 0.0]
     assert list(rep.selected_rate) == [0.5, 0.0]
@@ -202,8 +204,8 @@ def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, grou
                        slots_per_realization=300, spatial_realizations=3, rng_seed=8)
     structures = [simcore.build_structure(cfg, sample_spatial(cfg, simcore.realization_rng(8, r)))
                   for r in range(3)]
-    own = simcore._reduce([out for r in range(3)
-                           for out in simcore._realization_task((cfg, range(r, r + 1)))],
+    own = simcore._reduce([record for r in range(3)
+                           for record in simcore._realization_task((cfg, range(r, r + 1)))],
                           policy, cfg.rng_seed, cfg.digest())
     solver = getattr(simcore, rule)
     calls = []
@@ -238,7 +240,7 @@ def test_blocks_and_workers_change_no_report(monkeypatch, policy, group_sizes):
     # blocks gives each realization the same bits
     monkeypatch.setattr(simcore, "CHUNK_SLOTS", 150)
     splits = ([range(5)], [range(3), range(3, 5)], [range(r, r + 1) for r in range(5)])
-    runs = [[res for block in split for res, _ in simcore._realization_task((cfg, block))]
+    runs = [[record for block in split for record in simcore._realization_task((cfg, block))]
             for split in splits]
     for other in runs[1:]:
         for a, b in zip(runs[0], other):
@@ -371,13 +373,26 @@ def test_ks_distance_cases():
         simcore.ks_distance(np.array([1.0]), curve)
 
 
-def test_reservoir_merge_caps_and_preserves():
-    rng = np.random.default_rng(6)
-    small = simcore._merge_reservoir([np.arange(10.0)], 100, rng)
-    assert np.array_equal(small, np.arange(10.0))
-    big = simcore._merge_reservoir([rng.random(5000), rng.random(5000)], 1000, rng)
-    assert big.size == 1000
-    assert simcore._merge_reservoir([], 10, rng).size == 0
+def test_reservoir_merge_caps_and_preserves(monkeypatch):
+    # dfs at K = 6 grants each cellular user about 1000 and each pair about 2000 of the
+    # 6000 slots: under a cap of 1500 a cellular user keeps every granted SNR, and a
+    # pair exactly 1500 of its grants in realization and slot order, evenly spaced
+    # (index steps of n // 1500 or one more), whatever the workers
+    cfg = SystemConfig(K1=2, K2=2, policy="dfs", slots_per_realization=2000,
+                       spatial_realizations=3, rng_seed=12)
+    full = simcore.run_experiment(cfg).selected_snr
+    cap = 1500
+    monkeypatch.setattr(simcore, "RESERVOIR_CAPACITY", cap)
+    one, two = (simcore.run_experiment(cfg, n_workers=w).selected_snr for w in (1, 2))
+    assert all(np.array_equal(a, b) for a, b in zip(one, two))
+    for j, (kept, every) in enumerate(zip(one, full)):
+        if every.size <= cap:
+            assert j < cfg.K1 and np.array_equal(kept, every)
+            continue
+        assert j >= cfg.K1 and kept.size == cap
+        position = {x: i for i, x in enumerate(every.tolist())}
+        steps = np.diff([0] + [position[x] for x in kept.tolist()])
+        assert steps[0] == 0 and set(steps[1:]) <= {every.size // cap, every.size // cap + 1}
 
 
 def test_same_seed_reports_identical():
