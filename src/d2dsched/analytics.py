@@ -285,26 +285,26 @@ def _start_row(a: float) -> np.ndarray | None:
 
 
 @functools.lru_cache(maxsize=16)
-def _run_rows(shapes: tuple[float, ...]) -> tuple[tuple[np.ndarray, ...] | None, np.ndarray]:
-    """The coefficient rows c0..c5 of the table of a set of runs, given each run's
-    shape, and each run's offset into them.
+def _run_rows(shapes: tuple[float, ...]) -> tuple[np.ndarray | None, np.ndarray]:
+    """The (6, N) table of coefficient rows c0..c5 of a set of runs, given each
+    run's shape, and each run's offset into it.
 
-    A lone run reads its shape's row, at offset 0 (None without a row).  More
-    runs read the rows of their distinct shapes side by side, with a NaN
-    segment last for the shapes without a row (shape 1 among them).  So the
-    runs of a contender set build one table, whichever contenders hold cells.
+    A lone run reads its shape's row itself, at offset 0 (None without a
+    row).  More runs read the rows of their distinct shapes side by side, with
+    a NaN segment last for the shapes without a row (shape 1 among them).  So
+    the runs of a contender set build one table, whichever contenders hold
+    cells.
     """
     width = _T_NODES.size - 1
     rows = {v: _start_row(v) for v in shapes}
     if len(shapes) == 1:
-        row = rows[shapes[0]]
-        return None if row is None else tuple(row), np.zeros(1, dtype=np.intp)
+        return rows[shapes[0]], np.zeros(1, dtype=np.intp)
     kept = [v for v, row in rows.items() if row is not None]
     at = {v: i * width for i, v in enumerate(kept)}
     table = np.concatenate([rows[v] for v in kept] + [np.full((6, width), np.nan)], axis=1)
     offsets = np.array([at.get(v, len(kept) * width) for v in shapes], dtype=np.intp)
     table.flags.writeable = offsets.flags.writeable = False
-    return tuple(table), offsets
+    return table, offsets
 
 
 def _tabulated_start(shapes: tuple[float, ...], counts: np.ndarray, p: np.ndarray,
@@ -318,28 +318,37 @@ def _tabulated_start(shapes: tuple[float, ...], counts: np.ndarray, p: np.ndarra
     t = 1.0 - p
     np.divide(p, t, out=t)
     np.log(t, out=t)
-    off = np.abs(t) > _T_MAX
-    some_off = off.any()
-    # a block wholly off the table reads, and so builds, no row
-    coefs, offset = (None, None) if some_off and off.all() else _run_rows(shapes)
-    if coefs is None:
+    lo, hi = t.min(), t.max()
+    off = None
+    if lo < -_T_MAX or hi > _T_MAX:
+        off = np.abs(t) > _T_MAX
+        if off.all():               # a block wholly off the table reads, and so builds, no row
+            out.fill(np.nan)
+            return
+        np.clip(t, -_T_MAX, _T_MAX, out=t)
+        hi = min(hi, _T_MAX)
+    table, offset = _run_rows(shapes)
+    if table is None:
         out.fill(np.nan)
         return
-    f = np.clip(t, -_T_MAX, _T_MAX, out=t)
+    f = t
     f *= _T_PER_UNIT
     f += _T_MAX * _T_PER_UNIT
     k = f.astype(np.intp)
-    np.minimum(k, _T_NODES.size - 2, out=k)
+    # f rises with t, so only a block whose largest t lands on the last node has a
+    # cell past the last interval
+    if hi * _T_PER_UNIT + _T_MAX * _T_PER_UNIT >= _T_NODES.size - 1:
+        np.minimum(k, _T_NODES.size - 2, out=k)
     f -= k                                      # the position in the interval
     if len(shapes) > 1:
         k += offset.repeat(counts)
-    c0, c1, c2, c3, c4, c5 = coefs
-    y = c5.take(k, out=out)
-    coef = np.empty_like(y)
-    for c in (c4, c3, c2, c1, c0):
+    coef = table.take(k, axis=1)                # c0..c5 of each cell's interval
+    y = np.multiply(coef[5], f, out=out)
+    for c in coef[4:0:-1]:
+        y += c
         y *= f
-        y += c.take(k, out=coef)
-    if some_off:
+    y += coef[0]
+    if off is not None:
         y[off] = np.nan
     np.exp(y, out=y)
 
@@ -408,7 +417,7 @@ def _gamma_p_inv_runs(shapes: np.ndarray, counts: np.ndarray, p: np.ndarray,
             np.negative(p[cells], out=x[cells])
             np.log1p(x[cells], out=x[cells])
             np.negative(x[cells], out=x[cells])
-    if unit.all():
+    if unit.all() or (x.min() > 0.0 and x.max() < np.inf):     # NaN scans
         return
     rest = np.flatnonzero(~(x > 0.0) | (x == np.inf))
     if rest.size:
@@ -482,7 +491,7 @@ def regularized_gamma_p_inv_runs(shapes, counts, p, out: np.ndarray | None = Non
         raise ValueError("shape parameter a must be positive and finite")
     if (n < 0).any() or n.sum() != p_arr.size:
         raise ValueError(f"counts must be nonnegative and sum to the {p_arr.size} cells of p")
-    if not ((p_arr >= 0.0) & (p_arr <= 1.0)).all():       # NaN too
+    if p_arr.size and not (p_arr.min() >= 0.0 and p_arr.max() <= 1.0):    # NaN too
         raise ValueError("p must lie in [0, 1]")
     if out is None:
         out = np.empty(p_arr.shape)
@@ -774,6 +783,20 @@ def _distance_average(A: float, eta: float, k: float, lo: float, hi: float, dens
     return cdf
 
 
+def dfs_unconditional_refusal(config, K: int) -> str | None:
+    """Why `dfs_unconditional_mixtures` has no curves for config at K, or None
+    when it has them: K >= 2, a layout to average over (no `mean_snr`) and unit
+    Nakagami shape for every contender."""
+    if K < 2:
+        return "K must be >= 2"
+    if config.mean_snr is not None:
+        return ("unconditional curves average over the layout; "
+                "a config that sets mean_snr has none")
+    if np.any(config.shapes_per_contender() != 1.0):
+        return "unconditional curves require fading_shape_m = 1"
+    return None
+
+
 def dfs_unconditional_mixtures(config, K: int) -> tuple[Callable, Callable]:
     """The unconditional downlink selected-SNR CDFs of cellular users and pairs,
     K >= 2, as callables s -> F(s), vectorized over s.
@@ -784,14 +807,9 @@ def dfs_unconditional_mixtures(config, K: int) -> tuple[Callable, Callable]:
     Nakagami shape (exponential fading power) and a config with a layout: one
     that sets `mean_snr` has none to average over.
     """
-    if K < 2:
-        raise ValueError("K must be >= 2")
-    if config.mean_snr is not None:
-        raise ValueError("unconditional curves average over the layout; "
-                         "a config that sets mean_snr has none")
-    shapes = config.shapes_per_contender()
-    if np.any(shapes != 1.0):
-        raise ValueError("unconditional curves require fading_shape_m = 1")
+    refusal = dfs_unconditional_refusal(config, K)
+    if refusal is not None:
+        raise ValueError(refusal)
     A_c = config.noise_power_mw / (config.pathloss_const_cellular * config.tx_power_dl_mw)
     A_d = config.noise_power_mw / (config.pathloss_const_d2d * config.tx_power_d2d_mw)
     R, d_min, d_max = config.cell_radius_m, config.d2d_min_m, config.d2d_max_m

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import datetime
+import functools
 import os
 import sys
 
@@ -128,10 +129,8 @@ def cmd_run(args) -> int:
     config = _build_config(args)
     report = simcore.run_experiment(config)
     theory = None
-    # the unconditional curves average over the layout, for two users or more at
-    # unit shape; a config that gives the means has no layout
-    if (args.emit_cdfs and config.policy == "dfs" and config.mean_snr is None
-            and config.n_users >= 2 and np.all(config.shapes_per_contender() == 1.0)):
+    if (args.emit_cdfs and config.policy == "dfs"
+            and analytics.dfs_unconditional_refusal(config, config.n_users) is None):
         cell, d2d = analytics.dfs_unconditional_mixtures(config, config.n_users)
         theory = {j: (cell if j < config.K1 else d2d) for j in range(config.n_contenders)}
     _write_report(report, args.out, emit_cdfs=args.emit_cdfs, theory_cdfs=theory)
@@ -211,7 +210,9 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing leaves it as it is."""
     parser = argparse.ArgumentParser(prog="d2dsched",
                                      description="cellular + D2D scheduling simulator")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,6 +6,7 @@ config object works in linear units.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, fields
@@ -122,28 +123,28 @@ class SystemConfig:
             arr = arr.astype(float)
         object.__setattr__(self, key, tuple(arr.tolist()))
 
-    # linear-scale views, converted once from dB/dBm
-    @property
+    # linear-scale views, converted once from dB/dBm on first use
+    @functools.cached_property
     def pathloss_const_cellular(self) -> float:
         return _db_to_linear(self.pathloss_const_cellular_db)
 
-    @property
+    @functools.cached_property
     def pathloss_const_d2d(self) -> float:
         return _db_to_linear(self.pathloss_const_d2d_db)
 
-    @property
+    @functools.cached_property
     def noise_power_mw(self) -> float:
         return _db_to_linear(self.noise_power_dbm)
 
-    @property
+    @functools.cached_property
     def tx_power_dl_mw(self) -> float:
         return _db_to_linear(self.tx_power_dl_dbm)
 
-    @property
+    @functools.cached_property
     def tx_power_d2d_mw(self) -> float:
         return _db_to_linear(self.tx_power_d2d_dbm)
 
-    @property
+    @functools.cached_property
     def ul_rx_threshold_mw(self) -> float:
         return _db_to_linear(self.ul_rx_threshold_dbm)
 

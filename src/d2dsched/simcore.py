@@ -87,18 +87,28 @@ def build_structure(config: SystemConfig, spatial: SpatialRealization | None) ->
     """Mixed-system structure: cellular singletons plus D2D groups from the
     configured fixed sizes or greedy conflict-graph coloring (none without pairs).
     With `mean_snr` the fixed sizes group the K1 single-user contenders, with
-    nu = 1 as for any one-user contender."""
-    if config.mean_snr is not None and config.group_sizes is not None:
-        return fixed_grouping(config.group_sizes, config.K1, nu=1.0)
-    if config.K2 == 0:
-        d2d = GroupStructure(())
-    elif config.group_sizes is not None:
-        d2d = fixed_grouping(config.group_sizes, config.K2, nu=0.5, id_offset=config.K1)
-    else:
-        colored = greedy_coloring(build_conflict_graph(spatial, config.interference_radius_m))
-        d2d = GroupStructure(tuple(
-            Group(tuple(config.K1 + v for v in g.members), 0.5) for g in colored.groups))
+    nu = 1 as for any one-user contender.  Only greedy coloring reads the layout;
+    fixed groups are built once per config."""
+    if config.group_sizes is not None or config.K2 == 0:
+        return _fixed_structure(config.group_sizes, config.K1, config.K2,
+                                config.mean_snr is not None)
+    colored = greedy_coloring(build_conflict_graph(spatial, config.interference_radius_m))
+    d2d = GroupStructure(tuple(
+        Group(tuple(config.K1 + v for v in g.members), 0.5) for g in colored.groups))
     return with_cellular_singletons(d2d, config.K1)
+
+
+@functools.lru_cache(maxsize=64)
+def _fixed_structure(group_sizes: tuple[int, ...] | None, K1: int, K2: int,
+                     given_means: bool) -> GroupStructure:
+    """The structure `build_structure` gives without greedy coloring: fixed
+    groups of the K1 users of a config that gives the means, else the
+    cellular singletons and the fixed groups of the K2 pairs (none for K2 = 0)."""
+    if given_means and group_sizes is not None:
+        return fixed_grouping(group_sizes, K1, nu=1.0)
+    d2d = GroupStructure(()) if K2 == 0 else \
+        fixed_grouping(group_sizes, K2, nu=0.5, id_offset=K1)
+    return with_cellular_singletons(d2d, K1)
 
 
 def policy_weights(policy: str, structure: GroupStructure) -> PolicyWeights | None:
@@ -155,15 +165,20 @@ class _Accounts:
         self.selected_snr = [[] for _ in range(C)]     # per contender: its kept arrays
         self.turn = [0] * C           # member of each contender due for its next grant
 
-    def add(self, win: np.ndarray, u: np.ndarray, snr_all: np.ndarray | None = None) -> None:
-        """Grant a chunk: `win` names each slot's winner and u holds the chunk's
-        (n, C) scores, a view of its contender-major (C, n) draw.  The granted
-        cells are mapped to SNR, or taken from the (C, n) `snr_all` when the
-        policy mapped every cell.  They lie contender by contender, so the
-        inverse maps one run per contender, given each contender's shape and
-        granted count, into the row that then holds their rates."""
-        n, C = u.shape
+    def add(self, win: np.ndarray, u: np.ndarray, rng: np.random.Generator,
+            snr_all: np.ndarray | None = None) -> None:
+        """Grant a chunk: `win` names each slot's winner and u holds the scores the
+        policy read, the (n, R) view of its contender-major (R, n) draw of the first
+        R contenders' rows.  The granted cells lie contender by contender, each
+        contender's in slot order.  Those of the rows read are taken from u; those
+        of contenders R and up are drawn from rng here, in that order, and rng then
+        advances to where a full (C, n) draw would have left it.  The cells are
+        mapped to SNR, or taken from the (C, n) `snr_all` when the policy mapped
+        every cell (R = C then).  The inverse maps one run per contender, given
+        each contender's shape and granted count, into the row that then holds
+        their rates."""
         cs = self.cs
+        n, R, C = win.shape[0], u.shape[1], cs.n_contenders
         # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
         order = np.argsort(win.astype(np.min_scalar_type(self.n_winners)), kind="stable")
         counts = np.bincount(win, minlength=self.n_winners)
@@ -176,19 +191,24 @@ class _Accounts:
         # the kept SNR arrays come before the chunk's temporaries, so freeing those
         # leaves no holes below long-lived arrays in the heap
         kept = [np.empty(size) for size in sizes]
-        flat = np.concatenate(granted)          # contender-major cell index: contender * n + slot
-        flat += np.repeat(np.arange(0, C * n, n), sizes)
+        bounds = np.cumsum([0] + sizes).tolist()
+        # the read rows' cells by contender-major index, contender * n + slot; the
+        # empty order[:0] lets grr, which reads no row, concatenate none
+        flat = np.concatenate([order[:0], *granted[:R]])
+        flat += np.repeat(np.arange(0, R * n, n), sizes[:R])
         # row 0 the granted cells' u, row 1 their SNRs and then their rates: one sum
         # gives a member both
-        ur = np.empty((2, flat.size))
-        u.T.take(flat, out=ur[0])
+        ur = np.empty((2, bounds[-1]))
+        read = bounds[R]
+        u.T.take(flat, out=ur[0, :read])
+        rng.random(out=ur[0, read:])
+        rng.bit_generator.advance((C - R) * n - (bounds[-1] - read))
         snr = ur[1]
         if snr_all is not None:
             snr_all.take(flat, out=snr)
         else:
             regularized_gamma_p_inv_runs(cs.shape_m, sizes, ur[0], out=snr)
             snr *= np.repeat(self.snr_per_x, sizes)
-        bounds = np.cumsum([0] + sizes).tolist()
         for j, keep in enumerate(kept):
             keep[:] = snr[bounds[j]:bounds[j + 1]]
             self.selected_snr[j].append(keep)
@@ -208,24 +228,27 @@ class _Accounts:
             self.turn[j] = (self.turn[j] + size) % k
 
 
-def _grant_scores(acc: _Accounts, policy: str, u: np.ndarray, done: int) -> None:
-    """Select and grant one realization's chunk of scores u, the (n, C) view of
-    its contender-major draw, whose first slot is `done`.  u and its winners
-    die with the call, before the next realization draws."""
-    C = u.shape[1]
+def _grant_scores(acc: _Accounts, policy: str, rng: np.random.Generator, n: int,
+                  done: int) -> None:
+    """Draw, select and grant one realization's chunk of n slots, whose first slot
+    is `done`: it draws the rows its policy reads, and `add` the granted cells
+    of the others.  Its scores and winners die with the call, before the next
+    realization draws."""
+    C = acc.cs.n_contenders
     K1 = int(np.sum(~acc.cs.is_pair))
     K2 = C - K1
+    u = rng.random(({"cfs": K1, "grr": 0}.get(policy, C), n)).T
     if policy == "bcs":
         win = policies.bcs_select(u, np.full(C, 1.0 / C))
     elif policy == "dfs":
         win = policies.dfs_select(u, K1, K2)
     elif policy == "cfs":
-        win = policies.cfs_select(u[:, :K1], K1, K2, acc.cfs)
+        win = policies.cfs_select(u, K1, K2, acc.cfs)
     elif policy in ("gfs", "ecs"):
         win = policies.mws_select(u, acc.structure, acc.weights)
     else:
-        win = policies.grr_select(u.shape[0], acc.structure.n_groups, offset=done)
-    acc.add(win, u)
+        win = policies.grr_select(n, acc.structure.n_groups, offset=done)
+    acc.add(win, u, rng)
 
 
 def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
@@ -239,19 +262,26 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
     contender of the winner is granted the slot, and a pair's grants go to its
     two members in strict alternation.
 
-    Each chunk draws every realization's u ~ U(0, 1), the CDF-mapped channel,
-    from its own rng, contender-major as a (C, n) array; the policies select
-    on its (n, C) transposed view, and a cell's SNR is
-    mean_snr/m * P^-1(m, u).  The six score policies select on u one
-    realization at a time, CHUNK_SLOTS slots a chunk, each with its own cfs
-    cursor and `policy_weights`, which are solved once per distinct structure
-    of the block, and map only their granted cells to SNR.  pfs decides on
-    rates: it maps every cell, and `policies.pfs_select` steps the whole block
-    in lockstep with the rate averages carried across chunks.  Its chunk is
-    max(1, CHUNK_SLOTS // `realizations`) slots, `realizations` counting the
-    whole experiment's, so a chunk holds no more cells than a score-policy
-    chunk.  The chunks fix the last bits of each user's sums, so any split of
-    an experiment into blocks reports the same bits.
+    Each cell's u ~ U(0, 1) is its CDF-mapped channel, and its SNR is
+    mean_snr/m * P^-1(m, u).  A chunk of n slots of a realization takes its
+    cells from its own rng in the order of a contender-major (C, n) draw, but
+    draws only the ones its policy reads: the rows the selection reads, a
+    prefix of the contenders (all C for bcs, dfs, gfs, ecs and pfs, the K1
+    cellular users' for cfs, none for grr), selected on through their
+    transposed (n, rows) view, then one u for each granted cell of the other
+    rows, contender by contender in slot order.  The rng then steps over the
+    rest of the (C, n) draw, so every chunk of every policy ends at the same
+    stream position, and cfs's cellular scores are bcs's first K1 rows.  The
+    six score policies select on u one realization at a time, CHUNK_SLOTS
+    slots a chunk, each with its own cfs cursor and `policy_weights`, which
+    are solved once per distinct structure of the block, and map only their
+    granted cells to SNR.  pfs decides on rates: it maps every cell, and
+    `policies.pfs_select` steps the whole block in lockstep with the rate
+    averages carried across chunks.  Its chunk is max(1, CHUNK_SLOTS //
+    `realizations`) slots, `realizations` counting the whole experiment's, so
+    a chunk holds no more cells than a score-policy chunk.  The chunks fix the
+    last bits of each user's sums, so any split of an experiment into blocks
+    reports the same bits.
     """
     if slots < 1:
         raise ValueError("slots must be >= 1")
@@ -280,11 +310,11 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
                 drawn.append((u.T, snr_all))
             X /= accounts[0].log_base
             win = policies.pfs_select(X, group, state)
-            for r, (acc, (u, snr_all)) in enumerate(zip(accounts, drawn)):
-                acc.add(win[:, r], u, snr_all)
+            for acc, (_, rng, _), (u, snr_all), w in zip(accounts, block, drawn, win.T):
+                acc.add(w, u, rng, snr_all)
         else:
             for acc, (_, rng, _) in zip(accounts, block):
-                _grant_scores(acc, policy, rng.random((C, n)).T, done)
+                _grant_scores(acc, policy, rng, n, done)
         done += n
     return accounts
 

@@ -150,10 +150,14 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     column, its winners picked by pfs_select_numpy and its granted cells mapped
     again, and two 1-D sums per pair member.  The oracle for the flat gathers, the
     run-by-run inverse, pfs's lockstep selection and reuse of its map and the
-    two-row sums of simcore, which must give the same bits.  `chunk` slots are drawn and summed at once, by default
-    simcore.CHUNK_SLOTS; a block of R realizations steps pfs in
-    simcore.CHUNK_SLOTS // R.  Each chunk is drawn contender-major, (C, n), and
-    read through its (n, C) view, as simcore draws it.
+    two-row sums of simcore, which must give the same bits.  `chunk` slots are
+    drawn and summed at once, by default simcore.CHUNK_SLOTS; a block of R
+    realizations steps pfs in simcore.CHUNK_SLOTS // R.  Each chunk draws the
+    rows its policy reads contender-major, (rows, n), and reads them through
+    their (n, rows) view: every contender's, cfs's K1 cellular users' or grr's
+    none.  Then it draws one score per granted cell of the other rows, contender
+    by contender in slot order, and advances the stream past the rest of a
+    full (C, n) draw.
     Returns (user_grants, user_u_sum, user_rate_sum, group_grants, selected_snr)
     with selected_snr one concatenated array per contender."""
     C, nU = cs.n_contenders, cs.n_users
@@ -176,10 +180,11 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     snrs = [[] for _ in range(C)]
     turn = [0] * C
     cfs_state, pf_state = policies.CfsState(), policies.PfState(t_c=pf_time_const)
+    read = {"cfs": K1, "grr": 0}.get(policy, C)
     done = 0
     while done < slots:
         n = min(chunk or simcore.CHUNK_SLOTS, slots - done)
-        u = rng.random((C, n)).T
+        u = rng.random((read, n)).T
         if policy == "pfs":
             snr_all = np.column_stack([regularized_gamma_p_inv(m, u[:, j])
                                        for j, m in enumerate(cs.shape_m.tolist())])
@@ -190,7 +195,7 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
         elif policy == "dfs":
             win = policies.dfs_select(u, K1, K2)
         elif policy == "cfs":
-            win = policies.cfs_select(u[:, :K1], K1, K2, cfs_state)
+            win = policies.cfs_select(u, K1, K2, cfs_state)
         elif policy in ("gfs", "ecs"):
             win = policies.mws_select(u, structure, weights)
         else:
@@ -198,9 +203,10 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
         group_grants += np.bincount(win, minlength=n_winners)
         granted = [np.flatnonzero(win == w) for w in winner_of]
         sizes = [g.size for g in granted]
-        rows = np.concatenate(granted)
         cols = np.repeat(np.arange(C), sizes)
-        u_g = u[rows, cols]
+        u_g = np.concatenate([u[granted[j], j] if j < read else rng.random(sizes[j])
+                              for j in range(C)])
+        rng.bit_generator.advance((C - read) * n - sum(sizes[read:]))
         snr = np.concatenate([regularized_gamma_p_inv(m, cells) for m, cells in
                               zip(cs.shape_m.tolist(), np.split(u_g, np.cumsum(sizes)[:-1]))])
         snr *= (cs.mean_snr / cs.shape_m)[cols]

@@ -1,6 +1,7 @@
 """Command-line front end: subcommands, CSV artifacts, error handling."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -515,14 +516,24 @@ def test_seed_is_shorthand_for_rng_seed(tmp_path, capsys, preset):
     assert not os.path.exists(out)
 
 
-def test_emit_cdfs_has_no_layout_theory_for_given_means(tmp_path):
-    # dfs at unit shape passes the theory check, but the unconditional curves average
-    # over a layout that a config of given means does not have: f_theory is NaN
-    out = str(tmp_path / "t5")
-    assert cli.main(["run", "--preset", "table5-gfs", "--set", "policy=dfs",
-                     "--set", "fading_shape_m=1", "--set", "slots_per_realization=30000",
-                     "--emit-cdfs", "--out", out]) == 0
-    for j in range(14):
+@pytest.mark.parametrize("setup", [
+    ["--preset", "table5-gfs", "--set", "fading_shape_m=1", "--set", "slots_per_realization=30000"],
+    ["--preset", "table5-gfs", "--set", "slots_per_realization=30000"],
+    ["--preset", "table2-orthogonal", "--set", "fading_shape_m=2",
+     "--set", "slots_per_realization=24000", "--set", "spatial_realizations=1"],
+], ids=["given-means-m1", "given-means-table5", "layout-m2"])
+def test_emit_cdfs_writes_no_theory_the_curves_refuse(tmp_path, setup):
+    # the unconditional curves average over a layout at unit shape: a config of given
+    # means has no layout, and m = 2 is not unit shape, so f_theory is NaN, the run
+    # succeeds, and analytics gives the reason the curves refuse
+    out = str(tmp_path / "run")
+    assert cli.main(["run", *setup, "--set", "policy=dfs", "--emit-cdfs", "--out", out]) == 0
+    config = cli._build_config(cli.build_parser().parse_args(["run", *setup]))
+    refusal = analytics.dfs_unconditional_refusal(config, config.n_users)
+    assert refusal is not None
+    with pytest.raises(ValueError, match=re.escape(refusal)):
+        analytics.dfs_unconditional_mixtures(config, config.n_users)
+    for j in range(config.n_contenders):
         _, rows = _read_csv(os.path.join(out, f"cdf_{j}.csv"))
         assert np.all(np.isnan([float(r[2]) for r in rows]))
 

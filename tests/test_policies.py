@@ -80,18 +80,22 @@ def test_weight_sum_validated():
         policies.bcs_select(np.random.random((10, 3)), np.array([0.5, 0.5, 0.5]))
 
 
+def _winners(rng, columns, select, slots=1_000_000, chunk=100_000):
+    """select's winners over a (slots, columns) score matrix drawn from rng, chunk rows
+    at a time: the rows and winners of one draw, without holding the whole matrix."""
+    return np.concatenate([select(rng.random((chunk, columns))) for _ in range(slots // chunk)])
+
+
 def test_equal_weight_access_frequencies():
     rng = np.random.default_rng(42)
-    u = rng.random((1_000_000, 8))
-    win = policies.bcs_select(u, np.full(8, 1.0 / 8.0))
+    win = _winners(rng, 8, lambda u: policies.bcs_select(u, np.full(8, 1.0 / 8.0)))
     freqs = np.bincount(win, minlength=8) / win.size
     assert np.all(np.abs(freqs - 1.0 / 8.0) < 0.002)
 
 
 def test_unequal_weight_access_frequencies():
     rng = np.random.default_rng(43)
-    u = rng.random((1_000_000, 2))
-    win = policies.bcs_select(u, np.array([1.0 / 3.0, 2.0 / 3.0]))
+    win = _winners(rng, 2, lambda u: policies.bcs_select(u, np.array([1.0 / 3.0, 2.0 / 3.0])))
     freqs = np.bincount(win, minlength=2) / win.size
     assert abs(freqs[0] - 1.0 / 3.0) < 0.003
     assert abs(freqs[1] - 2.0 / 3.0) < 0.003
@@ -109,9 +113,9 @@ def test_cellular_threshold_policy_access():
     K1, K2 = 40, 15
     K = K1 + 2 * K2
     rng = np.random.default_rng(44)
-    u = rng.random((1_000_000, K1))
-    win = policies.cfs_select(u, K1, K2, policies.CfsState())
-    freq = np.bincount(win, minlength=K1 + K2) / u.shape[0]
+    state = policies.CfsState()             # one rotation across the chunks
+    win = _winners(rng, K1, lambda u: policies.cfs_select(u, K1, K2, state))
+    freq = np.bincount(win, minlength=K1 + K2) / win.size
     assert freq.size == K1 + K2
     assert np.all(np.abs(freq[:K1] - 1.0 / K) < 0.002)
     assert np.all(np.abs(freq[K1:] - 2.0 / K) < 0.002)
@@ -139,10 +143,10 @@ def test_threshold_policy_round_robin_order():
                               ((0,), (1,), (2, 3), (4, 5)))
     record = simcore._Accounts(cs, "cfs", None, 2.0, 6, lambda structure: None)
     order = []
-    scores = np.full((6, 4), 0.5)
+    scores = np.full((6, 4), 0.5)           # every row read: the accounts draw no score
     for t in range(6):
         before = record.user_grants.copy()
-        record.add(win[t:t + 1], scores[t:t + 1])
+        record.add(win[t:t + 1], scores[t:t + 1], np.random.default_rng(0))
         (uid,) = np.flatnonzero(record.user_grants != before)
         order.append(uid - 2)
     assert order == [0, 1, 2, 3, 0, 1]

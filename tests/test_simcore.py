@@ -152,6 +152,34 @@ def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, s
             assert np.array_equal(kept, snr[j])
 
 
+@pytest.mark.parametrize("chunk", [simcore.CHUNK_SLOTS, 700], ids=["one-chunk", "chunked"])
+def test_every_chunk_ends_where_a_full_draw_does(monkeypatch, chunk):
+    # grr draws only its granted cells and cfs its cellular rows and its pairs' granted
+    # cells, then each steps over the rest of the (C, n) draw: after every chunk its
+    # stream stands where bcs's does, and cfs's cellular scores are bcs's first K1 rows
+    monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
+    states, scores = {}, {}
+    grant = simcore._grant_scores
+
+    def recorded(acc, policy, rng, n, done):
+        grant(acc, policy, rng, n, done)
+        states.setdefault(policy, []).append(rng.bit_generator.state)
+
+    def reading(select, policy):
+        return lambda u, *args: scores.setdefault(policy, []).append(u.copy()) or select(u, *args)
+
+    monkeypatch.setattr(simcore, "_grant_scores", recorded)
+    monkeypatch.setattr(simcore.policies, "bcs_select", reading(simcore.policies.bcs_select, "bcs"))
+    monkeypatch.setattr(simcore.policies, "cfs_select", reading(simcore.policies.cfs_select, "cfs"))
+    cfg = SystemConfig(K1=10, K2=5, group_sizes=(5,), rng_seed=8)
+    for policy in ("bcs", "cfs", "grr"):
+        simcore.simulate_block([simcore.realization(replace(cfg, policy=policy), 0)], policy, 3000)
+    assert len(states["bcs"]) == (1 if chunk > 3000 else 5)
+    assert states["cfs"] == states["bcs"] and states["grr"] == states["bcs"]
+    for cell, every in zip(scores["cfs"], scores["bcs"]):
+        assert np.array_equal(cell, every[:, :cfg.K1])
+
+
 @pytest.mark.parametrize("policy", ["bcs", "pfs"])
 def test_long_member_sums_match_reference(policy):
     # two contenders of 20k grants each: every member's sums span many summation blocks
