@@ -93,8 +93,9 @@ def _report_rows(report: simcore.ExperimentReport):
                report.selected_rate[uid], report.effective_rate[uid])
 
 
-def _write_report(report: simcore.ExperimentReport, out_dir: str, emit_cdfs: bool = False,
-                  theory_cdfs=None) -> None:
+def _write_report(report: simcore.ExperimentReport, out_dir: str,
+                  emit_cdfs: bool = False) -> None:
+    config = report.config
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, "report.csv"),
                ["user_id", "class", "group_id", "access_prob", "upi", "selected_rate",
@@ -102,38 +103,37 @@ def _write_report(report: simcore.ExperimentReport, out_dir: str, emit_cdfs: boo
                _report_rows(report))
     with open(os.path.join(out_dir, "run_meta.txt"), "w", encoding="utf-8") as fh:
         fh.write(f"timestamp = {datetime.datetime.now().isoformat()}\n")
-        fh.write(f"policy = {report.policy}\n")
-        fh.write(f"seed = {report.seed}\n")
+        fh.write(f"policy = {config.policy}\n")
+        fh.write(f"seed = {config.rng_seed}\n")
         fh.write(f"total_slots = {report.total_slots}\n")
-        fh.write(f"config_digest = {report.config_digest}\n")
+        fh.write(f"config_digest = {config.digest()}\n")
     if report.group_access_prob is not None:
         _write_csv(os.path.join(out_dir, "group_access.csv"),
                    ["group_id", "size", "access_prob"],
                    [(gi, report.structure.groups[gi].size, p)
                     for gi, p in enumerate(report.group_access_prob)])
-    if emit_cdfs:
-        for j, samples in enumerate(report.selected_snr):
-            if samples.size < 1000:
-                continue
-            grid = np.quantile(samples, np.linspace(0.001, 0.999, 512))
-            emp = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
-            theory = np.full_like(grid, np.nan)
-            if theory_cdfs is not None and j in theory_cdfs:
-                theory = np.clip(theory_cdfs[j](grid), 0.0, 1.0)
-            _write_csv(os.path.join(out_dir, f"cdf_{j}.csv"),
-                       ["s_db", "f_emp", "f_theory", "abs_diff"],
-                       zip(10.0 * np.log10(grid), emp, theory, np.abs(emp - theory)))
+    if not emit_cdfs:
+        return
+    # dfs theory unless the curves refuse: the cellular mixture below K1, the pair's above
+    mixtures = None
+    if (config.policy == "dfs"
+            and analytics.dfs_unconditional_refusal(config, config.n_users) is None):
+        mixtures = analytics.dfs_unconditional_mixtures(config, config.n_users)
+    for j, samples in enumerate(report.selected_snr):
+        if samples.size < 1000:
+            continue
+        grid = np.quantile(samples, np.linspace(0.001, 0.999, 512))
+        emp = np.searchsorted(np.sort(samples), grid, side="right") / samples.size
+        theory = np.full_like(grid, np.nan)
+        if mixtures is not None:
+            theory = np.clip(mixtures[0 if j < config.K1 else 1](grid), 0.0, 1.0)
+        _write_csv(os.path.join(out_dir, f"cdf_{j}.csv"),
+                   ["s_db", "f_emp", "f_theory", "abs_diff"],
+                   zip(10.0 * np.log10(grid), emp, theory, np.abs(emp - theory)))
 
 
 def cmd_run(args) -> int:
-    config = _build_config(args)
-    report = simcore.run_experiment(config)
-    theory = None
-    if (args.emit_cdfs and config.policy == "dfs"
-            and analytics.dfs_unconditional_refusal(config, config.n_users) is None):
-        cell, d2d = analytics.dfs_unconditional_mixtures(config, config.n_users)
-        theory = {j: (cell if j < config.K1 else d2d) for j in range(config.n_contenders)}
-    _write_report(report, args.out, emit_cdfs=args.emit_cdfs, theory_cdfs=theory)
+    _write_report(simcore.run_experiment(_build_config(args)), args.out, args.emit_cdfs)
     return 0
 
 
@@ -201,12 +201,14 @@ def cmd_analytic(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = args.sweep_values.split(",")
-    for val in values:
+    # every value's config first, so a value that fails leaves no directory behind
+    runs = []
+    for val in args.sweep_values.split(","):
         sub = argparse.Namespace(**vars(args))
         sub.set = list(args.set or []) + [f"{args.sweep_key}={val}"]
-        sub.out = os.path.join(args.out, f"{args.sweep_key}_{val}")
-        cmd_run(sub)
+        runs.append((_build_config(sub), os.path.join(args.out, f"{args.sweep_key}_{val}")))
+    for config, out in runs:
+        _write_report(simcore.run_experiment(config), out, args.emit_cdfs)
     return 0
 
 

@@ -51,13 +51,6 @@ class ContenderSet:
         """Contender j's SNR CDF, of its Nakagami shape and mean SNR."""
         return channel.GammaSnrCdf(self.shape_m[j], self.mean_snr[j])
 
-    def user_kinds(self) -> list[str]:
-        kinds = [""] * self.n_users
-        for j, mem in enumerate(self.members):
-            for uid in mem:
-                kinds[uid] = "d2d" if self.is_pair[j] else "cellular"
-        return kinds
-
 
 def contenders_from_spatial(config: SystemConfig,
                             spatial: SpatialRealization | None) -> ContenderSet:
@@ -131,33 +124,34 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
 
 
 class _Accounts:
-    """The record of one realization of `slots` slots, from its first chunk to
-    `_reduce`: its ContenderSet `cs`, its `structure`, the `weights` gfs or ecs
-    selects with (`solve`, the block's cached `policy_weights`, gives them), its
-    cfs cursor, and its per-user totals and kept SNRs, which `add` accumulates
-    one chunk of slots at a time."""
+    """The record of one realization, from its first chunk to `_reduce`: its
+    ContenderSet `cs`, its `rng`, which draws all of its fading, its
+    `structure`, the `weights` gfs or ecs selects with (`solve`, the block's
+    cached `policy_weights`, gives them), its cfs cursor, the count of slots
+    `done`, and its per-user totals and kept SNRs, which `add` accumulates one
+    chunk of slots at a time."""
 
-    def __init__(self, cs: ContenderSet, policy: str, structure: GroupStructure | None,
-                 rate_log_base: float, slots: int, solve):
+    def __init__(self, config: SystemConfig, cs: ContenderSet, rng: np.random.Generator,
+                 structure: GroupStructure | None, solve):
         C = cs.n_contenders
-        if policy in GROUP_POLICIES:
+        if config.policy in GROUP_POLICIES:
             if structure is None:
-                raise ValueError(f"{policy} requires a group structure")
+                raise ValueError(f"{config.policy} requires a group structure")
             self.winner_of = policies.group_index(structure, C).tolist()
             self.n_winners = structure.n_groups
             self.group_grants = np.zeros(self.n_winners, dtype=np.int64)
-        elif policy in ("bcs", "dfs", "cfs"):
+        else:
             self.winner_of = list(range(C))
             self.n_winners = C
             self.group_grants = None
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
+        self.policy = config.policy
         self.cs = cs
+        self.rng = rng
         self.structure = structure
         self.weights = solve(structure)
         self.cfs = policies.CfsState()
-        self.slots = slots
-        self.log_base = np.log(rate_log_base)
+        self.done = 0
+        self.log_base = np.log(config.rate_log_base)
         self.snr_per_x = cs.mean_snr / cs.shape_m       # SNR of a cell per unit of P^-1
         self.user_grants = np.zeros(cs.n_users, dtype=np.int64)
         self.user_u_sum = np.zeros(cs.n_users)
@@ -165,19 +159,17 @@ class _Accounts:
         self.selected_snr = [[] for _ in range(C)]     # per contender: its kept arrays
         self.turn = [0] * C           # member of each contender due for its next grant
 
-    def add(self, win: np.ndarray, u: np.ndarray, rng: np.random.Generator,
-            snr_all: np.ndarray | None = None) -> None:
-        """Grant a chunk: `win` names each slot's winner and u holds the scores the
-        policy read, the (n, R) view of its contender-major (R, n) draw of the first
-        R contenders' rows.  The granted cells lie contender by contender, each
-        contender's in slot order.  Those of the rows read are taken from u; those
-        of contenders R and up are drawn from rng here, in that order, and rng then
-        advances to where a full (C, n) draw would have left it.  The cells are
-        mapped to SNR, or taken from the (C, n) `snr_all` when the policy mapped
-        every cell (R = C then).  The inverse maps one run per contender, given
-        each contender's shape and granted count, into the row that then holds
-        their rates."""
-        cs = self.cs
+    def add(self, win: np.ndarray, u: np.ndarray) -> None:
+        """Grant the next chunk: `win` names each slot's winner and u holds the scores
+        the policy read, the (n, R) view of its contender-major (R, n) draw of the
+        first R contenders' rows.  The granted cells lie contender by contender,
+        each contender's in slot order.  Those of the rows read are taken from u;
+        those of contenders R and up are drawn from the record's rng here, in that
+        order, and the rng then advances to where a full (C, n) draw would have left
+        it.  The inverse maps the cells to SNR, one run per contender, given each
+        contender's shape and granted count, into the row that then holds their
+        rates."""
+        cs, rng = self.cs, self.rng
         n, R, C = win.shape[0], u.shape[1], cs.n_contenders
         # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
         order = np.argsort(win.astype(np.min_scalar_type(self.n_winners)), kind="stable")
@@ -203,12 +195,8 @@ class _Accounts:
         u.T.take(flat, out=ur[0, :read])
         rng.random(out=ur[0, read:])
         rng.bit_generator.advance((C - R) * n - (bounds[-1] - read))
-        snr = ur[1]
-        if snr_all is not None:
-            snr_all.take(flat, out=snr)
-        else:
-            regularized_gamma_p_inv_runs(cs.shape_m, sizes, ur[0], out=snr)
-            snr *= np.repeat(self.snr_per_x, sizes)
+        snr = regularized_gamma_p_inv_runs(cs.shape_m, sizes, ur[0], out=ur[1])
+        snr *= np.repeat(self.snr_per_x, sizes)
         for j, keep in enumerate(kept):
             keep[:] = snr[bounds[j]:bounds[j + 1]]
             self.selected_snr[j].append(keep)
@@ -226,18 +214,17 @@ class _Accounts:
                 self.user_u_sum[uid] += su
                 self.user_rate_sum[uid] += sr
             self.turn[j] = (self.turn[j] + size) % k
+        self.done += n
 
 
-def _grant_scores(acc: _Accounts, policy: str, rng: np.random.Generator, n: int,
-                  done: int) -> None:
-    """Draw, select and grant one realization's chunk of n slots, whose first slot
-    is `done`: it draws the rows its policy reads, and `add` the granted cells
-    of the others.  Its scores and winners die with the call, before the next
-    realization draws."""
-    C = acc.cs.n_contenders
+def _grant_scores(acc: _Accounts, n: int) -> None:
+    """Draw, select and grant a realization's next chunk of n slots: it draws the
+    rows its policy reads, and `add` the granted cells of the others.  Its scores
+    and winners die with the call, before the next realization draws."""
+    policy, C = acc.policy, acc.cs.n_contenders
     K1 = int(np.sum(~acc.cs.is_pair))
     K2 = C - K1
-    u = rng.random(({"cfs": K1, "grr": 0}.get(policy, C), n)).T
+    u = acc.rng.random(({"cfs": K1, "grr": 0}.get(policy, C), n)).T
     if policy == "bcs":
         win = policies.bcs_select(u, np.full(C, 1.0 / C))
     elif policy == "dfs":
@@ -247,75 +234,72 @@ def _grant_scores(acc: _Accounts, policy: str, rng: np.random.Generator, n: int,
     elif policy in ("gfs", "ecs"):
         win = policies.mws_select(u, acc.structure, acc.weights)
     else:
-        win = policies.grr_select(n, acc.structure.n_groups, offset=done)
-    acc.add(win, u, rng)
+        win = policies.grr_select(n, acc.structure.n_groups, offset=acc.done)
+    acc.add(win, u)
 
 
-def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
-                   rate_log_base: float = 2.0, pf_time_const: float = 1000.0) -> list[_Accounts]:
-    """Run `slots` fading slots of each realization of a block: its `_Accounts`
-    record each.
+def simulate_block(config: SystemConfig, block: list) -> list[_Accounts]:
+    """Run the config's policy over `slots_per_realization` fading slots of each
+    realization of a block: its `_Accounts` record each.
 
-    `block` lists each realization's (ContenderSet, rng, GroupStructure), all
-    with the same contender count.  A policy only names each slot's winner: a
-    contender for bcs, dfs and cfs, a group for the group policies.  Every
-    contender of the winner is granted the slot, and a pair's grants go to its
-    two members in strict alternation.
+    `block` lists each realization's (ContenderSet, rng, GroupStructure), as
+    `realization` gives them, all with the same contender count.  A policy only
+    names each slot's winner: a contender for bcs, dfs and cfs, a group for the
+    group policies.  Every contender of the winner is granted the slot, and a
+    pair's grants go to its two members in strict alternation.
 
     Each cell's u ~ U(0, 1) is its CDF-mapped channel, and its SNR is
     mean_snr/m * P^-1(m, u).  A chunk of n slots of a realization takes its
-    cells from its own rng in the order of a contender-major (C, n) draw, but
-    draws only the ones its policy reads: the rows the selection reads, a
+    cells from its record's rng in the order of a contender-major (C, n) draw,
+    but draws only the ones its policy reads: the rows the selection reads, a
     prefix of the contenders (all C for bcs, dfs, gfs, ecs and pfs, the K1
     cellular users' for cfs, none for grr), selected on through their
     transposed (n, rows) view, then one u for each granted cell of the other
     rows, contender by contender in slot order.  The rng then steps over the
     rest of the (C, n) draw, so every chunk of every policy ends at the same
-    stream position, and cfs's cellular scores are bcs's first K1 rows.  The
-    six score policies select on u one realization at a time, CHUNK_SLOTS
-    slots a chunk, each with its own cfs cursor and `policy_weights`, which
-    are solved once per distinct structure of the block, and map only their
-    granted cells to SNR.  pfs decides on rates: it maps every cell, and
+    stream position, and cfs's cellular scores are bcs's first K1 rows.  Every
+    policy maps only its granted cells to SNR for the accounts.  The six score
+    policies select on u one realization at a time, CHUNK_SLOTS slots a chunk,
+    each with its own cfs cursor and `policy_weights`, which are solved once
+    per distinct structure of the block.  pfs decides on rates: each chunk maps
+    every cell of each realization in turn into one (C, n) buffer, and
     `policies.pfs_select` steps the whole block in lockstep with the rate
     averages carried across chunks.  Its chunk is max(1, CHUNK_SLOTS //
-    `realizations`) slots, `realizations` counting the whole experiment's, so
-    a chunk holds no more cells than a score-policy chunk.  The chunks fix the
-    last bits of each user's sums, so any split of an experiment into blocks
-    reports the same bits.
+    `spatial_realizations`) slots, counting the whole experiment's
+    realizations, so a chunk holds no more cells than a score-policy chunk.
+    The chunks fix the last bits of each user's sums, so any split of an
+    experiment into blocks reports the same bits.
     """
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
+    policy = config.policy
     solve = functools.cache(functools.partial(policy_weights, policy))
-    accounts = [_Accounts(cs, policy, structure, rate_log_base, slots, solve)
-                for cs, _, structure in block]
-    C = block[0][0].n_contenders
+    accounts = [_Accounts(config, cs, rng, structure, solve) for cs, rng, structure in block]
+    C = accounts[0].cs.n_contenders
     if policy == "pfs":
-        chunk = max(1, CHUNK_SLOTS // realizations)
+        chunk = max(1, CHUNK_SLOTS // config.spatial_realizations)
         group = np.array([acc.winner_of for acc in accounts])
-        state = policies.PfState(t_c=pf_time_const)
+        state = policies.PfState(t_c=config.pf_time_const)
     else:
         chunk = CHUNK_SLOTS
-    done = 0
-    while done < slots:
-        n = min(chunk, slots - done)
-        if policy == "pfs":
-            X = np.empty((n, len(block), C))
-            drawn = []
-            for r, (acc, (_, rng, _)) in enumerate(zip(accounts, block)):
-                u = rng.random((C, n))
-                # every cell to SNR: the inverse maps C runs of n cells, a contender's row each
-                snr_all = regularized_gamma_p_inv_runs(acc.cs.shape_m, np.full(C, n), u)
-                snr_all *= acc.snr_per_x[:, None]
-                np.log1p(snr_all.T, out=X[:, r])
-                drawn.append((u.T, snr_all))
-            X /= accounts[0].log_base
-            win = policies.pfs_select(X, group, state)
-            for acc, (_, rng, _), (u, snr_all), w in zip(accounts, block, drawn, win.T):
-                acc.add(w, u, rng, snr_all)
-        else:
-            for acc, (_, rng, _) in zip(accounts, block):
-                _grant_scores(acc, policy, rng, n, done)
-        done += n
+    for done in range(0, config.slots_per_realization, chunk):
+        n = min(chunk, config.slots_per_realization - done)
+        if policy != "pfs":
+            for acc in accounts:
+                _grant_scores(acc, n)
+            continue
+        X = np.empty((n, len(accounts), C))
+        snr = np.empty((C, n))
+        drawn = []
+        for r, acc in enumerate(accounts):
+            u = acc.rng.random((C, n))
+            # every cell to SNR: the inverse maps C runs of n cells, a contender's row each
+            regularized_gamma_p_inv_runs(acc.cs.shape_m, np.full(C, n), u, out=snr)
+            snr *= acc.snr_per_x[:, None]
+            np.log1p(snr.T, out=X[:, r])
+            drawn.append(u.T)
+        X /= accounts[0].log_base
+        win = policies.pfs_select(X, group, state)
+        for acc, u, w in zip(accounts, drawn, win.T):
+            acc.add(w, u)
     return accounts
 
 
@@ -324,12 +308,9 @@ def simulate_block(block: list, policy: str, slots: int, realizations: int = 1,
 
 @dataclass
 class ExperimentReport:
-    """Aggregated per-user and per-group results of one experiment."""
+    """Aggregated per-user and per-group results of one experiment of `config`."""
 
-    policy: str
-    seed: int
-    total_slots: int
-    user_kinds: list
+    config: SystemConfig
     user_group: np.ndarray
     access_prob: np.ndarray
     upi: np.ndarray
@@ -338,15 +319,22 @@ class ExperimentReport:
     group_access_prob: np.ndarray | None
     selected_snr: list            # per contender
     structure: GroupStructure | None
-    config_digest: str = ""
+
+    @property
+    def total_slots(self) -> int:
+        return self.config.spatial_realizations * self.config.slots_per_realization
+
+    @property
+    def user_kinds(self) -> list[str]:
+        """Each user's class: the K1 cellular users, then both members of each pair."""
+        return ["cellular"] * self.config.K1 + ["d2d"] * (2 * self.config.K2)
 
     @property
     def n_users(self) -> int:
-        return len(self.user_kinds)
+        return self.config.n_users
 
 
-def _reduce(results: list[_Accounts], policy: str, seed: int,
-            config_digest: str = "") -> ExperimentReport:
+def _reduce(config: SystemConfig, records: list[_Accounts]) -> ExperimentReport:
     """Fold the records of one experiment's realizations, in order, into its report.
 
     A contender keeps every granted SNR up to RESERVOIR_CAPACITY; above it, the
@@ -355,31 +343,30 @@ def _reduce(results: list[_Accounts], policy: str, seed: int,
     reported only when every realization counted group grants under the same
     group structure, else the report carries no group access and group ids of -1.
     """
-    cs0 = results[0].cs
-    total_slots = sum(r.slots for r in results)
-    user_grants = sum(r.user_grants for r in results)
-    u_sum = sum(r.user_u_sum for r in results)
-    rate_sum = sum(r.user_rate_sum for r in results)
+    cs0 = records[0].cs
+    user_grants = sum(r.user_grants for r in records)
+    u_sum = sum(r.user_u_sum for r in records)
+    rate_sum = sum(r.user_rate_sum for r in records)
     selected_snr = []
     for j in range(cs0.n_contenders):
-        kept = np.concatenate([a for r in results for a in r.selected_snr[j]])
+        kept = np.concatenate([a for r in records for a in r.selected_snr[j]])
         if kept.size > RESERVOIR_CAPACITY:
             kept = kept[np.arange(RESERVOIR_CAPACITY) * kept.size // RESERVOIR_CAPACITY]
         selected_snr.append(kept)
 
-    structures = {r.structure for r in results if r.group_grants is not None}
+    structures = {r.structure for r in records if r.group_grants is not None}
     structure = structures.pop() if len(structures) == 1 else None
-    user_group = np.full(cs0.n_users, -1)
+    total_slots = config.spatial_realizations * config.slots_per_realization
+    user_group = np.full(config.n_users, -1)
     group_access = None
     if structure is not None:
-        group_access = sum(r.group_grants for r in results) / total_slots
+        group_access = sum(r.group_grants for r in records) / total_slots
         cont_group = structure.group_of()
         for j, mem in enumerate(cs0.members):
             for uid in mem:
                 user_group[uid] = cont_group.get(j, -1)
     return ExperimentReport(
-        policy=policy, seed=seed, total_slots=total_slots,
-        user_kinds=cs0.user_kinds(), user_group=user_group,
+        config=config, user_group=user_group,
         access_prob=user_grants / total_slots,
         upi=2.0 * u_sum / total_slots,
         selected_rate=np.where(user_grants > 0, rate_sum / np.maximum(user_grants, 1), 0.0),
@@ -387,7 +374,6 @@ def _reduce(results: list[_Accounts], policy: str, seed: int,
         group_access_prob=group_access,
         selected_snr=selected_snr,
         structure=structure,
-        config_digest=config_digest,
     )
 
 
@@ -410,9 +396,7 @@ def _realization_task(args) -> list[_Accounts]:
     """Run a contiguous block of realizations through one `simulate_block` call:
     their records, in order."""
     config, block = args
-    return simulate_block([realization(config, r) for r in block], config.policy,
-                          config.slots_per_realization, config.spatial_realizations,
-                          config.rate_log_base, config.pf_time_const)
+    return simulate_block(config, [realization(config, r) for r in block])
 
 
 def _n_workers(requested: int | None) -> int:
@@ -449,8 +433,7 @@ def run_experiment(config: SystemConfig, n_workers: int | None = None) -> Experi
             blocks = list(pool.map(_realization_task, tasks))
     else:
         blocks = [_realization_task(t) for t in tasks]
-    return _reduce([out for block in blocks for out in block], config.policy, config.rng_seed,
-                   config.digest())
+    return _reduce(config, [out for block in blocks for out in block])
 
 
 def ks_distance(empirical, analytic) -> float:

@@ -12,13 +12,13 @@ from d2dsched.analytics import regularized_gamma_p_inv
 from d2dsched.cli import PRESETS
 from d2dsched.grouping import Group, GroupStructure
 from d2dsched.weights import ecs_weights, solve_group_weights
-from d2dsched.model import SystemConfig, sample_spatial
+from d2dsched.model import SystemConfig
 
 
 def first_realization_contenders(config):
     """Rebuild the contender set of realization 0 exactly as
     the experiment driver derives it, so tests can recover per-user base CDFs."""
-    spatial = sample_spatial(config, simcore.realization_rng(config.rng_seed))
+    spatial, _ = simcore.layout(config, 0)
     return simcore.contenders_from_spatial(config, spatial), spatial
 
 
@@ -149,8 +149,8 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     scalar-shape call of the inverse, pfs's every cell mapped by one call per
     column, its winners picked by pfs_select_numpy and its granted cells mapped
     again, and two 1-D sums per pair member.  The oracle for the flat gathers, the
-    run-by-run inverse, pfs's lockstep selection and reuse of its map and the
-    two-row sums of simcore, which must give the same bits.  `chunk` slots are
+    run-by-run inverse, pfs's lockstep selection over its one reused map buffer
+    and the two-row sums of simcore, which must give the same bits.  `chunk` slots are
     drawn and summed at once, by default simcore.CHUNK_SLOTS; a block of R
     realizations steps pfs in simcore.CHUNK_SLOTS // R.  Each chunk draws the
     rows its policy reads contender-major, (rows, n), and reads them through

@@ -338,6 +338,29 @@ def test_sweep_emits_one_report_per_value(small_config, tmp_path):
         assert os.path.exists(os.path.join(out, f"K2_{val}", "report.csv"))
 
 
+@pytest.mark.parametrize("key,values", [("policy", "bcs,foo"), ("K1", "2,2.5")])
+def test_failed_sweep_value_leaves_no_output(small_config, tmp_path, capsys, key, values):
+    # every value's config is built before any value runs: a bad value exits 1 and
+    # leaves no directory, not even for the good values before it
+    out = str(tmp_path / "sweep")
+    assert cli.main(["sweep", "--config", small_config, "--out", out,
+                     "--sweep-key", key, "--sweep-values", values]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_emit_cdfs_skips_contenders_of_few_kept_snrs(tmp_path):
+    # a contender with fewer than 1000 kept SNRs gets no cdf_<j>.csv: two equal users
+    # share 1500 slots (about 750 each, 13 standard deviations under 1000) or 3000
+    # (about 1500 each, 18 over)
+    for slots, files in ((1500, set()), (3000, {"cdf_0.csv", "cdf_1.csv"})):
+        out = str(tmp_path / str(slots))
+        assert cli.main(["run", "--set", "K1=2", "--set", "K2=0", "--set", "mean_snr=1,1",
+                         "--set", f"slots_per_realization={slots}", "--emit-cdfs",
+                         "--out", out]) == 0
+        assert {f for f in os.listdir(out) if f.startswith("cdf_")} == files
+
+
 def test_errors_exit_nonzero(small_config, tmp_path, capsys):
     out = str(tmp_path / "e")
     assert cli.main(["run", "--set", "bogus=1", "--out", out]) == 1

@@ -54,8 +54,9 @@ def test_cdf_map_values():
     for policy, structure in (("bcs", None), ("pfs", lone)):
         for m in (1.0, 2.5):
             cs = lone_contenders([3.0], [m])
-            (res,) = simcore.simulate_block([(cs, np.random.default_rng(4), structure)],
-                                            policy, 25)
+            config = SystemConfig(K1=1, K2=0, mean_snr=(3.0,), fading_shape_m=m, policy=policy,
+                                  slots_per_realization=25)
+            (res,) = simcore.simulate_block(config, [(cs, np.random.default_rng(4), structure)])
             u = np.random.default_rng(4).random(25)
             assert res.user_u_sum[0] == pytest.approx(u.sum(), rel=1e-15)
             snr = res.selected_snr[0][0]
@@ -123,8 +124,9 @@ def test_cellular_threshold_policy_access():
     # (five binomial standard errors), and no user more than one grant ahead of another
     K1, K2, slots = 4, 3, 100_000
     K = K1 + 2 * K2
-    cs, _ = first_realization_contenders(SystemConfig(K1=K1, K2=K2))
-    (record,) = simcore.simulate_block([(cs, np.random.default_rng(44), None)], "cfs", slots)
+    config = SystemConfig(K1=K1, K2=K2, policy="cfs", slots_per_realization=slots)
+    cs, _ = first_realization_contenders(config)
+    (record,) = simcore.simulate_block(config, [(cs, np.random.default_rng(44), None)])
     access = record.user_grants / slots
     assert np.all(np.abs(access - 1.0 / K) < 5 * np.sqrt((1.0 / K) * (1 - 1.0 / K) / slots))
     d2d = record.user_grants[K1:]
@@ -141,12 +143,13 @@ def test_threshold_policy_round_robin_order():
     assert state.cursor == 2
     cs = simcore.ContenderSet(np.array([False, False, True, True]), np.ones(4), np.ones(4),
                               ((0,), (1,), (2, 3), (4, 5)))
-    record = simcore._Accounts(cs, "cfs", None, 2.0, 6, lambda structure: None)
+    record = simcore._Accounts(SystemConfig(K1=2, K2=2, policy="cfs", slots_per_realization=6),
+                               cs, np.random.default_rng(0), None, lambda structure: None)
     order = []
     scores = np.full((6, 4), 0.5)           # every row read: the accounts draw no score
     for t in range(6):
         before = record.user_grants.copy()
-        record.add(win[t:t + 1], scores[t:t + 1], np.random.default_rng(0))
+        record.add(win[t:t + 1], scores[t:t + 1])
         (uid,) = np.flatnonzero(record.user_grants != before)
         order.append(uid - 2)
     assert order == [0, 1, 2, 3, 0, 1]
@@ -366,8 +369,9 @@ def test_group_structure_must_cover_the_scores():
     with pytest.raises(ValueError, match="contender 3"):
         policies.mws_select(u, st, pw)
     cs = lone_contenders([1.0] * 4, [1.0] * 4)
+    config = SystemConfig(K1=4, K2=0, mean_snr=(1.0,) * 4, policy="pfs", slots_per_realization=20)
     with pytest.raises(ValueError, match="contender 3"):
-        simcore.simulate_block([(cs, np.random.default_rng(50), st)], "pfs", 20)
+        simcore.simulate_block(config, [(cs, np.random.default_rng(50), st)])
     gap = GroupStructure((Group((0,), 1.0), Group((1, 2, 4), 0.5)))
     with pytest.raises(ValueError, match="contender 3"):
         policies.mws_select(u, gap, solve_group_weights(gap))
@@ -375,7 +379,7 @@ def test_group_structure_must_cover_the_scores():
     with pytest.raises(ValueError, match="covers 5 contenders"):
         policies.mws_select(u, wide, solve_group_weights(wide))
     with pytest.raises(ValueError, match="covers 5 contenders"):
-        simcore.simulate_block([(cs, np.random.default_rng(50), wide)], "pfs", 20)
+        simcore.simulate_block(config, [(cs, np.random.default_rng(50), wide)])
 
 
 def test_one_weight_per_group_required():

@@ -39,16 +39,15 @@ def test_round_robin_exact_shares():
 def test_index_estimate_bounds():
     # user 0 is granted every slot with u = 1, user 1 never
     cs = lone_contenders([1.0, 1.0], [1.0, 1.0])
-    record = simcore._Accounts(cs, "bcs", None, 2.0, 100, lambda structure: None)
+    config = given_means([1.0, 1.0], slots_per_realization=100)
+    record = simcore._Accounts(config, cs, np.random.default_rng(1), None, lambda structure: None)
     record.user_grants[0], record.user_u_sum[0], record.user_rate_sum[0] = 100, 100.0, 50.0
     record.selected_snr = [[np.full(100, 3.0)], [np.empty(0)]]
-    rep = simcore._reduce([record], "bcs", 0)
+    rep = simcore._reduce(config, [record])
     assert [a.size for a in rep.selected_snr] == [100, 0]
     assert rep.upi[0] == pytest.approx(2.0) and rep.upi[1] == 0.0
     assert list(rep.access_prob) == [1.0, 0.0]
     assert list(rep.selected_rate) == [0.5, 0.0]
-    with pytest.raises(ValueError, match="slots"):
-        simcore.simulate_block([(cs, np.random.default_rng(1), None)], "bcs", 0)
 
 
 @pytest.mark.parametrize("settings,name", [
@@ -110,8 +109,8 @@ def test_pair_members_alternate(monkeypatch, policy, chunk):
     # an odd chunk flips the pair's turn each chunk, so the turn must carry over
     monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
     cs = simcore.ContenderSet(np.array([True]), np.array([1.0]), np.array([5.0]), ((0, 1),))
-    rng = np.random.default_rng(3)
-    (res,) = simcore.simulate_block([(cs, rng, None)], policy, 1001)
+    config = SystemConfig(K1=0, K2=1, policy=policy, slots_per_realization=1001)
+    (res,) = simcore.simulate_block(config, [(cs, np.random.default_rng(3), None)])
     assert res.user_grants[0] == 501 and res.user_grants[1] == 500
 
 
@@ -120,7 +119,7 @@ def test_pair_members_alternate(monkeypatch, policy, chunk):
 @pytest.mark.parametrize("chunk", [simcore.CHUNK_SLOTS, 700], ids=["one-chunk", "chunked"])
 @pytest.mark.parametrize("policy", ["bcs", "dfs", "cfs", "gfs", "ecs", "grr", "pfs"])
 def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, shapes):
-    # the flat gathers, the scalar shape, pfs's reuse of its map and the two-row sums
+    # the flat gathers, the scalar shape, pfs's one map buffer and the two-row sums
     # give the same bits as the cell-by-cell accounting, for a block of three
     # realizations; 700 puts chunk boundaries inside the run.  The score policies
     # interleave the realizations in 700-slot chunks of their 3000 slots; pfs steps
@@ -136,8 +135,10 @@ def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, s
         runs.append((simcore.contenders_from_spatial(cfg, spatial),
                      simcore.build_structure(cfg, spatial), 17 + r))
     slots = 900 if policy == "pfs" else 3000
-    results = simcore.simulate_block([(cs, np.random.default_rng(seed), structure)
-                                      for cs, structure, seed in runs], policy, slots, len(runs))
+    config = replace(cfg, policy=policy, slots_per_realization=slots,
+                     spatial_realizations=len(runs))
+    results = simcore.simulate_block(config, [(cs, np.random.default_rng(seed), structure)
+                                              for cs, structure, seed in runs])
     chunk = simcore.CHUNK_SLOTS // len(runs) if policy == "pfs" else simcore.CHUNK_SLOTS
     for res, (cs, structure, seed) in zip(results, runs):
         grants, u_sum, rate_sum, group_grants, snr = reference_accounting(
@@ -161,9 +162,9 @@ def test_every_chunk_ends_where_a_full_draw_does(monkeypatch, chunk):
     states, scores = {}, {}
     grant = simcore._grant_scores
 
-    def recorded(acc, policy, rng, n, done):
-        grant(acc, policy, rng, n, done)
-        states.setdefault(policy, []).append(rng.bit_generator.state)
+    def recorded(acc, n):
+        grant(acc, n)
+        states.setdefault(acc.policy, []).append(acc.rng.bit_generator.state)
 
     def reading(select, policy):
         return lambda u, *args: scores.setdefault(policy, []).append(u.copy()) or select(u, *args)
@@ -171,9 +172,10 @@ def test_every_chunk_ends_where_a_full_draw_does(monkeypatch, chunk):
     monkeypatch.setattr(simcore, "_grant_scores", recorded)
     monkeypatch.setattr(simcore.policies, "bcs_select", reading(simcore.policies.bcs_select, "bcs"))
     monkeypatch.setattr(simcore.policies, "cfs_select", reading(simcore.policies.cfs_select, "cfs"))
-    cfg = SystemConfig(K1=10, K2=5, group_sizes=(5,), rng_seed=8)
+    cfg = SystemConfig(K1=10, K2=5, group_sizes=(5,), rng_seed=8, slots_per_realization=3000)
     for policy in ("bcs", "cfs", "grr"):
-        simcore.simulate_block([simcore.realization(replace(cfg, policy=policy), 0)], policy, 3000)
+        run = replace(cfg, policy=policy)
+        simcore.simulate_block(run, [simcore.realization(run, 0)])
     assert len(states["bcs"]) == (1 if chunk > 3000 else 5)
     assert states["cfs"] == states["bcs"] and states["grr"] == states["bcs"]
     for cell, every in zip(scores["cfs"], scores["bcs"]):
@@ -186,7 +188,8 @@ def test_long_member_sums_match_reference(policy):
     cs = lone_contenders([3.0, 8.0], [1.0, 1.0])
     structure = fixed_grouping([1, 1], nu=1.0)
     slots = 40_000 if policy == "bcs" else 4000
-    (res,) = simcore.simulate_block([(cs, np.random.default_rng(23), structure)], policy, slots)
+    config = given_means([3.0, 8.0], policy=policy, slots_per_realization=slots)
+    (res,) = simcore.simulate_block(config, [(cs, np.random.default_rng(23), structure)])
     grants, u_sum, rate_sum, _, _ = reference_accounting(cs, policy, slots, np.random.default_rng(23),
                                                          structure=structure)
     assert np.array_equal(res.user_grants, grants)
@@ -195,10 +198,11 @@ def test_long_member_sums_match_reference(policy):
 
 
 def test_import_starts_no_process_pool():
-    # the pool is imported only for runs with more than one worker
+    # the pool is imported only for runs with more than one worker, and scipy, which
+    # is no runtime dependency, never
     code = ("import sys, d2dsched.cli; "
             "print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+            "if m.split('.')[0] in ('concurrent', 'multiprocessing', 'scipy')))")
     src = os.path.dirname(os.path.dirname(simcore.__file__))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src})
@@ -232,9 +236,8 @@ def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, grou
                        slots_per_realization=300, spatial_realizations=3, rng_seed=8)
     structures = [simcore.build_structure(cfg, sample_spatial(cfg, simcore.realization_rng(8, r)))
                   for r in range(3)]
-    own = simcore._reduce([record for r in range(3)
-                           for record in simcore._realization_task((cfg, range(r, r + 1)))],
-                          policy, cfg.rng_seed, cfg.digest())
+    own = simcore._reduce(cfg, [record for r in range(3)
+                                for record in simcore._realization_task((cfg, range(r, r + 1)))])
     solver = getattr(simcore, rule)
     calls = []
     monkeypatch.setattr(simcore, rule, lambda structure: calls.append(structure) or solver(structure))
@@ -309,10 +312,13 @@ def test_bad_thread_count_names_the_variable(monkeypatch):
 
 
 def test_contender_mapping_and_kinds():
-    cfg = SystemConfig(K1=2, K2=2)
+    cfg = SystemConfig(K1=2, K2=2, slots_per_realization=10)
     cs, sp = first_realization_contenders(cfg)
     assert cs.members == ((0,), (1,), (2, 3), (4, 5))
-    assert cs.user_kinds() == ["cellular", "cellular", "d2d", "d2d", "d2d", "d2d"]
+    assert simcore.run_experiment(cfg).user_kinds == ["cellular", "cellular", "d2d", "d2d",
+                                                      "d2d", "d2d"]
+    assert simcore.run_experiment(given_means([1.0, 2.0], slots_per_realization=10)).user_kinds \
+        == ["cellular", "cellular"]
     # mean SNR falls with distance within one link class
     order = np.argsort(sp.cellular_distances)
     assert np.all(np.diff(cs.mean_snr[:2][order]) <= 0)
@@ -350,11 +356,12 @@ def test_non_integer_shapes_selected_snr():
 
 @pytest.mark.parametrize("policy", ["gfs", "bcs", "pfs"])
 def test_granted_snrs_invert_their_own_u(monkeypatch, policy):
-    # at the table-5 shapes the inverse's one call maps each cell to gammaincinv(m, u)
-    # within 1e-11 relative, m the shape of the cell's contender.  Its cells are the
-    # granted cells of the realization's first draw, in slot order, contender by
-    # contender, and each granted SNR is mean/m times its cell's map; pfs maps every
-    # cell of the draw and takes its granted SNRs from that map
+    # at the table-5 shapes the inverse maps each cell to gammaincinv(m, u) within
+    # 1e-11 relative, m the shape of the cell's contender.  The cells of its call for
+    # the accounts are the granted cells of the realization's first draw, in slot
+    # order, contender by contender, and each granted SNR is mean/m times its cell's
+    # map.  pfs first maps every cell of the draw, contender-major, to select on rates,
+    # and its granted SNRs are the very doubles of that map
     slots, seed = 6000, 23
     seen = []
     inverse = simcore.regularized_gamma_p_inv_runs
@@ -367,16 +374,18 @@ def test_granted_snrs_invert_their_own_u(monkeypatch, policy):
     monkeypatch.setattr(simcore, "regularized_gamma_p_inv_runs", recorded)
     rep = simcore.run_experiment(table5_config(policy=policy, slots_per_realization=slots,
                                                rng_seed=seed))
-    ((m, u, x),) = seen
-    want = special.gammaincinv(m, u)
-    assert np.max(np.abs(x - want) / want) < 1e-11
+    for m, u, x in seen:
+        want = special.gammaincinv(m, u)
+        assert np.max(np.abs(x - want) / want) < 1e-11
     drawn = simcore.realization_rng(seed).random((len(TABLE5_MEANS), slots))
     if policy == "pfs":
+        (m, u, x), *seen = seen
+        assert np.array_equal(m, np.repeat(TABLE5_SHAPES, slots))
         assert np.array_equal(u, drawn.ravel())
         for j, (mean, shape) in enumerate(zip(TABLE5_MEANS, TABLE5_SHAPES)):
             row = x[j * slots:(j + 1) * slots] * (mean / shape)
             assert np.all(np.isin(rep.selected_snr[j], row))
-        return
+    ((m, u, x),) = seen
     start = 0
     for j, (mean, shape) in enumerate(zip(TABLE5_MEANS, TABLE5_SHAPES)):
         snr = rep.selected_snr[j]
@@ -435,9 +444,9 @@ def test_same_seed_reports_identical():
 
 
 def test_unknown_policy_and_missing_structure():
+    with pytest.raises(ConfigError, match="fifo"):
+        given_means([1.0, 2.0], policy="fifo", slots_per_realization=10)
     cs = lone_contenders([1.0, 2.0], [1.0, 1.0])
-    rng = np.random.default_rng(0)
-    with pytest.raises(ValueError, match="fifo"):
-        simcore.simulate_block([(cs, rng, None)], "fifo", 10)
+    config = given_means([1.0, 2.0], policy="gfs", slots_per_realization=10)
     with pytest.raises(ValueError, match="group structure"):
-        simcore.simulate_block([(cs, rng, None)], "gfs", 10)
+        simcore.simulate_block(config, [(cs, np.random.default_rng(0), None)])
