@@ -16,7 +16,7 @@ import os
 import numpy as np
 
 from d2dsched import simcore
-from d2dsched.cli import TABLE5_SHAPES
+from d2dsched.cli import TABLE5_MEANS, TABLE5_SHAPES, TABLE5_SIZES
 from d2dsched.model import SystemConfig
 
 RTOL = 1e-12
@@ -31,14 +31,22 @@ CLOSE = ("selected_rate", "effective_rate", "snr_quantiles")
 
 
 def cases() -> dict[str, SystemConfig]:
-    """Every policy at each shape set, with fixed and with greedy groups: the
-    sec4c desk geometry, two realizations of a few thousand slots."""
-    return {f"{policy}-{shape}-{group}": SystemConfig(
-                K1=10, K2=5, policy=policy, fading_shape_m=shapes, group_sizes=sizes,
-                slots_per_realization=300 if policy == "pfs" else 2000,
-                spatial_realizations=2, rng_seed=13, interference_radius_m=600.0)
-            for shape, shapes in SHAPES.items()
-            for group, sizes in GROUPS.items()
+    """Every policy, two realizations of a few thousand slots each: on the sec4c
+    desk geometry at each shape set, with fixed and with greedy groups, and
+    without pairs or without cellular users; and on the table-5 given means,
+    shapes and group sizes."""
+    systems = {f"{shape}-{group}": {"fading_shape_m": shapes, "group_sizes": sizes}
+               for shape, shapes in SHAPES.items() for group, sizes in GROUPS.items()}
+    systems.update({"K1_0": {"K1": 0, "group_sizes": (5,)}, "K2_0": {"K2": 0},
+                    "table5-given": {"K1": len(TABLE5_MEANS), "K2": 0, "mean_snr": TABLE5_MEANS,
+                                     "fading_shape_m": TABLE5_SHAPES,
+                                     "group_sizes": TABLE5_SIZES}})
+    return {f"{policy}-{system}": SystemConfig(**{
+                "K1": 10, "K2": 5, "policy": policy,
+                "slots_per_realization": 300 if policy == "pfs" else 2000,
+                "spatial_realizations": 2, "rng_seed": 13, "interference_radius_m": 600.0,
+                **settings})
+            for system, settings in systems.items()
             for policy in POLICIES}
 
 
