@@ -677,25 +677,25 @@ def _group_map(m_i: int, mu_i: float) -> SelectedMap:
 MAPPED_POLICIES = ("bcs", "cfs", "dfs", "gfs", "ecs", "grr")     # pfs has no closed form
 
 
-def selected_maps(policy: str, cs, structure=None, weights=None) -> list[SelectedMap] | None:
-    """Each contender's selected-SNR law under `policy`, a map of its base CDF F, in
-    a contender set `cs` (simcore.ContenderSet) of K1 cellular users and K2 pairs,
-    given a group policy's structure and weights.  bcs: F^C over C = K1 + K2;
+def selected_maps(config, structure=None, weights=None) -> list[SelectedMap] | None:
+    """Each contender's selected-SNR law under the policy of `config` (a
+    model.SystemConfig of K1 cellular users and K2 pairs), a map of its base CDF
+    F, given a group policy's structure and weights.  bcs: F^C over C = K1 + K2;
     dfs: F^K for a cellular user and F^(K/2) for a pair, K = K1 + 2 K2; cfs:
     (K/K1) F^K1 - 2 K2/K1 for a cellular user and F for a pair; gfs and ecs:
     a F + b F^mu in a group of size m with selection factor mu, where
     a = mu (m-1) / (m (mu-1)) and b = (mu-m) / (m (mu-1)), and F^mu for a
     singleton; grr: F, a group being granted in its turn; pfs: None.
     """
+    policy, K1, K2 = config.policy, config.K1, config.K2
     if policy == "pfs":
         return None
     if policy in ("gfs", "ecs"):
         group_of = structure.group_of()
         return [_group_map(structure.groups[g].size, float(weights.mu[g]))
-                for g in map(group_of.get, range(cs.n_contenders))]
-    K2 = int(np.count_nonzero(cs.is_pair))
-    cell, pair = _class_maps(policy, cs.n_contenders - K2, K2)
-    return [pair if is_pair else cell for is_pair in cs.is_pair.tolist()]
+                for g in map(group_of.get, range(K1 + K2))]
+    cell, pair = _class_maps(policy, K1, K2)
+    return [cell] * K1 + [pair] * K2
 
 
 def bcs_selected_cdf(base, K: int) -> AnalyticCurve:

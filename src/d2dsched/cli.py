@@ -11,7 +11,7 @@ import sys
 
 import numpy as np
 
-from d2dsched import analytics, simcore
+from d2dsched import analytics, channel, simcore
 from d2dsched.grouping import GroupStructure, build_conflict_graph, fixed_grouping, \
     greedy_coloring
 from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_text, \
@@ -87,7 +87,7 @@ def _build_config(args) -> SystemConfig:
 
 
 def _report_rows(report: simcore.ExperimentReport):
-    for uid in range(report.n_users):
+    for uid in range(report.config.n_users):
         yield (uid, report.user_kinds[uid], int(report.user_group[uid]),
                report.access_prob[uid], report.upi[uid],
                report.selected_rate[uid], report.effective_rate[uid])
@@ -186,10 +186,11 @@ def cmd_analytic(args) -> int:
         # the system of the experiment's first realization, as `run` simulates it:
         # contender 0 is the first cellular user, contender K1 the first pair
         config = dataclasses.replace(config, policy=args.curve)
-        cs, _, structure = simcore.realization(config, 0)
-        maps = analytics.selected_maps(args.curve, cs, structure,
+        means, _, structure = simcore.realization(config, 0)
+        maps = analytics.selected_maps(config, structure,
                                        simcore.policy_weights(args.curve, structure))
-        curves = [maps[j].curve(cs.base_cdf(j)) if n else None
+        shapes = config.shapes_per_contender()
+        curves = [maps[j].curve(channel.GammaSnrCdf(shapes[j], means[j])) if n else None
                   for j, n in ((0, config.K1), (config.K1, config.K2))]
     # the directory only once the curves exist, so a failed run leaves nothing behind
     os.makedirs(args.out, exist_ok=True)
@@ -202,12 +203,15 @@ def cmd_analytic(args) -> int:
 
 def cmd_sweep(args) -> int:
     # every value's config first, so a value that fails leaves no directory behind
-    runs = []
-    for val in args.sweep_values.split(","):
+    runs = {}
+    for val in (v.strip() for v in args.sweep_values.split(",")):
+        out = os.path.join(args.out, f"{args.sweep_key}_{val}")
+        if out in runs:
+            raise ConfigError(f"--sweep-values: two values would write {out}")
         sub = argparse.Namespace(**vars(args))
         sub.set = list(args.set or []) + [f"{args.sweep_key}={val}"]
-        runs.append((_build_config(sub), os.path.join(args.out, f"{args.sweep_key}_{val}")))
-    for config, out in runs:
+        runs[out] = _build_config(sub)
+    for out, config in runs.items():
         _write_report(simcore.run_experiment(config), out, args.emit_cdfs)
     return 0
 

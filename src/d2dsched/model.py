@@ -97,6 +97,8 @@ class SystemConfig:
             raise ConfigError(f"unknown policy {self.policy!r}")
         if self.slots_per_realization < 1 or self.spatial_realizations < 1:
             raise ConfigError("slots_per_realization and spatial_realizations must be >= 1")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
         if self.group_sizes is not None:
             if not self.group_sizes or any(s < 1 for s in self.group_sizes):
                 raise ConfigError("group_sizes entries must be >= 1")
@@ -164,6 +166,13 @@ class SystemConfig:
                 raise ConfigError("fading_shape_m list must have K1 + K2 entries")
             return np.asarray(m, dtype=float)
         return np.full(self.n_contenders, float(m))
+
+    @functools.cached_property
+    def members(self) -> tuple[tuple[int, ...], ...]:
+        """User ids per contender: each cellular user alone, then both devices of a
+        pair, which share one direct channel."""
+        return (tuple((k,) for k in range(self.K1))
+                + tuple((self.K1 + 2 * p, self.K1 + 2 * p + 1) for p in range(self.K2)))
 
     def digest(self) -> str:
         # an unset mean_snr is left out, so geometric configs digest alike with or

@@ -26,54 +26,22 @@ RESERVOIR_CAPACITY = 100_000    # selected-SNR samples kept per contender
 CHUNK_SLOTS = 200_000           # slots drawn at once: bounds the (contenders, slots) arrays
 
 
-@dataclass(frozen=True)
-class ContenderSet:
-    """The resource contenders of one realization: cellular users then pairs.
-
-    Both devices of a pair share one direct channel, hence one contender with
-    a single SNR draw per slot.
-    """
-
-    is_pair: np.ndarray           # (C,) bool
-    shape_m: np.ndarray           # (C,) Nakagami shapes
-    mean_snr: np.ndarray          # (C,) linear mean SNR
-    members: tuple[tuple[int, ...], ...]   # user ids per contender
-
-    @property
-    def n_contenders(self) -> int:
-        return len(self.members)
-
-    @property
-    def n_users(self) -> int:
-        return sum(len(m) for m in self.members)
-
-    def base_cdf(self, j: int) -> channel.GammaSnrCdf:
-        """Contender j's SNR CDF, of its Nakagami shape and mean SNR."""
-        return channel.GammaSnrCdf(self.shape_m[j], self.mean_snr[j])
-
-
-def contenders_from_spatial(config: SystemConfig,
-                            spatial: SpatialRealization | None) -> ContenderSet:
-    """Downlink contender set: per-user mean SNR from the sampled geometry, or
-    the config's `mean_snr`, which gives K1 single-user contenders and needs no
-    geometry.
+def contenders_from_spatial(config: SystemConfig, spatial: SpatialRealization | None) -> np.ndarray:
+    """Each contender's linear mean SNR, cellular users then pairs, (C,): from the
+    sampled geometry, or the config's `mean_snr`, which gives K1 single-user
+    contenders and needs no geometry.
 
     Each geometric mean is `channel.mean_snr` of the contender's link, built by
     `model.cellular_downlink` for a cellular user and `model.d2d_direct` for
     a pair.
     """
     if config.mean_snr is not None:
-        means = config.mean_snr
-    else:
-        means = [channel.mean_snr(cellular_downlink(config, d), config)
-                 for d in spatial.cellular_distances.tolist()]
-        means += [channel.mean_snr(d2d_direct(config, d), config)
-                  for d in spatial.pair_direct_distances.tolist()]
-    members = [(k,) for k in range(config.K1)]
-    members += [(config.K1 + 2 * p, config.K1 + 2 * p + 1) for p in range(config.K2)]
-    is_pair = np.concatenate((np.zeros(config.K1, bool), np.ones(config.K2, bool)))
-    return ContenderSet(is_pair, config.shapes_per_contender(), np.array(means, dtype=float),
-                        tuple(members))
+        return np.array(config.mean_snr)
+    means = [channel.mean_snr(cellular_downlink(config, d), config)
+             for d in spatial.cellular_distances.tolist()]
+    means += [channel.mean_snr(d2d_direct(config, d), config)
+              for d in spatial.pair_direct_distances.tolist()]
+    return np.array(means, dtype=float)
 
 
 def build_structure(config: SystemConfig, spatial: SpatialRealization | None) -> GroupStructure:
@@ -125,15 +93,16 @@ def realization_rng(seed: int, realization: int = 0) -> np.random.Generator:
 
 class _Accounts:
     """The record of one realization, from its first chunk to `_reduce`: its
-    ContenderSet `cs`, its `rng`, which draws all of its fading, its
-    `structure`, the `weights` gfs or ecs selects with (`solve`, the block's
-    cached `policy_weights`, gives them), its cfs cursor, the count of slots
-    `done`, and its per-user totals and kept SNRs, which `add` accumulates one
-    chunk of slots at a time."""
+    `config`, which fixes each contender's kind, shape and members, its `rng`,
+    which draws all of its fading, its `structure`, the `weights` gfs or ecs
+    selects with (`solve`, the block's cached `policy_weights`, gives them), its
+    cfs cursor, the count of slots `done`, and its per-user totals and kept
+    SNRs, which `add` accumulates one chunk of slots at a time.  Of its
+    contenders' mean SNRs it keeps the SNR of a cell per unit of P^-1."""
 
-    def __init__(self, config: SystemConfig, cs: ContenderSet, rng: np.random.Generator,
+    def __init__(self, config: SystemConfig, means: np.ndarray, rng: np.random.Generator,
                  structure: GroupStructure | None, solve):
-        C = cs.n_contenders
+        C = config.n_contenders
         if config.policy in GROUP_POLICIES:
             if structure is None:
                 raise ValueError(f"{config.policy} requires a group structure")
@@ -144,18 +113,17 @@ class _Accounts:
             self.winner_of = list(range(C))
             self.n_winners = C
             self.group_grants = None
-        self.policy = config.policy
-        self.cs = cs
+        self.config = config
         self.rng = rng
         self.structure = structure
         self.weights = solve(structure)
         self.cfs = policies.CfsState()
         self.done = 0
         self.log_base = np.log(config.rate_log_base)
-        self.snr_per_x = cs.mean_snr / cs.shape_m       # SNR of a cell per unit of P^-1
-        self.user_grants = np.zeros(cs.n_users, dtype=np.int64)
-        self.user_u_sum = np.zeros(cs.n_users)
-        self.user_rate_sum = np.zeros(cs.n_users)
+        self.snr_per_x = means / config.shapes_per_contender()
+        self.user_grants = np.zeros(config.n_users, dtype=np.int64)
+        self.user_u_sum = np.zeros(config.n_users)
+        self.user_rate_sum = np.zeros(config.n_users)
         self.selected_snr = [[] for _ in range(C)]     # per contender: its kept arrays
         self.turn = [0] * C           # member of each contender due for its next grant
 
@@ -169,8 +137,8 @@ class _Accounts:
         it.  The inverse maps the cells to SNR, one run per contender, given each
         contender's shape and granted count, into the row that then holds their
         rates."""
-        cs, rng = self.cs, self.rng
-        n, R, C = win.shape[0], u.shape[1], cs.n_contenders
+        config, rng = self.config, self.rng
+        n, R, C = win.shape[0], u.shape[1], config.n_contenders
         # each winner's slots, ascending: one stable sort, a radix sort on the narrow dtype
         order = np.argsort(win.astype(np.min_scalar_type(self.n_winners)), kind="stable")
         counts = np.bincount(win, minlength=self.n_winners)
@@ -195,7 +163,8 @@ class _Accounts:
         u.T.take(flat, out=ur[0, :read])
         rng.random(out=ur[0, read:])
         rng.bit_generator.advance((C - R) * n - (bounds[-1] - read))
-        snr = regularized_gamma_p_inv_runs(cs.shape_m, sizes, ur[0], out=ur[1])
+        snr = regularized_gamma_p_inv_runs(config.shapes_per_contender(), sizes, ur[0],
+                                           out=ur[1])
         snr *= np.repeat(self.snr_per_x, sizes)
         for j, keep in enumerate(kept):
             keep[:] = snr[bounds[j]:bounds[j + 1]]
@@ -206,8 +175,8 @@ class _Accounts:
             if size == 0:
                 continue
             start, stop = bounds[j], bounds[j + 1]
-            k = len(cs.members[j])
-            for t, uid in enumerate(cs.members[j]):
+            k = len(config.members[j])
+            for t, uid in enumerate(config.members[j]):
                 cells = ur[:, start + (t - self.turn[j]) % k:stop:k]
                 su, sr = cells.sum(axis=1).tolist()
                 self.user_grants[uid] += cells.shape[1]
@@ -221,9 +190,8 @@ def _grant_scores(acc: _Accounts, n: int) -> None:
     """Draw, select and grant a realization's next chunk of n slots: it draws the
     rows its policy reads, and `add` the granted cells of the others.  Its scores
     and winners die with the call, before the next realization draws."""
-    policy, C = acc.policy, acc.cs.n_contenders
-    K1 = int(np.sum(~acc.cs.is_pair))
-    K2 = C - K1
+    config = acc.config
+    policy, K1, K2, C = config.policy, config.K1, config.K2, config.n_contenders
     u = acc.rng.random(({"cfs": K1, "grr": 0}.get(policy, C), n)).T
     if policy == "bcs":
         win = policies.bcs_select(u, np.full(C, 1.0 / C))
@@ -242,11 +210,12 @@ def simulate_block(config: SystemConfig, block: list) -> list[_Accounts]:
     """Run the config's policy over `slots_per_realization` fading slots of each
     realization of a block: its `_Accounts` record each.
 
-    `block` lists each realization's (ContenderSet, rng, GroupStructure), as
-    `realization` gives them, all with the same contender count.  A policy only
-    names each slot's winner: a contender for bcs, dfs and cfs, a group for the
-    group policies.  Every contender of the winner is granted the slot, and a
-    pair's grants go to its two members in strict alternation.
+    `block` lists each realization's (mean SNRs, rng, GroupStructure), as
+    `realization` gives them; the config fixes each contender's kind, shape and
+    members.  A policy only names each slot's winner: a contender for bcs, dfs
+    and cfs, a group for the group policies.  Every contender of the winner is
+    granted the slot, and a pair's grants go to its two members in strict
+    alternation.
 
     Each cell's u ~ U(0, 1) is its CDF-mapped channel, and its SNR is
     mean_snr/m * P^-1(m, u).  A chunk of n slots of a realization takes its
@@ -270,11 +239,11 @@ def simulate_block(config: SystemConfig, block: list) -> list[_Accounts]:
     The chunks fix the last bits of each user's sums, so any split of an
     experiment into blocks reports the same bits.
     """
-    policy = config.policy
+    policy, C = config.policy, config.n_contenders
     solve = functools.cache(functools.partial(policy_weights, policy))
-    accounts = [_Accounts(config, cs, rng, structure, solve) for cs, rng, structure in block]
-    C = accounts[0].cs.n_contenders
+    accounts = [_Accounts(config, means, rng, structure, solve) for means, rng, structure in block]
     if policy == "pfs":
+        shapes = config.shapes_per_contender()
         chunk = max(1, CHUNK_SLOTS // config.spatial_realizations)
         group = np.array([acc.winner_of for acc in accounts])
         state = policies.PfState(t_c=config.pf_time_const)
@@ -292,7 +261,7 @@ def simulate_block(config: SystemConfig, block: list) -> list[_Accounts]:
         for r, acc in enumerate(accounts):
             u = acc.rng.random((C, n))
             # every cell to SNR: the inverse maps C runs of n cells, a contender's row each
-            regularized_gamma_p_inv_runs(acc.cs.shape_m, np.full(C, n), u, out=snr)
+            regularized_gamma_p_inv_runs(shapes, np.full(C, n), u, out=snr)
             snr *= acc.snr_per_x[:, None]
             np.log1p(snr.T, out=X[:, r])
             drawn.append(u.T)
@@ -308,15 +277,16 @@ def simulate_block(config: SystemConfig, block: list) -> list[_Accounts]:
 
 @dataclass
 class ExperimentReport:
-    """Aggregated per-user and per-group results of one experiment of `config`."""
+    """Aggregated per-user and per-group results of one experiment of `config`: the
+    grants, scores and rates summed over its slots, from which it derives the
+    figures per slot."""
 
     config: SystemConfig
     user_group: np.ndarray
-    access_prob: np.ndarray
-    upi: np.ndarray
-    selected_rate: np.ndarray
-    effective_rate: np.ndarray
-    group_access_prob: np.ndarray | None
+    user_grants: np.ndarray
+    user_u_sum: np.ndarray
+    user_rate_sum: np.ndarray
+    group_grants: np.ndarray | None
     selected_snr: list            # per contender
     structure: GroupStructure | None
 
@@ -329,9 +299,27 @@ class ExperimentReport:
         """Each user's class: the K1 cellular users, then both members of each pair."""
         return ["cellular"] * self.config.K1 + ["d2d"] * (2 * self.config.K2)
 
-    @property
-    def n_users(self) -> int:
-        return self.config.n_users
+    @functools.cached_property
+    def access_prob(self) -> np.ndarray:
+        return self.user_grants / self.total_slots
+
+    @functools.cached_property
+    def upi(self) -> np.ndarray:
+        return 2.0 * self.user_u_sum / self.total_slots
+
+    @functools.cached_property
+    def selected_rate(self) -> np.ndarray:
+        """Each user's mean rate over its granted slots, 0 for a user never granted."""
+        grants = self.user_grants
+        return np.where(grants > 0, self.user_rate_sum / np.maximum(grants, 1), 0.0)
+
+    @functools.cached_property
+    def effective_rate(self) -> np.ndarray:
+        return self.user_rate_sum / self.total_slots
+
+    @functools.cached_property
+    def group_access_prob(self) -> np.ndarray | None:
+        return None if self.group_grants is None else self.group_grants / self.total_slots
 
 
 def _reduce(config: SystemConfig, records: list[_Accounts]) -> ExperimentReport:
@@ -343,12 +331,8 @@ def _reduce(config: SystemConfig, records: list[_Accounts]) -> ExperimentReport:
     reported only when every realization counted group grants under the same
     group structure, else the report carries no group access and group ids of -1.
     """
-    cs0 = records[0].cs
-    user_grants = sum(r.user_grants for r in records)
-    u_sum = sum(r.user_u_sum for r in records)
-    rate_sum = sum(r.user_rate_sum for r in records)
     selected_snr = []
-    for j in range(cs0.n_contenders):
+    for j in range(config.n_contenders):
         kept = np.concatenate([a for r in records for a in r.selected_snr[j]])
         if kept.size > RESERVOIR_CAPACITY:
             kept = kept[np.arange(RESERVOIR_CAPACITY) * kept.size // RESERVOIR_CAPACITY]
@@ -356,25 +340,20 @@ def _reduce(config: SystemConfig, records: list[_Accounts]) -> ExperimentReport:
 
     structures = {r.structure for r in records if r.group_grants is not None}
     structure = structures.pop() if len(structures) == 1 else None
-    total_slots = config.spatial_realizations * config.slots_per_realization
     user_group = np.full(config.n_users, -1)
-    group_access = None
+    group_grants = None
     if structure is not None:
-        group_access = sum(r.group_grants for r in records) / total_slots
+        group_grants = sum(r.group_grants for r in records)
         cont_group = structure.group_of()
-        for j, mem in enumerate(cs0.members):
+        for j, mem in enumerate(config.members):
             for uid in mem:
                 user_group[uid] = cont_group.get(j, -1)
     return ExperimentReport(
         config=config, user_group=user_group,
-        access_prob=user_grants / total_slots,
-        upi=2.0 * u_sum / total_slots,
-        selected_rate=np.where(user_grants > 0, rate_sum / np.maximum(user_grants, 1), 0.0),
-        effective_rate=rate_sum / total_slots,
-        group_access_prob=group_access,
-        selected_snr=selected_snr,
-        structure=structure,
-    )
+        user_grants=sum(r.user_grants for r in records),
+        user_u_sum=sum(r.user_u_sum for r in records),
+        user_rate_sum=sum(r.user_rate_sum for r in records),
+        group_grants=group_grants, selected_snr=selected_snr, structure=structure)
 
 
 def layout(config: SystemConfig, r: int):
@@ -385,8 +364,8 @@ def layout(config: SystemConfig, r: int):
 
 
 def realization(config: SystemConfig, r: int):
-    """Realization r: its ContenderSet, its rng after the `layout` draw and, for a
-    group policy, its GroupStructure (else None)."""
+    """Realization r: its contenders' mean SNRs, its rng after the `layout` draw
+    and, for a group policy, its GroupStructure (else None)."""
     spatial, rng = layout(config, r)
     structure = build_structure(config, spatial) if config.policy in GROUP_POLICIES else None
     return contenders_from_spatial(config, spatial), rng, structure

@@ -16,8 +16,8 @@ from d2dsched.model import SystemConfig
 
 
 def first_realization_contenders(config):
-    """Rebuild the contender set of realization 0 exactly as
-    the experiment driver derives it, so tests can recover per-user base CDFs."""
+    """Rebuild the contenders' mean SNRs of realization 0, and its layout, exactly as
+    the experiment driver derives them, so tests can recover per-user base CDFs."""
     spatial, _ = simcore.layout(config, 0)
     return simcore.contenders_from_spatial(config, spatial), spatial
 
@@ -27,12 +27,12 @@ def table5_config(**settings):
     return SystemConfig(**{**PRESETS["table5-gfs"]["desk"], **settings})
 
 
-def lone_contenders(means, shapes):
-    """One single-user contender per mean SNR and shape, as a config that sets
-    `mean_snr` builds them."""
-    n = len(means)
-    return simcore.ContenderSet(np.zeros(n, bool), np.array(shapes, dtype=float),
-                                np.array(means, dtype=float), tuple((i,) for i in range(n)))
+def lone_contenders(means, shapes=1.0, **settings):
+    """A config of one single-user contender per given mean SNR and shape, and the
+    contenders' means as its realizations carry them."""
+    config = SystemConfig(K1=len(means), K2=0, mean_snr=tuple(means), fading_shape_m=shapes,
+                          **settings)
+    return config, simcore.contenders_from_spatial(config, None)
 
 
 def ks_uniform(u):
@@ -142,10 +142,11 @@ def pfs_select_numpy(X, structure, state):
     return winners
 
 
-def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2.0,
-                         pf_time_const=1000.0, chunk=None):
-    """One realization of simcore.simulate_block with the plain accounting: the
-    granted cells gathered as u[rows, cols] and each contender's mapped by one
+def reference_accounting(config, means, rng, structure=None, chunk=None):
+    """One realization of simcore.simulate_block with the plain accounting, for the
+    policy, slot count, rate base and pfs window of `config` and the contenders'
+    mean SNRs `means`; it numbers the pair members itself.  The granted cells
+    are gathered as u[rows, cols] and each contender's mapped by one
     scalar-shape call of the inverse, pfs's every cell mapped by one call per
     column, its winners picked by pfs_select_numpy and its granted cells mapped
     again, and two 1-D sums per pair member.  The oracle for the flat gathers, the
@@ -160,10 +161,11 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     full (C, n) draw.
     Returns (user_grants, user_u_sum, user_rate_sum, group_grants, selected_snr)
     with selected_snr one concatenated array per contender."""
-    C, nU = cs.n_contenders, cs.n_users
-    K1 = int(np.sum(~cs.is_pair))
-    K2 = C - K1
-    log_base = np.log(rate_log_base)
+    policy, slots, K1, K2 = config.policy, config.slots_per_realization, config.K1, config.K2
+    C, nU = K1 + K2, K1 + 2 * K2
+    shapes = config.shapes_per_contender()
+    members = [(k,) for k in range(K1)] + [(K1 + 2 * p, K1 + 2 * p + 1) for p in range(K2)]
+    log_base = np.log(config.rate_log_base)
     if policy in simcore.GROUP_POLICIES:
         group_of = structure.group_of()
         winner_of = [group_of[j] for j in range(C)]
@@ -179,7 +181,7 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
     group_grants = np.zeros(n_winners, dtype=np.int64)
     snrs = [[] for _ in range(C)]
     turn = [0] * C
-    cfs_state, pf_state = policies.CfsState(), policies.PfState(t_c=pf_time_const)
+    cfs_state, pf_state = policies.CfsState(), policies.PfState(t_c=config.pf_time_const)
     read = {"cfs": K1, "grr": 0}.get(policy, C)
     done = 0
     while done < slots:
@@ -187,8 +189,8 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
         u = rng.random((read, n)).T
         if policy == "pfs":
             snr_all = np.column_stack([regularized_gamma_p_inv(m, u[:, j])
-                                       for j, m in enumerate(cs.shape_m.tolist())])
-            snr_all *= cs.mean_snr / cs.shape_m
+                                       for j, m in enumerate(shapes.tolist())])
+            snr_all *= means / shapes
             win = pfs_select_numpy(np.log1p(snr_all) / log_base, structure, pf_state)
         elif policy == "bcs":
             win = policies.bcs_select(u, np.full(C, 1.0 / C))
@@ -208,15 +210,15 @@ def reference_accounting(cs, policy, slots, rng, structure=None, rate_log_base=2
                               for j in range(C)])
         rng.bit_generator.advance((C - read) * n - sum(sizes[read:]))
         snr = np.concatenate([regularized_gamma_p_inv(m, cells) for m, cells in
-                              zip(cs.shape_m.tolist(), np.split(u_g, np.cumsum(sizes)[:-1]))])
-        snr *= (cs.mean_snr / cs.shape_m)[cols]
+                              zip(shapes.tolist(), np.split(u_g, np.cumsum(sizes)[:-1]))])
+        snr *= (means / shapes)[cols]
         rates = np.log1p(snr) / log_base
         stop = 0
         for j, size in enumerate(sizes):
             start, stop = stop, stop + size
             snrs[j].append(snr[start:stop])
-            k = len(cs.members[j])
-            for t, uid in enumerate(cs.members[j]):
+            k = len(members[j])
+            for t, uid in enumerate(members[j]):
                 take = slice(start + (t - turn[j]) % k, stop, k)
                 grants[uid] += rates[take].size
                 u_sum[uid] += u_g[take].sum()

@@ -46,7 +46,7 @@ def test_criterion_3_threshold_policy_fairness(cfs_setup):
     cs, _ = first_realization_contenders(config)
     worst = 0.0
     for j in (5, 6):                                  # the two pair contenders
-        base = GammaSnrCdf(1.0, cs.mean_snr[j])
+        base = GammaSnrCdf(1.0, cs[j])
         _, d2d_curve = analytics.cfs_selected_cdfs(base, base, 5, 2)
         worst = max(worst, simcore.ks_distance(rep.selected_snr[j], d2d_curve))
     assert worst < 0.01
@@ -59,7 +59,7 @@ def test_criterion_4_pair_competition_curves(dfs_setup):
     cs, _ = first_realization_contenders(config)
     worst_c = worst_d = 0.0
     for j in range(6):
-        base = GammaSnrCdf(1.0, cs.mean_snr[j])
+        base = GammaSnrCdf(1.0, cs[j])
         cell, d2d = analytics.dfs_selected_cdfs(base, base, 8)
         if j < 4:
             worst_c = max(worst_c, simcore.ks_distance(rep.selected_snr[j], cell))

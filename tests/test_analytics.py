@@ -10,7 +10,7 @@ from scipy import integrate, special
 
 from helpers import distance_average_plain, log_grid_200, unconditional_quad
 
-from d2dsched import analytics, simcore
+from d2dsched import analytics
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.cli import PRESETS, TABLE5_SHAPES
 from d2dsched.grouping import fixed_grouping, with_cellular_singletons
@@ -514,11 +514,8 @@ def test_group_member_curve():
 def test_selected_maps_per_contender():
     # three cellular users and two pairs, contender-major: each contender's law is
     # its class's, the same map the public curve functions tabulate
-    cs = simcore.ContenderSet(np.array([False] * 3 + [True] * 2), np.ones(5), np.ones(5),
-                              ((0,), (1,), (2,), (3, 4), (5, 6)))
-
     def values(policy, structure=None, weights=None):
-        maps = analytics.selected_maps(policy, cs, structure, weights)
+        maps = analytics.selected_maps(SystemConfig(K1=3, K2=2, policy=policy), structure, weights)
         assert len(maps) == 5
         return [m.curve(_uniform_base).values for m in maps]
 
@@ -540,21 +537,23 @@ def test_selected_maps_per_contender():
         for j, g in enumerate([0, 1, 2, 3, 3]):
             want = analytics.gfs_selected_cdf(_uniform_base, structure.groups[g].size, mu[g])
             assert np.array_equal(got[j], want.values)
-    assert analytics.selected_maps("pfs", cs) is None
-    with pytest.raises(ValueError):
-        analytics.selected_maps("fifo", cs)
+    assert analytics.selected_maps(SystemConfig(K1=3, K2=2, policy="pfs")) is None
+    with pytest.raises(ValueError, match="fifo"):       # no config names it
+        analytics.selected_maps(SystemConfig(K1=3, K2=2, policy="fifo"))
 
 
 def test_selected_maps_keep_the_curve_provenance():
     # the maps carry the provenance of the public curve functions' curves
-    cs = simcore.ContenderSet(np.array([False, True]), np.ones(2), np.ones(2), ((0,), (1, 2)))
-    cell, d2d = analytics.selected_maps("cfs", cs)
+    def maps(policy):
+        return analytics.selected_maps(SystemConfig(K1=1, K2=1, policy=policy))
+
+    cell, d2d = maps("cfs")
     assert cell.provenance == {"kind": "cfs-selected-cellular", "K1": 1, "K2": 1}
     assert d2d.provenance == {"kind": "cfs-selected-d2d"}
-    assert [m.provenance for m in analytics.selected_maps("dfs", cs)] == [
+    assert [m.provenance for m in maps("dfs")] == [
         {"kind": "dfs-selected-cellular", "K": 3}, {"kind": "dfs-selected-d2d", "K": 3}]
     assert analytics.bcs_selected_cdf(_uniform_base, 2).provenance == \
-        analytics.selected_maps("bcs", cs)[0].provenance == {"kind": "bcs-selected", "K": 2}
+        maps("bcs")[0].provenance == {"kind": "bcs-selected", "K": 2}
 
 
 def test_unconditional_curves_basics():

@@ -136,8 +136,8 @@ def test_analytic_curves_use_first_realization_layout(tmp_path):
                              "--set", "group_sizes=2", "--set", f"fading_shape_m={m}",
                              "--set", "rng_seed=21", "--out", out]) == 0
             config = SystemConfig(K1=4, K2=2, group_sizes=(2,), fading_shape_m=m, rng_seed=21)
-            cs, spatial = first_realization_contenders(config)
-            base_c, base_d = GammaSnrCdf(m, cs.mean_snr[0]), GammaSnrCdf(m, cs.mean_snr[4])
+            means, spatial = first_realization_contenders(config)
+            base_c, base_d = GammaSnrCdf(m, means[0]), GammaSnrCdf(m, means[4])
             if curve == "bcs":
                 want = (analytics.bcs_selected_cdf(base_c, 6),
                         analytics.bcs_selected_cdf(base_d, 6))
@@ -182,12 +182,11 @@ def test_analytic_curves_match_run(tmp_path, curve, files):
             samples = report.selected_snr[0 if name == "curve_cellular.csv" else config.K1]
             assert simcore.ks_distance(samples, _file_curve(os.path.join(out, name))) \
                 < _dkw_bound(samples), (m, name)
-        cs, _, structure = simcore.realization(config, 0)
-        maps = analytics.selected_maps(curve, cs, structure,
-                                       simcore.policy_weights(curve, structure))
+        means, _, structure = simcore.realization(config, 0)
+        maps = analytics.selected_maps(config, structure, simcore.policy_weights(curve, structure))
         for j, law in enumerate(maps):
             samples = report.selected_snr[j]
-            assert simcore.ks_distance(samples, law.curve(cs.base_cdf(j))) \
+            assert simcore.ks_distance(samples, law.curve(GammaSnrCdf(m, means[j]))) \
                 < _dkw_bound(samples), (m, j)
 
 
@@ -210,11 +209,11 @@ def test_analytic_gfs_curve_from_solved_weights(tmp_path):
     out = str(tmp_path / "gfs")
     assert cli.main(["analytic", "--curve", "gfs", "--set", "group_sizes=5", "--out", out]) == 0
     config = SystemConfig(group_sizes=(5,))
-    cs, spatial = first_realization_contenders(config)
+    means, spatial = first_realization_contenders(config)
     structure = simcore.build_structure(config, spatial)
     g = structure.group_of()[config.K1]
     mu = float(solve_group_weights(structure).mu[g])
-    curve = analytics.gfs_selected_cdf(GammaSnrCdf(cs.shape_m[config.K1], cs.mean_snr[config.K1]),
+    curve = analytics.gfs_selected_cdf(GammaSnrCdf(config.fading_shape_m, means[config.K1]),
                                        structure.groups[g].size, mu)
     with open(os.path.join(out, "curve_d2d.csv"), encoding="utf-8") as fh:
         assert fh.read().splitlines() == _curve_lines(curve)
@@ -331,21 +330,26 @@ def test_run_theory_curves_tabulate_nothing(monkeypatch, tmp_path):
 
 
 def test_sweep_emits_one_report_per_value(small_config, tmp_path):
+    # a value names its directory without the blanks around it
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", small_config, "--out", out,
-                     "--sweep-key", "K2", "--sweep-values", "1,2"]) == 0
+                     "--sweep-key", "K2", "--sweep-values", "1, 2"]) == 0
+    assert sorted(os.listdir(out)) == ["K2_1", "K2_2"]
     for val in ("1", "2"):
         assert os.path.exists(os.path.join(out, f"K2_{val}", "report.csv"))
 
 
-@pytest.mark.parametrize("key,values", [("policy", "bcs,foo"), ("K1", "2,2.5")])
+@pytest.mark.parametrize("key,values", [("policy", "bcs,foo"), ("K1", "2,2.5"),
+                                        ("rng_seed", "1,-1"), ("K2", "2,2"), ("K2", "2, 2")])
 def test_failed_sweep_value_leaves_no_output(small_config, tmp_path, capsys, key, values):
-    # every value's config is built before any value runs: a bad value exits 1 and
+    # every value's config is built before any value runs: a bad value, or two values
+    # that would write one directory, exits 1 with an error that names the key and
     # leaves no directory, not even for the good values before it
     out = str(tmp_path / "sweep")
     assert cli.main(["sweep", "--config", small_config, "--out", out,
                      "--sweep-key", key, "--sweep-values", values]) == 1
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and key in err
     assert not os.path.exists(out)
 
 
@@ -536,6 +540,10 @@ def test_seed_is_shorthand_for_rng_seed(tmp_path, capsys, preset):
         assert "seed = 7\n" in fh.read()
     code, out = run("both", "--seed", "7", "--set", "rng_seed=8")
     assert code == 1 and "--seed" in capsys.readouterr().err
+    assert not os.path.exists(out)
+    # a negative seed is refused by the setting's name, before any output
+    code, out = run("negative", "--seed", "-1")
+    assert code == 1 and "rng_seed" in capsys.readouterr().err
     assert not os.path.exists(out)
 
 

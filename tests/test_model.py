@@ -46,6 +46,7 @@ def test_user_counts():
     dict(fading_shape_m=(1.0, 6000.0), K1=1, K2=1),
     dict(policy="nope"),
     dict(slots_per_realization=0),
+    dict(rng_seed=-1),                 # a seed sequence takes no negative entropy
     dict(group_sizes=(2, 2)),          # does not sum to K2=5
     dict(rate_log_base=1.0),
     dict(pf_time_const=0.0),
@@ -127,6 +128,20 @@ def test_link_geometry_path_gain():
     for make in (cellular_downlink, cellular_uplink, d2d_direct):
         with pytest.raises(ConfigError, match="distance"):
             make(cfg, 0.0)
+
+
+@pytest.mark.parametrize("settings, members", [
+    (dict(K1=2, K2=2), ((0,), (1,), (2, 3), (4, 5))),
+    (dict(K1=3, K2=0, mean_snr=(1.0, 2.0, 3.0)), ((0,), (1,), (2,))),
+    (dict(K1=0, K2=2), ((0, 1), (2, 3))),
+], ids=["geometric", "given-means", "no-cellular"])
+def test_members_per_contender(settings, members):
+    # each cellular user is one contender, each pair's two devices another, numbered
+    # after the K1 cellular users; a derived view, not a setting
+    cfg = SystemConfig(**settings)
+    assert cfg.members == members
+    assert "members" not in {f.name for f in fields(SystemConfig)}
+    assert sum(map(len, cfg.members)) == cfg.n_users and len(cfg.members) == cfg.n_contenders
 
 
 def test_shapes_per_contender():

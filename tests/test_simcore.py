@@ -38,9 +38,9 @@ def test_round_robin_exact_shares():
 
 def test_index_estimate_bounds():
     # user 0 is granted every slot with u = 1, user 1 never
-    cs = lone_contenders([1.0, 1.0], [1.0, 1.0])
-    config = given_means([1.0, 1.0], slots_per_realization=100)
-    record = simcore._Accounts(config, cs, np.random.default_rng(1), None, lambda structure: None)
+    config, means = lone_contenders([1.0, 1.0], slots_per_realization=100)
+    record = simcore._Accounts(config, means, np.random.default_rng(1), None,
+                               lambda structure: None)
     record.user_grants[0], record.user_u_sum[0], record.user_rate_sum[0] = 100, 100.0, 50.0
     record.selected_snr = [[np.full(100, 3.0)], [np.empty(0)]]
     rep = simcore._reduce(config, [record])
@@ -90,8 +90,8 @@ def test_shapes_beyond_the_gamma_bound_are_refused_before_any_draw(monkeypatch, 
     # lies within 10 % of its contender's mean (6 standard deviations)
     config = SystemConfig(fading_shape_m=MAX_SHAPE, **setup)
     rep = simcore.run_experiment(config)
-    cs, _ = first_realization_contenders(config)
-    for snr, mean in zip(rep.selected_snr, cs.mean_snr):
+    means, _ = first_realization_contenders(config)
+    for snr, mean in zip(rep.selected_snr, means):
         assert snr.size and np.all(np.abs(snr / mean - 1.0) < 0.1)
 
 
@@ -108,9 +108,8 @@ def test_plain_competition_small():
 def test_pair_members_alternate(monkeypatch, policy, chunk):
     # an odd chunk flips the pair's turn each chunk, so the turn must carry over
     monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
-    cs = simcore.ContenderSet(np.array([True]), np.array([1.0]), np.array([5.0]), ((0, 1),))
     config = SystemConfig(K1=0, K2=1, policy=policy, slots_per_realization=1001)
-    (res,) = simcore.simulate_block(config, [(cs, np.random.default_rng(3), None)])
+    (res,) = simcore.simulate_block(config, [(np.array([5.0]), np.random.default_rng(3), None)])
     assert res.user_grants[0] == 501 and res.user_grants[1] == 500
 
 
@@ -137,18 +136,18 @@ def test_accounting_matches_reference(monkeypatch, policy, chunk, group_sizes, s
     slots = 900 if policy == "pfs" else 3000
     config = replace(cfg, policy=policy, slots_per_realization=slots,
                      spatial_realizations=len(runs))
-    results = simcore.simulate_block(config, [(cs, np.random.default_rng(seed), structure)
-                                              for cs, structure, seed in runs])
+    results = simcore.simulate_block(config, [(means, np.random.default_rng(seed), structure)
+                                              for means, structure, seed in runs])
     chunk = simcore.CHUNK_SLOTS // len(runs) if policy == "pfs" else simcore.CHUNK_SLOTS
-    for res, (cs, structure, seed) in zip(results, runs):
+    for res, (means, structure, seed) in zip(results, runs):
         grants, u_sum, rate_sum, group_grants, snr = reference_accounting(
-            cs, policy, slots, np.random.default_rng(seed), structure=structure, chunk=chunk)
+            config, means, np.random.default_rng(seed), structure=structure, chunk=chunk)
         assert np.array_equal(res.user_grants, grants)
         assert np.array_equal(res.user_u_sum, u_sum)
         assert np.array_equal(res.user_rate_sum, rate_sum)
         if policy in simcore.GROUP_POLICIES:
             assert np.array_equal(res.group_grants, group_grants)
-        for j in range(cs.n_contenders):
+        for j in range(config.n_contenders):
             kept = np.concatenate(res.selected_snr[j]) if res.selected_snr[j] else np.empty(0)
             assert np.array_equal(kept, snr[j])
 
@@ -164,7 +163,7 @@ def test_every_chunk_ends_where_a_full_draw_does(monkeypatch, chunk):
 
     def recorded(acc, n):
         grant(acc, n)
-        states.setdefault(acc.policy, []).append(acc.rng.bit_generator.state)
+        states.setdefault(acc.config.policy, []).append(acc.rng.bit_generator.state)
 
     def reading(select, policy):
         return lambda u, *args: scores.setdefault(policy, []).append(u.copy()) or select(u, *args)
@@ -185,12 +184,11 @@ def test_every_chunk_ends_where_a_full_draw_does(monkeypatch, chunk):
 @pytest.mark.parametrize("policy", ["bcs", "pfs"])
 def test_long_member_sums_match_reference(policy):
     # two contenders of 20k grants each: every member's sums span many summation blocks
-    cs = lone_contenders([3.0, 8.0], [1.0, 1.0])
     structure = fixed_grouping([1, 1], nu=1.0)
-    slots = 40_000 if policy == "bcs" else 4000
-    config = given_means([3.0, 8.0], policy=policy, slots_per_realization=slots)
-    (res,) = simcore.simulate_block(config, [(cs, np.random.default_rng(23), structure)])
-    grants, u_sum, rate_sum, _, _ = reference_accounting(cs, policy, slots, np.random.default_rng(23),
+    config, means = lone_contenders([3.0, 8.0], policy=policy,
+                                    slots_per_realization=40_000 if policy == "bcs" else 4000)
+    (res,) = simcore.simulate_block(config, [(means, np.random.default_rng(23), structure)])
+    grants, u_sum, rate_sum, _, _ = reference_accounting(config, means, np.random.default_rng(23),
                                                          structure=structure)
     assert np.array_equal(res.user_grants, grants)
     assert np.array_equal(res.user_u_sum, u_sum)
@@ -211,19 +209,19 @@ def test_import_starts_no_process_pool():
 
 @pytest.mark.parametrize("policy", ["dfs", "gfs"])
 def test_realization_replays_the_layout_and_stream(policy):
-    # realization r: the contender set of its layout, its rng just after the layout
-    # draw, and a structure for a group policy only
+    # realization r: the contenders' mean SNRs of its layout, its rng just after the
+    # layout draw, and a structure for a group policy only
     cfg = SystemConfig(K1=3, K2=4, policy=policy, rng_seed=5)
     for r in (0, 2):
-        cs, rng, structure = simcore.realization(cfg, r)
+        means, rng, structure = simcore.realization(cfg, r)
         replay = simcore.realization_rng(5, r)
         spatial = sample_spatial(cfg, replay)
-        assert np.array_equal(cs.mean_snr, simcore.contenders_from_spatial(cfg, spatial).mean_snr)
+        assert np.array_equal(means, simcore.contenders_from_spatial(cfg, spatial))
         assert np.array_equal(rng.random(8), replay.random(8))
         assert structure == (simcore.build_structure(cfg, spatial) if policy == "gfs" else None)
     if policy == "dfs":
-        cs, _ = first_realization_contenders(cfg)
-        assert np.array_equal(simcore.realization(cfg, 0)[0].mean_snr, cs.mean_snr)
+        means, _ = first_realization_contenders(cfg)
+        assert np.array_equal(simcore.realization(cfg, 0)[0], means)
 
 
 @pytest.mark.parametrize("policy,rule", [("gfs", "solve_group_weights"), ("ecs", "ecs_weights")])
@@ -313,15 +311,14 @@ def test_bad_thread_count_names_the_variable(monkeypatch):
 
 def test_contender_mapping_and_kinds():
     cfg = SystemConfig(K1=2, K2=2, slots_per_realization=10)
-    cs, sp = first_realization_contenders(cfg)
-    assert cs.members == ((0,), (1,), (2, 3), (4, 5))
+    means, sp = first_realization_contenders(cfg)
     assert simcore.run_experiment(cfg).user_kinds == ["cellular", "cellular", "d2d", "d2d",
                                                       "d2d", "d2d"]
     assert simcore.run_experiment(given_means([1.0, 2.0], slots_per_realization=10)).user_kinds \
         == ["cellular", "cellular"]
     # mean SNR falls with distance within one link class
     order = np.argsort(sp.cellular_distances)
-    assert np.all(np.diff(cs.mean_snr[:2][order]) <= 0)
+    assert np.all(np.diff(means[:2][order]) <= 0)
 
 
 @pytest.mark.parametrize("settings", [
@@ -335,10 +332,10 @@ def test_contender_means_equal_the_link_model(settings):
     cfg = SystemConfig(K1=6, K2=4, **settings)
     for seed in (1, 2, 3, 4, 5):
         spatial = sample_spatial(cfg, np.random.default_rng(seed))
-        cs = simcore.contenders_from_spatial(cfg, spatial)
+        means = simcore.contenders_from_spatial(cfg, spatial)
         links = [cellular_downlink(cfg, d) for d in spatial.cellular_distances]
         links += [d2d_direct(cfg, d) for d in spatial.pair_direct_distances]
-        assert cs.mean_snr.tolist() == [mean_snr(link, cfg) for link in links]
+        assert means.tolist() == [mean_snr(link, cfg) for link in links]
 
 
 def test_non_integer_shapes_selected_snr():
@@ -446,7 +443,6 @@ def test_same_seed_reports_identical():
 def test_unknown_policy_and_missing_structure():
     with pytest.raises(ConfigError, match="fifo"):
         given_means([1.0, 2.0], policy="fifo", slots_per_realization=10)
-    cs = lone_contenders([1.0, 2.0], [1.0, 1.0])
-    config = given_means([1.0, 2.0], policy="gfs", slots_per_realization=10)
+    config, means = lone_contenders([1.0, 2.0], policy="gfs", slots_per_realization=10)
     with pytest.raises(ValueError, match="group structure"):
-        simcore.simulate_block(config, [(cs, np.random.default_rng(0), None)])
+        simcore.simulate_block(config, [(means, np.random.default_rng(0), None)])
