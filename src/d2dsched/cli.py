@@ -16,7 +16,8 @@ from d2dsched.grouping import GroupStructure, build_conflict_graph, fixed_groupi
     greedy_coloring
 from d2dsched.model import ConfigError, SystemConfig, load_config, parse_config_text, \
     parse_setting
-from d2dsched.weights import group_access_prob, solve_group_weights, upi_closed_form
+from d2dsched.weights import WeightsNotConverged, group_access_prob, solve_group_weights, \
+    upi_closed_form
 
 # the four-group scenario of fixed channels: per-user linear mean SNR and Nakagami shape
 TABLE5_MEANS = (100, 60, 70, 5, 16, 40, 20, 2, 4, 40, 36, 80, 7, 40)
@@ -269,7 +270,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, analytics.GammaNotConverged, OSError) as exc:
+    except (ConfigError, ValueError, analytics.GammaNotConverged, WeightsNotConverged,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

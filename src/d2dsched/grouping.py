@@ -9,6 +9,8 @@ import numpy as np
 
 from d2dsched.model import SpatialRealization
 
+_BLOCK_FLOATS = 16_000  # distances per graph row block: 125 KB arrays, below glibc's mmap threshold
+
 
 @dataclass(frozen=True)
 class ConflictGraph:
@@ -79,15 +81,21 @@ def build_conflict_graph(spatial: SpatialRealization, radius_m: float) -> Confli
     rounding could flip the comparison, are decided by hypot itself.
     """
     xy = spatial.centroid_xy()
-    if xy.shape[0] < 1:
+    n = xy.shape[0]
+    if n < 1:
         raise ValueError("need at least one D2D pair")
-    dx = np.subtract.outer(xy[:, 0], xy[:, 0])
-    dy = np.subtract.outer(xy[:, 1], xy[:, 1])
-    d2 = dx * dx + dy * dy
     r2 = math.copysign(radius_m * radius_m, radius_m)   # a negative radius keeps no edge
-    adj = d2 < r2
-    near = np.abs(d2 - r2) <= 8.0 * np.finfo(float).eps * r2
-    adj[near] = np.hypot(dx[near], dy[near]) < radius_m
+    adj = np.empty((n, n), dtype=bool)
+    rows = max(1, _BLOCK_FLOATS // n)
+    for i in range(0, n, rows):
+        dx = np.subtract.outer(xy[i:i + rows, 0], xy[:, 0])
+        dy = np.subtract.outer(xy[i:i + rows, 1], xy[:, 1])
+        d2 = dx * dx
+        d2 += dy * dy
+        block = np.less(d2, r2, out=adj[i:i + rows])
+        d2 -= r2
+        near = np.abs(d2, out=d2) <= 8.0 * np.finfo(float).eps * r2
+        block[near] = np.hypot(dx[near], dy[near]) < radius_m
     np.fill_diagonal(adj, False)
     return ConflictGraph(adj)
 
@@ -95,24 +103,23 @@ def build_conflict_graph(spatial: SpatialRealization, radius_m: float) -> Confli
 def greedy_coloring(graph: ConflictGraph) -> GroupStructure:
     """Welsh-Powell greedy coloring: vertices in descending-degree order (ties by
     lower id) take the smallest color absent among colored neighbors.  Each color
-    is one D2D group with fairness factor 1/2; a graph of no vertices has none."""
-    adj = graph.adjacency
-    n = graph.n_vertices
-    neighbours = np.nonzero(adj)[1].tolist()    # row by row, each row in ascending id
-    ends = np.cumsum(adj.sum(axis=1)).tolist()
-    starts = [0] + ends[:-1]
-    order = sorted(range(n), key=lambda v: (starts[v] - ends[v], v))   # -degree, then id
-    color = [-1] * n
-    for v in order:
-        used = {color[u] for u in neighbours[starts[v]:ends[v]]}
-        c = 0
-        while c in used:
-            c += 1
-        color[v] = c
-    members = [[] for _ in range(max(color, default=-1) + 1)]
-    for v, c in enumerate(color):
-        members[c].append(v)
-    return GroupStructure(tuple(Group(tuple(m), 0.5) for m in members))
+    is one D2D group with fairness factor 1/2; a graph of no vertices has none.
+    Classes and neighbourhoods are bitmasks: a vertex joins the first class its
+    neighbourhood does not meet."""
+    neighbours = [int.from_bytes(row.tobytes(), "little")
+                  for row in np.packbits(graph.adjacency, axis=1, bitorder="little")]
+    classes, members = [], []
+    for v in sorted(range(len(neighbours)), key=lambda v: -neighbours[v].bit_count()):
+        mask = neighbours[v]
+        for c, cls in enumerate(classes):
+            if not cls & mask:
+                classes[c] = cls | 1 << v
+                members[c].append(v)
+                break
+        else:
+            classes.append(1 << v)
+            members.append([v])
+    return GroupStructure(tuple(Group(tuple(sorted(m)), 0.5) for m in members))
 
 
 def fixed_grouping(sizes, n_contenders: int | None = None, nu: float = 0.5,

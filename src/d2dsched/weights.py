@@ -3,17 +3,25 @@
 The max-min program has all constraints tight at the optimum, so with the
 normalization sum(m_k w_k) = 1 each weight is w_i = c / (nu_i (m_i+1) - c)
 where the common level c solves sum_i m_i c / (nu_i (m_i+1) - c) = 1.  The
-left side is strictly increasing in c on (0, min_i nu_i (m_i+1)), so a single
-bisection root exists.
+left side rises, convex, from 0 to +inf on (0, min_i nu_i (m_i+1)), so Newton
+steps from c = 0 overshoot the single root once and then fall onto it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from d2dsched.grouping import GroupStructure
+
+_MAX_STEPS = 200        # root-search steps before the solver gives up
+_RESIDUAL_TOL = 1e-13   # |r| that ends the search
+
+
+class WeightsNotConverged(ArithmeticError):
+    """The max-min level's root search did not converge."""
 
 
 @dataclass(frozen=True)
@@ -57,7 +65,10 @@ def group_access_prob(structure: GroupStructure, weights: PolicyWeights) -> np.n
 
 
 def solve_group_weights(structure: GroupStructure) -> PolicyWeights:
-    """Solve the max-min weight problem by the tight-constraint scalar reduction."""
+    """Solve the max-min weight problem by the tight-constraint scalar reduction:
+    Newton steps on the level's residual r inside the bracket [0, min cap],
+    bisecting when a step leaves it, to |r| < 1e-13 or to a bracket of adjacent
+    doubles (then its end of smaller |r|); `WeightsNotConverged` after _MAX_STEPS."""
     if structure.n_groups < 1:
         raise ValueError("structure must contain at least one group")
     m = structure.sizes.astype(float)
@@ -65,23 +76,29 @@ def solve_group_weights(structure: GroupStructure) -> PolicyWeights:
     if not np.all(np.isfinite(nu) & (nu > 0.0)):
         raise ValueError(f"fairness factors nu must be positive and finite, got {nu.tolist()}")
     cap = nu * (m + 1.0)        # c must stay below every nu_i (m_i + 1)
-
-    def residual(c: float) -> float:
-        return float(np.sum(m * c / (cap - c))) - 1.0
-
-    lo, hi = 0.0, float(cap.min())
-    # residual -> -1 as c -> 0+ and +inf as c -> min cap-; bisect the sign change
-    for _ in range(200):
-        c = 0.5 * (lo + hi)
-        r = residual(c)
-        if abs(r) < 1e-13:
-            break               # keep the point that met the tolerance
+    # r(c) = sum m c / (cap - c) - 1, r'(c) = sum m cap / (cap - c)^2; r(0) = -1
+    lo, hi, r_lo, r_hi = 0.0, float(cap.min()), -1.0, math.inf
+    c, r, dr = 0.0, -1.0, float(np.add.reduce(m / cap))
+    for _ in range(_MAX_STEPS):
+        step = c - r / dr
+        c = step if lo < step < hi else 0.5 * (lo + hi)     # Newton, else bisection
+        gap = cap - c
+        r = c * float(np.add.reduce(m / gap)) - 1.0
+        if abs(r) < _RESIDUAL_TOL:
+            break
         if r < 0.0:
-            lo = c
+            lo, r_lo = c, r
         else:
-            hi = c
+            hi, r_hi = c, r
+        if math.nextafter(lo, hi) == hi:        # adjacent doubles: the end of smaller |r|
+            c = lo if -r_lo <= r_hi else hi
+            break
+        dr = float(np.add.reduce(m * cap / (gap * gap)))
+    else:
+        raise WeightsNotConverged(f"max-min weights did not converge in {_MAX_STEPS} steps for "
+                                  f"group sizes {structure.sizes.tolist()}, nus {nu.tolist()}")
     w = c / (cap - c)
-    w = w / float(m @ w)        # exact renormalization against bisection residual
+    w = w / float(m @ w)        # exact renormalization against the root's residual
     return PolicyWeights(w, float(c))
 
 

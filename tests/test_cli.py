@@ -8,7 +8,7 @@ import pytest
 
 from helpers import first_realization_contenders
 
-from d2dsched import analytics, cli, simcore
+from d2dsched import analytics, cli, simcore, weights
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import build_conflict_graph, fixed_grouping, greedy_coloring
 from d2dsched.model import SystemConfig
@@ -61,6 +61,15 @@ def test_weights_subcommand(tmp_path, capsys):
     assert max(upis) - min(upis) < 1e-9
     header, rows = _read_csv(os.path.join(out, "weights.csv"))
     assert header[-1] == "upi" and len(rows) == 4
+
+
+def test_weights_non_convergence_is_an_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(weights, "_MAX_STEPS", 1)
+    out = str(tmp_path / "w")
+    assert cli.main(["weights", "--sizes", "1,2", "--nu", "1,0.5", "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: max-min weights did not converge") and "[1, 2]" in err
+    assert not os.path.exists(out)
 
 
 def test_group_subcommand(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from helpers import welsh_powell_reference
 
+from d2dsched import grouping
 from d2dsched.grouping import (ConflictGraph, Group, GroupStructure, build_conflict_graph,
                                fixed_grouping, greedy_coloring, with_cellular_singletons)
 from d2dsched.model import SpatialRealization, SystemConfig, sample_spatial
@@ -61,6 +62,8 @@ GRAPHS = {
     "single": np.zeros((1, 1), bool),
     "edgeless": np.zeros((9, 9), bool),
     "complete": ~np.eye(8, dtype=bool),
+    "edgeless-400": np.zeros((400, 400), bool),
+    "complete-64": ~np.eye(64, dtype=bool),
     "cycle-ties": _cycle(7),
     "cliques-ties": np.kron(np.eye(3, dtype=bool), ~np.eye(4, dtype=bool))[::-1, ::-1],
     "star": np.add.outer(np.arange(6) == 3, np.arange(6) == 3) & ~np.eye(6, dtype=bool),
@@ -75,7 +78,7 @@ def test_coloring_matches_reference(name):
     assert greedy_coloring(ConflictGraph(adj)) == welsh_powell_reference(adj)
 
 
-@pytest.mark.parametrize("K2", [30, 200])
+@pytest.mark.parametrize("K2", [30, 200, 400])
 def test_layout_coloring_matches_reference(K2):
     cfg = SystemConfig(K1=0, K2=K2, interference_radius_m=300.0)
     for seed in range(5):
@@ -124,6 +127,23 @@ def test_edges_at_the_radius_follow_hypot(radius):
     xy = sp.centroid_xy()
     squared = (xy[1:] ** 2).sum(axis=1) < radius * radius
     assert np.any(squared != _hypot_rule(sp, radius)[0, 1:])
+    assert np.array_equal(build_conflict_graph(sp, radius).adjacency, _hypot_rule(sp, radius))
+
+
+@pytest.mark.parametrize("radius", [300.0, 123.456, 1000.0 / 3.0])
+def test_edges_at_row_block_edges_follow_hypot(radius):
+    # every other pair at the origin, the others one step below, at or one step above
+    # the radius at angles from 0.01 to 1.5, so each pair lies in the 8 eps band of
+    # both its neighbours, on both sides of every boundary between row blocks
+    n = 300
+    assert -(-n // (grouping._BLOCK_FLOATS // n)) >= 3      # row blocks of the graph
+    d = np.array([_steps(radius, i // 2 % 3 - 1) if i % 2 else 0.0 for i in range(n)])
+    ang = np.where(np.arange(n) % 2 == 1, np.linspace(0.01, 1.5, n), 0.0)
+    sp = SpatialRealization(np.empty(0), d, ang, np.full(n, 10.0), np.zeros(n))
+    dx, dy = np.diff(sp.centroid_xy(), axis=0).T
+    d2, r2 = dx * dx + dy * dy, radius * radius
+    assert np.all(np.abs(d2 - r2) <= 8.0 * np.finfo(float).eps * r2)
+    assert np.any((d2 < r2) != (np.hypot(dx, dy) < radius))
     assert np.array_equal(build_conflict_graph(sp, radius).adjacency, _hypot_rule(sp, radius))
 
 

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy import optimize
 
-from d2dsched.grouping import fixed_grouping
-from d2dsched.weights import (PolicyWeights, ecs_weights, group_access_prob,
+from d2dsched import weights
+from d2dsched.grouping import Group, GroupStructure, fixed_grouping
+from d2dsched.weights import (PolicyWeights, WeightsNotConverged, ecs_weights, group_access_prob,
                               normalized_weights, solve_group_weights, upi_closed_form)
 
 ROOT_12 = (3.0 - math.sqrt(3.0)) / 2.0     # tight max-min level for sizes [1, 2]
@@ -109,3 +111,68 @@ def test_weight_validation():
         with pytest.raises(ValueError, match="nu"):
             solve_group_weights(GroupStructure((Group((0,), nu), Group((1, 2), 1.0))))
 
+
+def _structure(sizes, nus):
+    starts = np.cumsum([0, *sizes]).tolist()
+    return GroupStructure(tuple(Group(tuple(range(starts[g], starts[g + 1])), float(nu))
+                                for g, nu in enumerate(nus)))
+
+
+def _random_structure(rng, G):
+    sizes = rng.integers(1, 13, G).tolist()
+    kind = rng.integers(3)
+    nus = (np.full(G, 1.0), rng.choice([0.5, 1.0], G), rng.uniform(0.1, 2.0, G))[kind]
+    return _structure(sizes, nus)
+
+
+def _brentq_weights(structure):
+    """The max-min level and weights from scipy's brentq on the same residual."""
+    m, cap = structure.sizes.astype(float), structure.nus * (structure.sizes + 1.0)
+    c = optimize.brentq(lambda c: np.sum(m * c / (cap - c)) - 1.0, 0.0, cap.min() * (1 - 1e-15),
+                        xtol=1e-300, rtol=4 * np.finfo(float).eps)
+    w = c / (cap - c)
+    return PolicyWeights(w / np.sum(m * w), c)
+
+
+def _assert_matches_brentq(structure):
+    got, want = solve_group_weights(structure), _brentq_weights(structure)
+    assert got.common_upi == pytest.approx(want.common_upi, rel=1e-12, abs=0)
+    np.testing.assert_allclose(got.w, want.w, rtol=1e-12, atol=0)
+    groups = range(structure.n_groups)
+    np.testing.assert_allclose([upi_closed_form(g, structure, got) for g in groups],
+                               [upi_closed_form(g, structure, want) for g in groups],
+                               rtol=1e-12, atol=0)
+
+
+def test_solver_matches_brentq():
+    # G from 1 to 60, sizes 1-12, nu all 1, mixed 1/2 and 1, or uniform on (0.1, 2)
+    rng = np.random.default_rng(31)
+    for _ in range(200):
+        _assert_matches_brentq(_random_structure(rng, int(rng.integers(1, 61))))
+
+
+@pytest.mark.parametrize("G", [300, 1000, 5000])
+def test_solver_matches_brentq_many_groups(G):
+    _assert_matches_brentq(_random_structure(np.random.default_rng(G), G))
+
+
+def test_solver_reports_non_convergence(monkeypatch):
+    # one Newton step from c = 0 overshoots the root and leaves |r| far above the tolerance
+    monkeypatch.setattr(weights, "_MAX_STEPS", 1)
+    with pytest.raises(WeightsNotConverged, match=r"1 steps .* sizes \[1, 2\], nus \[1.0, 0.5\]"):
+        solve_group_weights(_structure([1, 2], [1.0, 0.5]))
+
+
+@pytest.mark.parametrize("sizes,want", [([3], 1.0), ([1] * 7, 0.25), ([1, 2], ROOT_12)])
+def test_solver_stops_at_adjacent_doubles(monkeypatch, sizes, want):
+    # with no residual small enough, the bracket closes onto the doubles around the root
+    monkeypatch.setattr(weights, "_RESIDUAL_TOL", 0.0)
+    c = solve_group_weights(fixed_grouping(sizes, nu=1.0)).common_upi
+    assert abs(c - want) <= 2 * math.ulp(want)
+    # and it keeps the end of smaller |r|: no neighbouring double has a smaller one
+    m = np.array(sizes, dtype=float)
+
+    def r(x):
+        return abs(x * float(np.add.reduce(m / (m + 1.0 - x))) - 1.0)
+
+    assert r(c) <= min(r(math.nextafter(c, 0.0)), r(math.nextafter(c, 2.0)))
