@@ -9,8 +9,6 @@ import numpy as np
 
 from d2dsched.model import SpatialRealization
 
-_BLOCK_FLOATS = 16_000  # distances per graph row block: 125 KB arrays, below glibc's mmap threshold
-
 
 @dataclass(frozen=True)
 class ConflictGraph:
@@ -81,21 +79,17 @@ def build_conflict_graph(spatial: SpatialRealization, radius_m: float) -> Confli
     rounding could flip the comparison, are decided by hypot itself.
     """
     xy = spatial.centroid_xy()
-    n = xy.shape[0]
-    if n < 1:
+    if xy.shape[0] < 1:
         raise ValueError("need at least one D2D pair")
+    dx = np.subtract.outer(xy[:, 0], xy[:, 0])
+    dy = np.subtract.outer(xy[:, 1], xy[:, 1])
+    d2 = dx * dx
+    d2 += dy * dy
     r2 = math.copysign(radius_m * radius_m, radius_m)   # a negative radius keeps no edge
-    adj = np.empty((n, n), dtype=bool)
-    rows = max(1, _BLOCK_FLOATS // n)
-    for i in range(0, n, rows):
-        dx = np.subtract.outer(xy[i:i + rows, 0], xy[:, 0])
-        dy = np.subtract.outer(xy[i:i + rows, 1], xy[:, 1])
-        d2 = dx * dx
-        d2 += dy * dy
-        block = np.less(d2, r2, out=adj[i:i + rows])
-        d2 -= r2
-        near = np.abs(d2, out=d2) <= 8.0 * np.finfo(float).eps * r2
-        block[near] = np.hypot(dx[near], dy[near]) < radius_m
+    adj = d2 < r2
+    d2 -= r2
+    near = np.abs(d2, out=d2) <= 8.0 * np.finfo(float).eps * r2
+    adj[near] = np.hypot(dx[near], dy[near]) < radius_m
     np.fill_diagonal(adj, False)
     return ConflictGraph(adj)
 

@@ -333,18 +333,9 @@ def _reduce(config: SystemConfig, records: list[_Accounts]) -> ExperimentReport:
     """
     selected_snr = []
     for j in range(config.n_contenders):
-        parts = [a for r in records for a in r.selected_snr[j]]
-        starts = np.cumsum([0] + [a.size for a in parts])
-        if starts[-1] <= RESERVOIR_CAPACITY:
-            kept = np.concatenate(parts)
-        else:
-            # sample i is grant i * n // cap of the concatenation, taken from its part
-            pick = np.arange(RESERVOIR_CAPACITY) * starts[-1] // RESERVOIR_CAPACITY
-            cuts = np.searchsorted(pick, starts).tolist()
-            kept = np.empty(RESERVOIR_CAPACITY)
-            for p, a in enumerate(parts):
-                lo, hi = cuts[p], cuts[p + 1]
-                np.take(a, pick[lo:hi] - starts[p], out=kept[lo:hi])
+        kept = np.concatenate([a for r in records for a in r.selected_snr[j]])
+        if kept.size > RESERVOIR_CAPACITY:
+            kept = kept[np.arange(RESERVOIR_CAPACITY) * kept.size // RESERVOIR_CAPACITY]
         selected_snr.append(kept)
 
     structures = {r.structure for r in records if r.group_grants is not None}

@@ -5,7 +5,6 @@ import pytest
 
 from helpers import welsh_powell_reference
 
-from d2dsched import grouping
 from d2dsched.grouping import (ConflictGraph, Group, GroupStructure, build_conflict_graph,
                                fixed_grouping, greedy_coloring, with_cellular_singletons)
 from d2dsched.model import SpatialRealization, SystemConfig, sample_spatial
@@ -131,12 +130,11 @@ def test_edges_at_the_radius_follow_hypot(radius):
 
 
 @pytest.mark.parametrize("radius", [300.0, 123.456, 1000.0 / 3.0])
-def test_edges_at_row_block_edges_follow_hypot(radius):
+def test_edges_in_a_dense_rounding_band_follow_hypot(radius):
     # every other pair at the origin, the others one step below, at or one step above
     # the radius at angles from 0.01 to 1.5, so each pair lies in the 8 eps band of
-    # both its neighbours, on both sides of every boundary between row blocks
+    # both its neighbours
     n = 300
-    assert -(-n // (grouping._BLOCK_FLOATS // n)) >= 3      # row blocks of the graph
     d = np.array([_steps(radius, i // 2 % 3 - 1) if i % 2 else 0.0 for i in range(n)])
     ang = np.where(np.arange(n) % 2 == 1, np.linspace(0.01, 1.5, n), 0.0)
     sp = SpatialRealization(np.empty(0), d, ang, np.full(n, 10.0), np.zeros(n))

@@ -429,23 +429,6 @@ def test_reservoir_merge_caps_and_preserves(monkeypatch):
         assert steps[0] == 0 and set(steps[1:]) <= {every.size // cap, every.size // cap + 1}
 
 
-@pytest.mark.parametrize("policy,chunk,slots", [("dfs", 700, 2000), ("bcs", 1, 300)])
-def test_reservoir_gathers_from_the_chunks(monkeypatch, policy, chunk, slots):
-    # records of several chunks (one-slot chunks leave most of a contender's arrays
-    # empty) and 3 realizations: under any cap the report keeps, bit for bit, what
-    # indexing the concatenation of a contender's kept arrays picks
-    monkeypatch.setattr(simcore, "CHUNK_SLOTS", chunk)
-    cfg = SystemConfig(K1=2, K2=2, policy=policy, slots_per_realization=slots,
-                       spatial_realizations=3, rng_seed=12)
-    records = simcore.simulate_block(cfg, [simcore.realization(cfg, r) for r in range(3)])
-    for cap in (1, 7, 150, 1000, 5000):
-        monkeypatch.setattr(simcore, "RESERVOIR_CAPACITY", cap)
-        for j, kept in enumerate(simcore._reduce(cfg, records).selected_snr):
-            every = np.concatenate([a for r in records for a in r.selected_snr[j]])
-            want = every if every.size <= cap else every[np.arange(cap) * every.size // cap]
-            assert kept.dtype == want.dtype and kept.tobytes() == want.tobytes()
-
-
 def test_same_seed_reports_identical():
     cfg = SystemConfig(K1=2, K2=2, policy="gfs", group_sizes=(2,),
                        slots_per_realization=2000, spatial_realizations=3, rng_seed=9)
