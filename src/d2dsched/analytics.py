@@ -420,22 +420,21 @@ def _gamma_p_inv_runs(shapes: np.ndarray, counts: np.ndarray, p: np.ndarray,
     if unit.all() or (x.min() > 0.0 and x.max() < np.inf):     # NaN scans
         return
     rest = np.flatnonzero(~(x > 0.0) | (x == np.inf))
-    if rest.size:
-        a, pr = shapes[np.searchsorted(ends, rest, side="right")], p[rest]
-        # a shape-1 cell is here only at p = 0 or 1
-        halley = (pr > 0.0) & (pr < 1.0)
-        x[rest] = np.where(pr == 1.0, np.inf, 0.0)
-        for val in np.unique(a[halley]).tolist():
-            cells = rest[halley & (a == val)]
-            for start in range(0, cells.size, _INV_BLOCK):
-                block = cells[start:start + _INV_BLOCK]
-                x[block] = _halley(val, p[block], 1.0 - p[block])
-        unsettled = np.isnan(x[rest[halley]])
-        if unsettled.any():
-            raise GammaNotConverged(
-                f"regularized_gamma_p_inv: Halley iteration did not converge in "
-                f"{_HALLEY_MAX_ITER} steps at {np.count_nonzero(unsettled)} of {unsettled.size} "
-                f"points (shapes {np.unique(a[halley][unsettled]).tolist()})")
+    a, pr = shapes[np.searchsorted(ends, rest, side="right")], p[rest]
+    # a shape-1 cell is here only at p = 0 or 1
+    halley = (pr > 0.0) & (pr < 1.0)
+    x[rest] = np.where(pr == 1.0, np.inf, 0.0)
+    for val in np.unique(a[halley]).tolist():
+        cells = rest[halley & (a == val)]
+        for start in range(0, cells.size, _INV_BLOCK):
+            block = cells[start:start + _INV_BLOCK]
+            x[block] = _halley(val, p[block], 1.0 - p[block])
+    unsettled = np.isnan(x[rest[halley]])
+    if unsettled.any():
+        raise GammaNotConverged(
+            f"regularized_gamma_p_inv: Halley iteration did not converge in "
+            f"{_HALLEY_MAX_ITER} steps at {np.count_nonzero(unsettled)} of {unsettled.size} "
+            f"points (shapes {np.unique(a[halley][unsettled]).tolist()})")
 
 
 def regularized_gamma_p_inv(a, p):

@@ -5,24 +5,24 @@ matrix of CDF-mapped channel values in [0, 1] and return one winner per slot.
 pfs, whose rate averages make it sequential in slots, instead steps a block
 of realizations in lockstep, one numpy step per slot over all of them.
 Every score policy selects through one kernel, `_weighted_argmax`: the
-contender with the largest log(u)/w wins.  The contenders sharing a weight
-compete through their largest u, so the kernel takes log only of each weight
-class's best u.  It reduces over contenders along contiguous rows when the
-matrix is the transposed view of a contender-major (C, n_slots) array, the
-layout the simulator draws; any other layout gives the same winners, more
-slowly.  Weights must be positive and finite.  A group competes through
-its best member, so gfs and ecs give each contender its group's weight and
-map the winning contender to its group; cfs's cellular stage takes the best
-cellular u from the same kernel, and its fallback names a pair; pfs picks
-the contender with the largest rate ratio by argmax.  Ties break toward the
-lowest contender id (the first maximum, as argmax picks it), and so between
-groups toward the group of the lowest contender id, a probability-zero event
-for continuous channels.
+contender with the largest log(u)/w wins.  The contenders sharing a weight (a
+class of one for a contender alone in its weight) compete through their
+largest u, so the kernel takes log only of each weight class's best u.  It
+reduces over contenders along contiguous rows when the matrix is the
+transposed view of a contender-major (C, n_slots) array, the layout the
+simulator draws; any other layout gives the same winners, more slowly.
+Weights must be positive and finite.  A group competes through its best
+member, so gfs and ecs give each contender its group's weight and map the
+winning contender to its group; cfs's cellular stage takes the best cellular
+u from the same kernel, and its fallback names a pair from a rotation at the
+caller's offset; pfs picks the contender with the largest rate ratio by
+argmax.  Ties break toward the lowest contender id (the first maximum, as
+argmax picks it), and so between groups toward the group of the lowest
+contender id, a probability-zero event for continuous channels.
 """
 
 from __future__ import annotations
 
-import collections
 import functools
 from dataclasses import dataclass, field
 
@@ -39,35 +39,23 @@ _BLOCK = 8192                    # slots per block of the selection kernel
 @functools.lru_cache(maxsize=256)
 def _weight_classes(w_bytes: bytes) -> tuple:
     """The weight classes of a float64 weight vector, given as its bytes: the sets
-    of contenders sharing one weight, those of several contenders first, then
-    those of one, each kind numbered by first contender.  Returns the (W, 1)
-    class weights; per class of several contenders, its contiguous (start, stop)
-    contender runs; per stretch of contenders j0..j1-1 alone in their classes,
-    (j0, j1, c0, c1), their classes c0..c1-1 being consecutive; and the (C, 1)
-    ranks, C at contender 0 down to 1 at contender C - 1.  Plain Python, as the
-    first np.unique call in a process grows its resident set by about 0.7 MB."""
+    of contenders sharing one weight, numbered by first contender.  Returns the
+    (W, 1) class weights, each class's contiguous (start, stop) contender runs,
+    and the (C, 1) ranks, C at contender 0 down to 1 at contender C - 1.  Plain
+    Python, as the first np.unique call in a process grows its resident set by
+    about 0.7 MB."""
     w = np.frombuffer(w_bytes).tolist()
     C = len(w)
-    count = collections.Counter(w)              # weights in order of first contender
-    runs = {x: [] for x in count if count[x] > 1}
-    number = {x: c for c, x in enumerate([*runs, *(x for x in count if count[x] == 1)])}
-    lone = []
+    runs = {}                                   # weights in order of first contender
     start = 0
     for j in range(1, C + 1):
-        if j < C and w[j] == w[start]:
-            continue
-        x = w[start]
-        if x in runs:
-            runs[x].append((start, j))
-        elif lone and lone[-1][1] == start:      # extends the stretch before it
-            lone[-1][1], lone[-1][3] = j, number[x] + 1
-        else:
-            lone.append([start, j, number[x], number[x] + 1])
-        start = j
-    weights = np.array(list(number), dtype=float)[:, None]
+        if j == C or w[j] != w[start]:
+            runs.setdefault(w[start], []).append((start, j))
+            start = j
+    weights = np.array(list(runs), dtype=float)[:, None]
     rank = np.arange(C, 0, -1, dtype=np.min_scalar_type(C))[:, None]
     weights.flags.writeable = rank.flags.writeable = False
-    return weights, tuple(map(tuple, runs.values())), tuple(map(tuple, lone)), rank
+    return weights, tuple(map(tuple, runs.values())), rank
 
 
 def _weighted_argmax(u: np.ndarray, w: np.ndarray, top: np.ndarray | None = None) -> np.ndarray:
@@ -82,24 +70,23 @@ def _weighted_argmax(u: np.ndarray, w: np.ndarray, top: np.ndarray | None = None
     to the class maxima, and takes log and the division over those W rows
     only, none when W = 1; log(0) = -inf is harmless.  The winner is the first
     contender that hits, by the largest of hit times a rank falling from C at
-    contender 0 to 1 at C - 1: a contender alone in its class hits where its
-    score is the best, any other where its u equals its class maximum divided
-    by the class's not-losing mask, which is inf or NaN where the class loses.
-    Ties thus go to the lowest contender id, as argmax breaks them, and a row
-    of -inf scores to contender 0; inside a class the larger u wins even where
-    rounding gives two u the same log(u)/w.
+    contender 0 to 1 at C - 1: a contender hits where its u equals its class
+    maximum divided by the class's not-losing mask, which is inf or NaN where
+    the class loses.  Ties thus go to the lowest contender id, as argmax breaks
+    them, and a row of -inf scores to contender 0; inside a class the larger u
+    wins even where rounding gives two u the same log(u)/w.
     """
     n, C = u.shape
     u_cm = u.T
-    weights, shared, lone, rank = _weight_classes(w.tobytes())
-    W, S = weights.shape[0], len(shared)
+    weights, classes, rank = _weight_classes(w.tobytes())
+    W = weights.shape[0]
     out = np.empty(n, dtype=np.intp)
     rows = min(n, _BLOCK)
     best = np.empty(rows) if top is None else None
     if W > 1:
         scores = np.empty((W, rows))
-        maxima = np.empty((S, rows))
-        alive = np.empty((S, rows), dtype=bool)
+        maxima = np.empty((W, rows))
+        alive = np.empty((W, rows), dtype=bool)
     hit = np.empty((C, rows), dtype=bool)
     ranked = np.empty((C, rows), dtype=rank.dtype)
     first = np.empty(rows, dtype=rank.dtype)
@@ -115,20 +102,16 @@ def _weighted_argmax(u: np.ndarray, w: np.ndarray, top: np.ndarray | None = None
                 np.equal(ub, b, out=h)
             else:
                 s, m = scores[:, :k], maxima[:, :k]
-                for row, runs in zip(m, shared):
+                for row, runs in zip(m, classes):
                     (j0, j1), *rest = runs
                     np.max(ub[j0:j1], axis=0, out=row)
                     for j0, j1 in rest:
                         np.maximum(row, np.max(ub[j0:j1], axis=0), out=row)
-                np.log(m, out=s[:S])
-                for j0, j1, c0, c1 in lone:
-                    np.log(ub[j0:j1], out=s[c0:c1])
+                np.log(m, out=s)
                 np.divide(s, weights, out=s)
                 np.max(s, axis=0, out=b)
-                for j0, j1, c0, c1 in lone:
-                    np.equal(s[c0:c1], b, out=h[j0:j1])
-                np.divide(m, np.equal(s[:S], b, out=alive[:, :k]), out=m)
-                for row, runs in zip(m, shared):
+                np.divide(m, np.equal(s, b, out=alive[:, :k]), out=m)
+                for row, runs in zip(m, classes):
                     for j0, j1 in runs:
                         np.equal(ub[j0:j1], row, out=h[j0:j1])
             np.multiply(h, rank, out=ranked[:, :k])
@@ -180,20 +163,15 @@ def dfs_select(u: np.ndarray, K1: int, K2: int) -> np.ndarray:
     return _weighted_argmax(*_contender_weights(u, dfs_weights(K1, K2)))
 
 
-@dataclass
-class CfsState:
-    """Round-robin cursor over the 2*K2 D2D users for below-threshold slots."""
-
-    cursor: int = 0
-
-
-def cfs_select(u_cell: np.ndarray, K1: int, K2: int, state: CfsState) -> np.ndarray:
+def cfs_select(u_cell: np.ndarray, K1: int, K2: int, offset: int = 0) -> np.ndarray:
     """Threshold policy: per slot, the best cellular user wins if its u clears
-    the threshold, otherwise pair K1 + user // 2 of the next D2D user in the
-    round-robin over the 2*K2 users that `state` carries across calls.  The
-    rotation names a pair for its two members back to back, and the accounts
-    alternate those members, so the users are served in the rotation's order.
-    With K1 == 0 the policy degenerates to pure round-robin over D2D users.
+    the threshold, otherwise the pair of the next D2D user in a round-robin over
+    the 2*K2 users: the i-th below-threshold slot of the call names pair
+    K1 + ((offset + i) mod 2*K2) // 2, so a run split into calls passes each
+    call its count of below-threshold slots before it.  The rotation names a
+    pair for its two members back to back, and the accounts alternate those
+    members, so the users are served in the rotation's order.  With K1 == 0
+    the policy degenerates to pure round-robin over D2D users.
     """
     u_cell = np.atleast_2d(u_cell)
     n = u_cell.shape[0]
@@ -207,8 +185,7 @@ def cfs_select(u_cell: np.ndarray, K1: int, K2: int, state: CfsState) -> np.ndar
     if idle.size:
         if K2 == 0:
             raise ValueError("below-threshold slot with no D2D users to serve")
-        win[idle] = K1 + (state.cursor + np.arange(idle.size)) % (2 * K2) // 2
-        state.cursor = (state.cursor + idle.size) % (2 * K2)
+        win[idle] = K1 + (offset + np.arange(idle.size)) % (2 * K2) // 2
     return win
 
 

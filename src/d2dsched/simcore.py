@@ -95,10 +95,10 @@ class _Accounts:
     """The record of one realization, from its first chunk to `_reduce`: its
     `config`, which fixes each contender's kind, shape and members, its `rng`,
     which draws all of its fading, its `structure`, the `weights` gfs or ecs
-    selects with (`solve`, the block's cached `policy_weights`, gives them), its
-    cfs cursor, the count of slots `done`, and its per-user totals and kept
-    SNRs, which `add` accumulates one chunk of slots at a time.  Of its
-    contenders' mean SNRs it keeps the SNR of a cell per unit of P^-1."""
+    selects with (`solve`, the block's cached `policy_weights`, gives them), the
+    count of slots `done`, and its per-user totals and kept SNRs, which `add`
+    accumulates one chunk of slots at a time.  Of its contenders' mean SNRs it
+    keeps the SNR of a cell per unit of P^-1."""
 
     def __init__(self, config: SystemConfig, means: np.ndarray, rng: np.random.Generator,
                  structure: GroupStructure | None, solve):
@@ -117,7 +117,6 @@ class _Accounts:
         self.rng = rng
         self.structure = structure
         self.weights = solve(structure)
-        self.cfs = policies.CfsState()
         self.done = 0
         self.log_base = np.log(config.rate_log_base)
         self.snr_per_x = means / config.shapes_per_contender()
@@ -198,7 +197,8 @@ def _grant_scores(acc: _Accounts, n: int) -> None:
     elif policy == "dfs":
         win = policies.dfs_select(u, K1, K2)
     elif policy == "cfs":
-        win = policies.cfs_select(u, K1, K2, acc.cfs)
+        # a pair is granted in every below-threshold slot and in no other
+        win = policies.cfs_select(u, K1, K2, offset=int(acc.user_grants[K1:].sum()))
     elif policy in ("gfs", "ecs"):
         win = policies.mws_select(u, acc.structure, acc.weights)
     else:
@@ -229,15 +229,16 @@ def simulate_block(config: SystemConfig, block: list) -> list[_Accounts]:
     stream position, and cfs's cellular scores are bcs's first K1 rows.  Every
     policy maps only its granted cells to SNR for the accounts.  The six score
     policies select on u one realization at a time, CHUNK_SLOTS slots a chunk,
-    each with its own cfs cursor and `policy_weights`, which are solved once
-    per distinct structure of the block.  pfs decides on rates: each chunk maps
-    every cell of each realization in turn into one (C, n) buffer, and
-    `policies.pfs_select` steps the whole block in lockstep with the rate
-    averages carried across chunks.  Its chunk is max(1, CHUNK_SLOTS //
-    `spatial_realizations`) slots, counting the whole experiment's
-    realizations, so a chunk holds no more cells than a score-policy chunk.
-    The chunks fix the last bits of each user's sums, so any split of an
-    experiment into blocks reports the same bits.
+    each with its own `policy_weights`, which are solved once per distinct
+    structure of the block; cfs's rotation resumes at the record's pair grants
+    so far.  pfs decides on rates: each chunk maps every cell of each
+    realization in turn into one (C, n) buffer, and `policies.pfs_select`
+    steps the whole block in lockstep with the rate averages carried across
+    chunks.  Its chunk is max(1, CHUNK_SLOTS // `spatial_realizations`)
+    slots, counting the whole experiment's realizations, so a chunk holds no
+    more cells than a score-policy chunk.  The chunks fix the last bits of
+    each user's sums, so any split of an experiment into blocks reports the
+    same bits.
     """
     policy, C = config.policy, config.n_contenders
     solve = functools.cache(functools.partial(policy_weights, policy))
@@ -294,7 +295,7 @@ class ExperimentReport:
     def total_slots(self) -> int:
         return self.config.spatial_realizations * self.config.slots_per_realization
 
-    @property
+    @functools.cached_property
     def user_kinds(self) -> list[str]:
         """Each user's class: the K1 cellular users, then both members of each pair."""
         return ["cellular"] * self.config.K1 + ["d2d"] * (2 * self.config.K2)

@@ -9,6 +9,7 @@ steps from c = 0 overshoot the single root once and then fall onto it.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,10 +36,12 @@ class PolicyWeights:
         if not np.all((self.w > 0) & (self.w < np.inf)):
             raise ValueError(f"weights must be positive and finite, got {self.w!r}")
 
-    @property
+    @functools.cached_property
     def mu(self) -> np.ndarray:
-        """Selection factors mu_i = sum(m_k w_k) / w_i = 1 / w_i."""
-        return 1.0 / self.w
+        """Selection factors mu_i = sum(m_k w_k) / w_i = 1 / w_i, computed once."""
+        mu = 1.0 / self.w
+        mu.flags.writeable = False
+        return mu
 
 
 def normalized_weights(structure: GroupStructure, w) -> PolicyWeights:

@@ -181,7 +181,7 @@ def reference_accounting(config, means, rng, structure=None, chunk=None):
     group_grants = np.zeros(n_winners, dtype=np.int64)
     snrs = [[] for _ in range(C)]
     turn = [0] * C
-    cfs_state, pf_state = policies.CfsState(), policies.PfState(t_c=config.pf_time_const)
+    below, pf_state = 0, policies.PfState(t_c=config.pf_time_const)   # cfs: its pair slots
     read = {"cfs": K1, "grr": 0}.get(policy, C)
     done = 0
     while done < slots:
@@ -197,7 +197,8 @@ def reference_accounting(config, means, rng, structure=None, chunk=None):
         elif policy == "dfs":
             win = policies.dfs_select(u, K1, K2)
         elif policy == "cfs":
-            win = policies.cfs_select(u, K1, K2, cfs_state)
+            win = policies.cfs_select(u, K1, K2, offset=below)
+            below += int(np.count_nonzero(win >= K1))
         elif policy in ("gfs", "ecs"):
             win = policies.mws_select(u, structure, weights)
         else:

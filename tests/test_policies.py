@@ -8,6 +8,7 @@ from helpers import first_realization_contenders, ks_uniform, lone_contenders, m
 
 from d2dsched import policies, simcore
 from d2dsched.analytics import cfs_threshold
+from d2dsched.cli import TABLE5_SIZES
 from d2dsched.channel import GammaSnrCdf
 from d2dsched.grouping import Group, GroupStructure, fixed_grouping
 from d2dsched.model import SystemConfig, sample_spatial
@@ -112,8 +113,14 @@ def test_cellular_threshold_policy_access():
     K1, K2 = 40, 15
     K = K1 + 2 * K2
     rng = np.random.default_rng(44)
-    state = policies.CfsState()             # one rotation across the chunks
-    win = _winners(rng, K1, lambda u: policies.cfs_select(u, K1, K2, state))
+    below = [0]                             # one rotation across the chunks
+
+    def select(u):
+        win = policies.cfs_select(u, K1, K2, offset=below[0])
+        below[0] += int(np.count_nonzero(win >= K1))
+        return win
+
+    win = _winners(rng, K1, select)
     freq = np.bincount(win, minlength=K1 + K2) / win.size
     assert freq.size == K1 + K2
     assert np.all(np.abs(freq[:K1] - 1.0 / K) < 0.002)
@@ -135,10 +142,13 @@ def test_threshold_policy_round_robin_order():
     # below the threshold the rotation names pairs 0, 0, 1, 1, 0, 0 (users 0..3, 0, 1),
     # and the accounts grant the users in that order, one slot at a time
     u = np.zeros((6, 2))                             # never clears the threshold
-    state = policies.CfsState()
-    win = policies.cfs_select(u, 2, 2, state)
+    win = policies.cfs_select(u, 2, 2)
     assert list(win) == [2, 2, 3, 3, 2, 2]
-    assert state.cursor == 2
+    # the rotation resumes at its offset, the below-threshold slots before the call
+    assert list(policies.cfs_select(u[:2], 2, 2, offset=6)) == [3, 3]
+    for split in range(7):
+        assert list(policies.cfs_select(u[:split], 2, 2)) \
+            + list(policies.cfs_select(u[split:], 2, 2, offset=split)) == list(win)
     record = simcore._Accounts(SystemConfig(K1=2, K2=2, policy="cfs", slots_per_realization=6),
                                np.ones(4), np.random.default_rng(0), None, lambda structure: None)
     order = []
@@ -153,17 +163,19 @@ def test_threshold_policy_round_robin_order():
 
 def test_threshold_policy_degenerate_cases():
     # without cellular users every slot goes to the rotation; without pairs the
-    # threshold is 0, so the best cellular user wins every slot and the cursor rests
-    state = policies.CfsState(cursor=1)
-    win = policies.cfs_select(np.zeros((8, 0)), 0, 2, state)
+    # threshold is 0, so the best cellular user wins every slot and the offset is unread
+    win = policies.cfs_select(np.zeros((8, 0)), 0, 2, offset=1)
     assert list(win) == [0, 1, 1, 0, 0, 1, 1, 0]     # users 1, 2, 3, 0, ... of the pairs
-    assert state.cursor == 1
+    assert list(policies.cfs_select(np.zeros((8, 0)), 0, 2, offset=9)) == list(win)
+    for split in range(9):
+        first = policies.cfs_select(np.zeros((split, 0)), 0, 2, offset=1)
+        rest = policies.cfs_select(np.zeros((8 - split, 0)), 0, 2, offset=1 + split)
+        assert list(first) + list(rest) == list(win)
     u = np.random.default_rng(9).random((50, 3))
-    state = policies.CfsState()
-    assert np.array_equal(policies.cfs_select(u, 3, 0, state), np.argmax(u, axis=1))
-    assert state.cursor == 0
+    for offset in (0, 7):
+        assert np.array_equal(policies.cfs_select(u, 3, 0, offset=offset), np.argmax(u, axis=1))
     with pytest.raises(ValueError):
-        policies.cfs_select(np.zeros((2, 0)), 0, 0, policies.CfsState())
+        policies.cfs_select(np.zeros((2, 0)), 0, 0)
 
 
 def test_pair_double_weight_access():
@@ -327,7 +339,8 @@ def test_selection_kernel_matches_argmax(n, C, layout):
     K2 = C - K1
     uneven = np.random.default_rng(C).random(C) + 0.1
     uneven /= uneven.sum()
-    assert policies._weight_classes(uneven.tobytes())[2] == ((0, C, 0, C),)   # all distinct
+    weights, classes, _ = policies._weight_classes(uneven.tobytes())       # all distinct
+    assert weights.shape == (C, 1) and classes == tuple(((j, j + 1),) for j in range(C))
     with np.errstate(divide="ignore"):
         log_u = np.log(u)
     for w, got in ((np.full(C, 1.0 / C), policies.bcs_select(u, np.full(C, 1.0 / C))),
@@ -342,7 +355,7 @@ def test_selection_kernel_matches_argmax(n, C, layout):
                           group[np.argmax(log_u / weights.w[group], axis=1)])
     best = np.argmax(u[:, :K1], axis=1)
     granted = u[np.arange(n), best] >= cfs_threshold(K1, K2)
-    win = policies.cfs_select(u[:, :K1], K1, K2, policies.CfsState())
+    win = policies.cfs_select(u[:, :K1], K1, K2)
     assert np.array_equal(win[granted], best[granted])
     assert np.array_equal(win[~granted], K1 + np.arange(np.sum(~granted)) % (2 * K2) // 2)
 
@@ -400,17 +413,24 @@ def test_selection_weights_must_be_positive_and_finite(w):
 
 
 def test_weight_classes_partition():
-    # classes of several contenders first, then lone ones, each kind by first
-    # contender; consecutive lone contenders form one slice
+    # classes by first contender, each with its contiguous runs of contenders; a
+    # contender alone in its weight (b, e) is a class of one run
     a, b, c, d, e = 0.05, 0.1, 0.15, 0.2, 0.25
     w = np.array([c, a, d, a, a, b, e, d, c])
-    weights, shared, lone, rank = policies._weight_classes(w.tobytes())
+    weights, classes, rank = policies._weight_classes(w.tobytes())
     assert weights[:, 0].tolist() == [c, a, d, b, e]
-    assert shared == (((0, 1), (8, 9)), ((1, 2), (3, 5)), ((2, 3), (7, 8)))
-    assert lone == ((5, 7, 3, 5),)
+    assert classes == (((0, 1), (8, 9)), ((1, 2), (3, 5)), ((2, 3), (7, 8)), ((5, 6),),
+                       ((6, 7),))
     assert rank[:, 0].tolist() == list(range(9, 0, -1))
-    weights, shared, lone, _ = policies._weight_classes(np.full(4, 0.25).tobytes())
-    assert weights.shape == (1, 1) and shared == (((0, 4),),) and lone == ()
+    weights, classes, _ = policies._weight_classes(np.full(4, 0.25).tobytes())
+    assert weights.shape == (1, 1) and classes == (((0, 4),),)
+    # the table-5 gfs weights, groups of 1, 7, 2 and 4: contender 0 is alone in its weight
+    structure = fixed_grouping(TABLE5_SIZES, nu=1.0)
+    group = policies.group_index(structure, structure.n_contenders)
+    weights, classes, _ = policies._weight_classes(
+        solve_group_weights(structure).w[group].tobytes())
+    assert weights.shape == (4, 1)
+    assert classes == (((0, 1),), ((1, 8),), ((8, 10),), ((10, 14),))
 
 
 def _log_argmax(u, w):

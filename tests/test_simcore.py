@@ -166,7 +166,8 @@ def test_every_chunk_ends_where_a_full_draw_does(monkeypatch, chunk):
         states.setdefault(acc.config.policy, []).append(acc.rng.bit_generator.state)
 
     def reading(select, policy):
-        return lambda u, *args: scores.setdefault(policy, []).append(u.copy()) or select(u, *args)
+        return lambda u, *args, **kwargs: scores.setdefault(policy, []).append(u.copy()) \
+            or select(u, *args, **kwargs)
 
     monkeypatch.setattr(simcore, "_grant_scores", recorded)
     monkeypatch.setattr(simcore.policies, "bcs_select", reading(simcore.policies.bcs_select, "bcs"))
@@ -250,7 +251,8 @@ def test_weights_solved_once_per_fixed_structure(monkeypatch, policy, rule, grou
 def test_blocks_and_workers_change_no_report(monkeypatch, policy, group_sizes):
     # 1, 2, 5 and 8 workers run blocks of 5, 3 + 2, 1 each and 1 each (no empty
     # block): the blocks reduce to the same report, to the bit.  pfs steps a block
-    # in lockstep; cfs keeps a cursor and greedy gfs its weights per realization
+    # in lockstep; cfs resumes its rotation at each record's pair grants and greedy
+    # gfs keeps its weights per realization
     cfg = SystemConfig(K1=10, K2=5, policy=policy, group_sizes=group_sizes,
                        slots_per_realization=400, spatial_realizations=5, rng_seed=31,
                        interference_radius_m=600.0)
@@ -312,8 +314,9 @@ def test_bad_thread_count_names_the_variable(monkeypatch):
 def test_contender_mapping_and_kinds():
     cfg = SystemConfig(K1=2, K2=2, slots_per_realization=10)
     means, sp = first_realization_contenders(cfg)
-    assert simcore.run_experiment(cfg).user_kinds == ["cellular", "cellular", "d2d", "d2d",
-                                                      "d2d", "d2d"]
+    report = simcore.run_experiment(cfg)
+    assert report.user_kinds == ["cellular", "cellular", "d2d", "d2d", "d2d", "d2d"]
+    assert report.user_kinds is report.user_kinds            # built once per report
     assert simcore.run_experiment(given_means([1.0, 2.0], slots_per_realization=10)).user_kinds \
         == ["cellular", "cellular"]
     # mean SNR falls with distance within one link class

@@ -80,6 +80,13 @@ def test_solver_single_group():
     assert upi_closed_form(0, st, pw) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_selection_factors_are_computed_once_and_read_only():
+    pw = solve_group_weights(fixed_grouping([1, 2, 3, 2], nu=1.0))
+    mu = pw.mu
+    assert pw.mu is mu and not mu.flags.writeable
+    assert np.array_equal(mu, 1.0 / pw.w)
+
+
 def test_mixed_nu_solver_levels_equal():
     st = fixed_grouping([1, 1], nu=1.0)
     d2d = fixed_grouping([3], nu=0.5, id_offset=2)
